@@ -23,6 +23,8 @@ from pathlib import Path
 
 from .core import DataSheet, make_detector, make_repairer
 from .dataframe import (
+    JOIN_STRATEGIES,
+    SORT_STRATEGIES,
     SpillStore,
     parse_byte_size,
     read_csv,
@@ -318,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: same names as --on)")
     refcheck_cmd.add_argument(
         "--strategy",
-        choices=("auto", "memory", "partitioned", "merge", "sortmerge"),
+        choices=JOIN_STRATEGIES,
         help="force a join strategy (default: planner decides)",
     )
     refcheck_cmd.add_argument("--strict", action="store_true",
@@ -335,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="key column(s), highest priority first")
     sort_cmd.add_argument("--descending", action="store_true")
     sort_cmd.add_argument(
-        "--strategy", choices=("auto", "memory", "external"),
+        "--strategy", choices=SORT_STRATEGIES,
         help="force a sort strategy (default: DATALENS_SORT_STRATEGY, "
         "else external iff the input is spilled)",
     )

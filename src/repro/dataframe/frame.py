@@ -360,63 +360,6 @@ class DataFrame:
         yield self
 
     # ------------------------------------------------------------------
-    # Relational operators (see repro.dataframe.joins for the contract)
-    # ------------------------------------------------------------------
-    def join(
-        self,
-        right: "DataFrame",
-        on: Sequence[str],
-        how: str = "inner",
-        suffix: str = "_right",
-        strategy: str | None = None,
-        n_partitions: int | None = None,
-    ) -> "DataFrame":
-        """Join with ``right`` on equality of the ``on`` columns.
-
-        ``how`` is ``"inner"``/``"left"``/``"outer"``; ``strategy``
-        forces a physical plan (``"memory"``/``"partitioned"``/
-        ``"merge"``/``"sortmerge"``), else the planner picks one. Works
-        uniformly on monolithic, chunked, and spilled frames.
-        """
-        from .joins import join as _join
-
-        return _join(
-            self,
-            right,
-            on,
-            how=how,
-            suffix=suffix,
-            strategy=strategy,
-            n_partitions=n_partitions,
-        )
-
-    def group_by(
-        self, columns: Sequence[str], aggregations: Mapping[str, tuple[str, Any]]
-    ) -> "DataFrame":
-        """Grouped aggregation; see :func:`repro.dataframe.ops.group_by`."""
-        from .ops import group_by as _group_by
-
-        return _group_by(self, columns, aggregations)
-
-    def sort_by(
-        self,
-        columns: Sequence[str],
-        descending: bool = False,
-        strategy: str | None = None,
-    ) -> "DataFrame":
-        """Stable multi-key sort; see :func:`repro.dataframe.ops.sort_by`.
-
-        ``strategy`` picks the physical plan (``"memory"`` /
-        ``"external"``, default auto): spilled frames sort out-of-core
-        through :mod:`repro.dataframe.sort` and come back spilled;
-        resident frames use the dense lexsort kernel. Results are
-        bit-identical either way.
-        """
-        from .ops import sort_by as _sort_by
-
-        return _sort_by(self, columns, descending=descending, strategy=strategy)
-
-    # ------------------------------------------------------------------
     # Missing data
     # ------------------------------------------------------------------
     def missing_mask(self) -> dict[str, list[bool]]:

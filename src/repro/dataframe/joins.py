@@ -7,42 +7,27 @@ stream through the owning :class:`~repro.dataframe.spill.SpillStore`'s
 LRU) and only the *result* is densified — query output is monolithic per
 the chunking contract, the inputs stay sharded/spilled.
 
-Join strategies
----------------
-``join`` picks a physical strategy via :func:`resolve_join_strategy`:
+Join plans
+----------
+``join`` and ``semi_join_mask`` run one plan per residency regime,
+picked by :func:`resolve_join_strategy`:
 
-* ``memory`` — the classic joint-codes hash join (factorize both key
-  sides together, sort the right side once, probe with searchsorted).
-  Densifies both inputs; the right choice for in-RAM frames.
+* ``memory`` — the joint-codes hash join (factorize both key sides
+  together, sort the right side once, probe with searchsorted).
+  Densifies both inputs; the plan for resident frames.
 * ``partitioned`` — a Grace-style partitioned hash join: each side's
   chunks are split into ``n_partitions`` buckets by an
-  equality-respecting key hash, bucket pairs are joined independently
+  equality-respecting key hash, bucket pairs are probed independently
   with the same joint-codes kernel, and the per-partition pairs are
   merged back into global row order. When either input is spilled the
   buckets themselves spill through the same store, so peak residency
-  stays at the store budget.
-* ``merge`` — a sorted-merge join for inputs already sorted on the key
-  (ascending, missing last — the order :func:`repro.dataframe.sort_by`
-  produces). Streams one key run per side at a time and never builds a
-  hash table. Explicit ``merge`` never sorts: unsorted inputs raise.
-* ``sortmerge`` — the merge join behind an external sort: any input
-  that is not already sorted on the key is sorted out-of-core through
-  :func:`repro.dataframe.sort.external_sort_by` (a reduced frame of key
-  columns plus a row-id column, so payload columns never move), the
-  validated merge join runs on the sorted sides, and the matched pairs
-  are mapped back to input row ids. Temporary sort shards spill through
-  the inputs' store and are released before returning.
-* ``auto`` (default) — ``memory`` for resident inputs. For spilled
-  inputs: ``sortmerge`` when either side already satisfies the
-  sortedness contract on the key (the probe is one streaming key scan
-  per side and pins nothing resident; the presorted side streams
-  as-is, so only the other side pays an external sort), else
-  ``partitioned``.
+  stays at the store budget; the plan for out-of-core frames.
+* ``auto`` (default) — ``memory`` when both inputs are resident,
+  ``partitioned`` when either is spilled.
 
 ``DATALENS_JOIN_STRATEGY`` overrides the default strategy process-wide
 (CI forces ``partitioned`` to run the whole suite through the
-out-of-core path); ``DATALENS_JOIN_PARTITIONS`` overrides the partition
-count. All strategies produce bit-identical results.
+out-of-core path). Both plans produce bit-identical results.
 
 Key-hash partitioning invariants
 --------------------------------
@@ -61,9 +46,9 @@ shards carry no null masks.
 
 Null semantics of left/outer unmatched rows
 -------------------------------------------
-``left_join`` keeps every left row; ``outer_join`` additionally appends
-every unmatched right row (in right row order) after all left rows.
-Cells drawn from the absent side are missing (``None``) with the
+``how="left"`` keeps every left row; ``how="outer"`` additionally
+appends every unmatched right row (in right row order) after all left
+rows. Cells drawn from the absent side are missing (``None``) with the
 canonical fill value in the backing array, exactly as if constructed
 from ``None`` — null-mask-correct, so fingerprints and downstream
 kernels see ordinary missing cells. Outer-join key columns are widened
@@ -73,16 +58,6 @@ coerced by the standard :func:`repro.dataframe.types.coerce` lattice.
 Rows whose key contains a missing cell never match — a left row with a
 null key survives a left/outer join unmatched, and a right row with a
 null key appears in the outer result as a right-only row.
-
-Merge-join sortedness precondition
-----------------------------------
-``merge`` requires both inputs sorted on the key columns: the sort-key
-tuples (:func:`repro.dataframe.ops._sort_key` per cell — numbers before
-strings, missing last) of consecutive *distinct* key runs must strictly
-increase. Violations raise ``ValueError`` naming the side, the
-offending key, and its row; both inputs are validated end to end even
-when the merge itself could have stopped early, so the error is
-deterministic and independent of chunk boundaries.
 
 Grouped aggregation
 -------------------
@@ -109,7 +84,7 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import types as _types
-from .chunked import ChunkedColumn, ChunkedFrame, _concat_payload
+from .chunked import _concat_payload
 from .column import Column
 from .frame import DataFrame
 from .ops import (
@@ -118,18 +93,13 @@ from .ops import (
     _group_layout,
     _joint_codes,
     _resolve_aggregator,
-    _sort_key,
 )
-from .sort import external_sort_by
 from .spill import SpillStore, spill_store_of
 
 #: Environment override for the default join strategy.
 JOIN_STRATEGY_ENV = "DATALENS_JOIN_STRATEGY"
 
-#: Environment override for the partitioned-join partition count.
-JOIN_PARTITIONS_ENV = "DATALENS_JOIN_PARTITIONS"
-
-JOIN_STRATEGIES = ("auto", "memory", "partitioned", "merge", "sortmerge")
+JOIN_STRATEGIES = ("auto", "memory", "partitioned")
 
 _JOIN_HOWS = ("inner", "left", "outer")
 
@@ -138,23 +108,12 @@ _JOIN_HOWS = ("inner", "left", "outer")
 # Planner
 # ----------------------------------------------------------------------
 def resolve_join_strategy(
-    strategy: str | None,
-    left: DataFrame,
-    right: DataFrame,
-    on: Sequence[str] | None = None,
+    strategy: str | None, left: DataFrame, right: DataFrame
 ) -> str:
     """Resolve the physical strategy: explicit > environment > auto.
 
-    For spilled inputs (joining through ``memory`` would densify them)
-    ``auto`` prefers a merge plan when it can get one cheaply: given the
-    key columns via ``on``, it probes each side's sortedness (a
-    streaming key scan through the spill LRU — nothing is pinned
-    resident) and picks ``sortmerge`` when either side already
-    satisfies the contract, so at most one side pays an external sort.
-    Otherwise spilled inputs route ``partitioned`` and resident inputs
-    ``memory``. Callers that need no sorted semantics (membership)
-    pass ``on=None`` and keep the historical partitioned/memory
-    resolution. Bare ``merge`` is still never auto-selected.
+    ``auto`` picks ``partitioned`` when either input is spilled (joining
+    through ``memory`` would densify it) and ``memory`` otherwise.
     """
     if strategy is None:
         strategy = (
@@ -168,10 +127,6 @@ def resolve_join_strategy(
         )
     if strategy == "auto":
         if spill_store_of(left) is not None or spill_store_of(right) is not None:
-            if on is not None and (
-                is_sorted_on(left, on) or is_sorted_on(right, on)
-            ):
-                return "sortmerge"
             return "partitioned"
         return "memory"
     return strategy
@@ -183,21 +138,12 @@ def resolve_join_partitions(
     right: DataFrame,
     store: SpillStore | None,
 ) -> int:
-    """Partition count: explicit > environment > derived from input size.
+    """Partition count: explicit, else derived from input size.
 
     With a store, partitions are sized so one bucket pair fits well
     inside the resident budget (~64 bytes of key+row payload per row);
     without one, roughly one partition per 64k input rows.
     """
-    if n_partitions is None:
-        raw = os.environ.get(JOIN_PARTITIONS_ENV, "").strip()
-        if raw:
-            try:
-                n_partitions = int(raw)
-            except ValueError:
-                raise ValueError(
-                    f"{JOIN_PARTITIONS_ENV} must be an integer, got {raw!r}"
-                ) from None
     if n_partitions is not None:
         if n_partitions < 1:
             raise ValueError(
@@ -272,21 +218,21 @@ def _partition_ids(
 
 
 # ----------------------------------------------------------------------
-# Joint-codes probe (shared by memory and partitioned strategies)
+# Joint-codes probe (shared by both plans, for join and membership)
 # ----------------------------------------------------------------------
-def _probe_pairs(
+def _key_codes(
     left_cols: Sequence[Column],
     right_cols: Sequence[Column],
     n_left: int,
     n_right: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matched (left_row, right_row) pairs, sorted by (left, right).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Composite joint key codes per side, plus each side's valid rows.
 
-    The joint-codes hash join from ``ops.inner_join``, generalized to
-    operate on any aligned key-column lists (full frames or partition
-    buckets): factorize each key pair jointly, combine into composite
-    codes, sort the right side once, probe with searchsorted, and expand
-    the matching runs.
+    Works on any aligned key-column lists (full frames or partition
+    buckets): each key pair is factorized jointly, so equal values share
+    a code across sides, and the pairs fold into one composite code per
+    row. Valid rows are those with no missing key cell — the only rows
+    that can match.
     """
     left_codes = np.zeros(n_left, dtype=np.int64)
     right_codes = np.zeros(n_right, dtype=np.int64)
@@ -300,8 +246,28 @@ def _probe_pairs(
         )
         left_missing |= np.asarray(l_col.mask())
         right_missing |= np.asarray(r_col.mask())
+    return (
+        left_codes,
+        right_codes,
+        np.flatnonzero(~left_missing),
+        np.flatnonzero(~right_missing),
+    )
 
-    right_rows_valid = np.flatnonzero(~right_missing)
+
+def _probe_pairs(
+    left_cols: Sequence[Column],
+    right_cols: Sequence[Column],
+    n_left: int,
+    n_right: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Matched (left_row, right_row) pairs, sorted by (left, right).
+
+    Sorts the right side's composite codes once, probes each valid left
+    code with searchsorted, and expands the matching runs.
+    """
+    left_codes, right_codes, left_rows_valid, right_rows_valid = _key_codes(
+        left_cols, right_cols, n_left, n_right
+    )
     right_order = right_rows_valid[
         np.argsort(right_codes[right_rows_valid], kind="stable")
     ]
@@ -311,7 +277,6 @@ def _probe_pairs(
         np.concatenate((unique_starts, [len(sorted_right)]))
     )
 
-    left_rows_valid = np.flatnonzero(~left_missing)
     probe = left_codes[left_rows_valid]
     slot = np.searchsorted(unique_right, probe)
     slot_clipped = np.minimum(slot, max(len(unique_right) - 1, 0))
@@ -339,24 +304,33 @@ def _probe_pairs(
     )
 
 
-def _join_pairs_memory(
-    left: DataFrame, right: DataFrame, key_names: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    return _probe_pairs(
-        [left.column(name) for name in key_names],
-        [right.column(name) for name in key_names],
-        left.num_rows,
-        right.num_rows,
+def _membership(
+    left_cols: Sequence[Column],
+    right_cols: Sequence[Column],
+    n_left: int,
+    n_right: int,
+) -> np.ndarray:
+    """Boolean per left row: does any right row share its (valid) key?"""
+    left_codes, right_codes, left_rows, right_rows = _key_codes(
+        left_cols, right_cols, n_left, n_right
     )
+    out = np.zeros(n_left, dtype=bool)
+    out[left_rows] = np.isin(left_codes[left_rows], right_codes[right_rows])
+    return out
 
 
 # ----------------------------------------------------------------------
-# Partitioned hash join
+# Partitioned plan: bucket both sides by key hash, probe bucket pairs
 # ----------------------------------------------------------------------
-def _key_chunk_iters(
-    frame: DataFrame, key_names: Sequence[str]
-) -> list[Iterator[Column]]:
-    return [frame.column(name).iter_chunks() for name in key_names]
+def _row_bytes(payloads: Sequence[np.ndarray]) -> int:
+    """Bytes per bucket row: its int64 row id plus the key payload.
+
+    Object payloads get a rough 64 B/row estimate.
+    """
+    return 8 + sum(
+        64 if payload.dtype == object else payload.itemsize
+        for payload in payloads
+    )
 
 
 def _partition_side(
@@ -367,16 +341,24 @@ def _partition_side(
 ) -> list[list[tuple[Any, list[Any]]]]:
     """Bucket one side's valid-key rows by key hash, chunk by chunk.
 
-    Returns, per partition, a list of per-chunk contributions
+    Returns, per partition, a list of contributions
     ``(rows, [key_payload, ...])`` where each element is a raw ndarray
     (in-memory run) or a :class:`ShardHandle` spilled through ``store``.
     Only the key columns are read — one shard at a time through the
     spill LRU for spilled inputs — so partitioning never densifies.
+
+    With a store, consecutive chunks are bucketed together until they
+    hold about one budget of row ids and key payload: every bucket
+    shard costs a file write and a load, so an input cut into many
+    small chunks (an external sort's output) must not spill one tiny
+    shard per chunk and partition.
     """
     buckets: list[list[tuple[Any, list[Any]]]] = [
         [] for _ in range(n_partitions)
     ]
-    iters = _key_chunk_iters(frame, key_names)
+    batch: list[tuple[np.ndarray, np.ndarray, list[np.ndarray]]] = []
+    batch_bytes = 0
+    iters = [frame.column(name).iter_chunks() for name in key_names]
     base = 0
     for length in frame.chunk_lengths:
         cols = [next(it) for it in iters]
@@ -387,49 +369,67 @@ def _partition_side(
         else:
             valid = np.ones(length, dtype=bool)
             pids = np.zeros(length, dtype=np.int64)
-        payloads = [np.asarray(col.values_array()) for col in cols]
-        for p in np.unique(pids[valid]).tolist():
-            local = np.flatnonzero(valid & (pids == p))
-            rows = (base + local).astype(np.int64)
-            pieces = [payload[local] for payload in payloads]
-            if store is not None:
-                # Bound each bucket shard well under the store budget so
-                # loading it back cannot push residency past the budget
-                # (a monolithic input arrives as one huge chunk; slicing
-                # here is what keeps the ≤-budget guarantee input-shape
-                # independent). Object payloads get a rough 64 B/row
-                # estimate; npy/pickle serialization overhead rides in
-                # the remaining 3/4 headroom.
-                per_row = 8 + sum(
-                    64 if piece.dtype == object else piece.itemsize
-                    for piece in pieces
-                )
-                step = len(rows)
-                if store.budget_bytes:
-                    step = max(1, store.budget_bytes // (4 * per_row))
-                for start in range(0, len(rows), step):
-                    rows_slice = rows[start : start + step]
-                    zeros = np.zeros(len(rows_slice), dtype=bool)
-                    buckets[p].append(
-                        (
-                            store.spill(rows_slice, zeros),
-                            [
-                                store.spill(piece[start : start + step], zeros)
-                                for piece in pieces
-                            ],
-                        )
-                    )
-            else:
-                buckets[p].append((rows, pieces))
+        keep = np.flatnonzero(valid)
+        payloads = [np.asarray(col.values_array())[keep] for col in cols]
+        batch.append((base + keep, pids[keep], payloads))
+        batch_bytes += len(keep) * _row_bytes(payloads)
         base += length
+        if store is None or batch_bytes >= store.budget_bytes:
+            _bucket_batch(batch, buckets, store)
+            batch, batch_bytes = [], 0
+    if batch:
+        _bucket_batch(batch, buckets, store)
     return buckets
 
 
-def _bucket_array(item: Any, store: SpillStore | None, handles: list) -> np.ndarray:
-    if store is not None and not isinstance(item, np.ndarray):
-        handles.append(item)
-        return store.load(item)[0]
-    return item
+def _bucket_batch(
+    batch: list[tuple[np.ndarray, np.ndarray, list[np.ndarray]]],
+    buckets: list[list[tuple[Any, list[Any]]]],
+    store: SpillStore | None,
+) -> None:
+    """Append one batch of ``(rows, pids, payloads)`` chunk parts to buckets.
+
+    With a store, each partition's rows spill in shards bounded well
+    under the store budget, so loading one back cannot push residency
+    past the budget (a monolithic input arrives as one huge chunk;
+    slicing here is what keeps the ≤-budget guarantee input-shape
+    independent). npy/pickle serialization overhead rides in the
+    remaining 3/4 headroom.
+    """
+    rows = np.concatenate([part[0] for part in batch]).astype(
+        np.int64, copy=False
+    )
+    pids = np.concatenate([part[1] for part in batch])
+    payloads = [
+        _concat_payload([part[2][j] for part in batch])
+        for j in range(len(batch[0][2]))
+    ]
+    step = len(rows)
+    if store is not None and store.budget_bytes:
+        step = max(1, store.budget_bytes // (4 * _row_bytes(payloads)))
+    for p in np.unique(pids).tolist():
+        local = np.flatnonzero(pids == p)
+        p_rows = rows[local]
+        pieces = [payload[local] for payload in payloads]
+        if store is None:
+            buckets[p].append((p_rows, pieces))
+            continue
+        for start in range(0, len(local), step):
+            rows_slice = p_rows[start : start + step]
+            zeros = np.zeros(len(rows_slice), dtype=bool)
+            buckets[p].append(
+                (
+                    store.spill(rows_slice, zeros),
+                    [
+                        store.spill(piece[start : start + step], zeros)
+                        for piece in pieces
+                    ],
+                )
+            )
+
+
+def _bucket_array(item: Any, store: SpillStore | None) -> np.ndarray:
+    return item if isinstance(item, np.ndarray) else store.load(item)[0]
 
 
 def _load_bucket(
@@ -437,15 +437,14 @@ def _load_bucket(
     key_names: Sequence[str],
     key_dtypes: Sequence[str],
     store: SpillStore | None,
-) -> tuple[np.ndarray, list[Column], list[Any]]:
+) -> tuple[np.ndarray, list[Column]]:
     """Concatenate one partition's contributions into probe-ready columns."""
-    handles: list[Any] = []
     rows_parts: list[np.ndarray] = []
     col_parts: list[list[np.ndarray]] = [[] for _ in key_names]
     for rows_item, piece_items in contribs:
-        rows_parts.append(_bucket_array(rows_item, store, handles))
+        rows_parts.append(_bucket_array(rows_item, store))
         for j, item in enumerate(piece_items):
-            col_parts[j].append(_bucket_array(item, store, handles))
+            col_parts[j].append(_bucket_array(item, store))
     rows = (
         rows_parts[0]
         if len(rows_parts) == 1
@@ -459,7 +458,7 @@ def _load_bucket(
         )
         for name, dtype, parts in zip(key_names, key_dtypes, col_parts)
     ]
-    return rows, cols, handles
+    return rows, cols
 
 
 def _release_contribs(
@@ -473,259 +472,61 @@ def _release_contribs(
             store.release(item)
 
 
+def _bucket_pairs(
+    left: DataFrame,
+    right: DataFrame,
+    left_names: Sequence[str],
+    right_names: Sequence[str],
+    n_partitions: int | None,
+) -> Iterator[tuple[np.ndarray, list[Column], np.ndarray, list[Column]]]:
+    """Yield ``(l_rows, l_cols, r_rows, r_cols)`` per bucket pair to probe.
+
+    Both sides' valid-key rows are hash-partitioned; buckets spill only
+    when an input is spilled, through that input's own store. A bucket
+    pair with rows on both sides is loaded for the consumer to probe,
+    and every bucket's spilled shards are released before the next pair
+    loads, so bucket shards of at most one pair are held at a time.
+    ``l_rows``/``r_rows`` map bucket positions back to input row ids.
+    """
+    store = spill_store_of(left) or spill_store_of(right)
+    n_partitions = resolve_join_partitions(n_partitions, left, right, store)
+    l_dtypes = [left.column(name).dtype for name in left_names]
+    r_dtypes = [right.column(name).dtype for name in right_names]
+    l_buckets = _partition_side(left, left_names, n_partitions, store)
+    r_buckets = _partition_side(right, right_names, n_partitions, store)
+    for l_contribs, r_contribs in zip(l_buckets, r_buckets):
+        if l_contribs and r_contribs:
+            l_rows, l_cols = _load_bucket(
+                l_contribs, left_names, l_dtypes, store
+            )
+            r_rows, r_cols = _load_bucket(
+                r_contribs, right_names, r_dtypes, store
+            )
+            yield l_rows, l_cols, r_rows, r_cols
+        _release_contribs(l_contribs, store)
+        _release_contribs(r_contribs, store)
+
+
 def _join_pairs_partitioned(
     left: DataFrame,
     right: DataFrame,
     key_names: Sequence[str],
-    n_partitions: int,
-    store: SpillStore | None,
+    n_partitions: int | None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    l_dtypes = [left.column(name).dtype for name in key_names]
-    r_dtypes = [right.column(name).dtype for name in key_names]
-    l_buckets = _partition_side(left, key_names, n_partitions, store)
-    r_buckets = _partition_side(right, key_names, n_partitions, store)
-    lp_parts: list[np.ndarray] = []
-    rp_parts: list[np.ndarray] = []
-    for p in range(n_partitions):
-        if not l_buckets[p] or not r_buckets[p]:
-            _release_contribs(l_buckets[p], store)
-            _release_contribs(r_buckets[p], store)
-            continue
-        l_rows, l_cols, l_handles = _load_bucket(
-            l_buckets[p], key_names, l_dtypes, store
-        )
-        r_rows, r_cols, r_handles = _load_bucket(
-            r_buckets[p], key_names, r_dtypes, store
-        )
+    lp_parts = [np.zeros(0, dtype=np.int64)]
+    rp_parts = [np.zeros(0, dtype=np.int64)]
+    for l_rows, l_cols, r_rows, r_cols in _bucket_pairs(
+        left, right, key_names, key_names, n_partitions
+    ):
         left_take, right_take = _probe_pairs(
             l_cols, r_cols, len(l_rows), len(r_rows)
         )
-        if len(left_take):
-            lp_parts.append(l_rows[left_take])
-            rp_parts.append(r_rows[right_take])
-        if store is not None:
-            for handle in l_handles + r_handles:
-                store.release(handle)
-    if not lp_parts:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        lp_parts.append(l_rows[left_take])
+        rp_parts.append(r_rows[right_take])
     lp = np.concatenate(lp_parts)
     rp = np.concatenate(rp_parts)
     order = np.lexsort((rp, lp))
     return lp[order], rp[order]
-
-
-# ----------------------------------------------------------------------
-# Sorted-merge join
-# ----------------------------------------------------------------------
-def _chunk_codes(cols: Sequence[Column], length: int) -> np.ndarray:
-    """Composite per-chunk key codes (``DataFrame.column_codes`` logic)."""
-    if not cols:
-        return np.zeros(length, dtype=np.int64)
-    codes, span = cols[0].codes()
-    for col in cols[1:]:
-        extra, extra_span = col.codes()
-        if extra_span and span > (2**62) // max(extra_span, 1):
-            _, inverse = np.unique(codes, return_inverse=True)
-            codes = inverse.astype(np.int64, copy=False)
-            span = int(codes.max()) + 1 if codes.size else 0
-        codes = codes * extra_span + extra
-        span = span * extra_span
-    return codes
-
-
-def _iter_key_runs(
-    frame: DataFrame, key_names: Sequence[str], side: str
-) -> Iterator[tuple[tuple, bool, np.ndarray]]:
-    """Yield ``(sort_key, has_missing, rows)`` per distinct key run.
-
-    Runs are maximal blocks of consecutive rows with equal keys; equal
-    runs merge across chunk boundaries, so the decomposition is
-    chunking-invariant. Raises ``ValueError`` when consecutive distinct
-    runs do not strictly increase (the merge-join sortedness
-    precondition); the generator must be drained to validate the tail.
-    """
-    iters = _key_chunk_iters(frame, key_names)
-    base = 0
-    pending: tuple[tuple, bool, np.ndarray] | None = None
-    for length in frame.chunk_lengths:
-        cols = [next(it) for it in iters]
-        if length == 0:
-            continue
-        codes = _chunk_codes(cols, length)
-        boundaries = np.flatnonzero(np.diff(codes)) + 1
-        starts = np.concatenate(([0], boundaries)).tolist()
-        ends = np.concatenate((boundaries, [length])).tolist()
-        for s, e in zip(starts, ends):
-            raw = tuple(col[s] for col in cols)
-            skey = tuple(_sort_key(value) for value in raw)
-            has_missing = any(value is None for value in raw)
-            rows = np.arange(base + s, base + e, dtype=np.int64)
-            if pending is not None and skey == pending[0]:
-                pending = (
-                    pending[0],
-                    pending[1],
-                    np.concatenate([pending[2], rows]),
-                )
-                continue
-            if pending is not None:
-                if not skey > pending[0]:
-                    raise ValueError(
-                        f"merge join requires the {side} input sorted on "
-                        f"{list(key_names)}: key {raw!r} at row {base + s} "
-                        f"breaks the sort order"
-                    )
-                yield pending
-            pending = (skey, has_missing, rows)
-        base += length
-    if pending is not None:
-        yield pending
-
-
-def _join_pairs_merge(
-    left: DataFrame, right: DataFrame, key_names: Sequence[str]
-) -> tuple[np.ndarray, np.ndarray]:
-    left_runs = _iter_key_runs(left, key_names, "left")
-    right_runs = _iter_key_runs(right, key_names, "right")
-    lp_parts: list[np.ndarray] = []
-    rp_parts: list[np.ndarray] = []
-    left_cur = next(left_runs, None)
-    right_cur = next(right_runs, None)
-    while left_cur is not None and right_cur is not None:
-        l_skey, l_missing, l_rows = left_cur
-        r_skey, r_missing, r_rows = right_cur
-        if l_skey == r_skey:
-            # Equal sort keys imply Python-equal values componentwise (or
-            # missing on both sides, which never matches).
-            if not l_missing and not r_missing:
-                lp_parts.append(np.repeat(l_rows, len(r_rows)))
-                rp_parts.append(np.tile(r_rows, len(l_rows)))
-            left_cur = next(left_runs, None)
-            right_cur = next(right_runs, None)
-        elif l_skey < r_skey:
-            left_cur = next(left_runs, None)
-        else:
-            right_cur = next(right_runs, None)
-    # Drain both sides so sortedness violations in the unconsumed tail
-    # surface deterministically regardless of where the merge stopped.
-    for _ in left_runs:
-        pass
-    for _ in right_runs:
-        pass
-    if not lp_parts:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.concatenate(lp_parts), np.concatenate(rp_parts)
-
-
-def is_sorted_on(frame: DataFrame, on: Sequence[str]) -> bool:
-    """True when the frame satisfies the merge-join sortedness contract.
-
-    One streaming key scan: spilled shards pass through the store's LRU
-    chunk by chunk and nothing stays pinned resident afterwards (the
-    probe reads key chunks only, never ``values_array()``).
-    """
-    try:
-        for _ in _iter_key_runs(frame, list(on), "input"):
-            pass
-    except ValueError:
-        return False
-    return True
-
-
-# ----------------------------------------------------------------------
-# Sort-merge join: external sort of unsorted inputs + the merge kernel
-# ----------------------------------------------------------------------
-def _sorted_with_rowids(
-    frame: DataFrame, key_names: Sequence[str], store: SpillStore
-) -> tuple[DataFrame, np.ndarray | None]:
-    """A frame sorted on the key, plus the sorted→input row-id map.
-
-    An already-sorted input streams as-is (``None`` map). Otherwise a
-    *reduced* frame — the key columns plus a collision-free row-id
-    column — is external-sorted through ``store``, so payload columns
-    never move and peak residency stays at the store budget. The row-id
-    column is densified to build the map (releasing its shards); the
-    sorted key shards are released by the caller after the merge.
-    """
-    if is_sorted_on(frame, key_names):
-        return frame, None
-    rowid = "__rowid__"
-    taken = set(frame.column_names)
-    while rowid in taken:
-        rowid += "_"
-    unique_keys = list(dict.fromkeys(key_names))
-    if isinstance(frame, ChunkedFrame):
-        shards = []
-        start = 0
-        for length in frame.chunk_lengths:
-            shards.append(
-                (
-                    np.arange(start, start + length, dtype=np.int64),
-                    np.zeros(length, dtype=bool),
-                )
-            )
-            start += length
-        rowid_col: Column = ChunkedColumn.from_shards(rowid, _types.INT, shards)
-        reduced: DataFrame = ChunkedFrame(
-            [frame.column(name) for name in unique_keys] + [rowid_col]
-        )
-    else:
-        n = frame.num_rows
-        rowid_col = Column._from_arrays(
-            rowid,
-            _types.INT,
-            np.arange(n, dtype=np.int64),
-            np.zeros(n, dtype=bool),
-        )
-        reduced = DataFrame(
-            [frame.column(name) for name in unique_keys] + [rowid_col]
-        )
-    sorted_frame = external_sort_by(reduced, unique_keys, store=store)
-    mapping = np.asarray(
-        sorted_frame.column(rowid).values_array()
-    ).astype(np.int64, copy=False)
-    return sorted_frame, mapping
-
-
-def _release_sorted_temp(frame: DataFrame, mapping: np.ndarray | None) -> None:
-    """Release a temp sorted frame's spilled shards (no-op when streamed)."""
-    if mapping is None:
-        return
-    for name in frame.column_names:
-        release = getattr(frame.column(name), "_release_spill", None)
-        if release is not None:
-            release()
-
-
-def _join_pairs_sortmerge(
-    left: DataFrame,
-    right: DataFrame,
-    key_names: Sequence[str],
-    store: SpillStore | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge-join after external-sorting whichever sides need it.
-
-    Pairs come back in the canonical ``(lp, rp)`` lexicographic order —
-    the same order every other strategy emits — via one final lexsort
-    after mapping sorted row ids back to input row ids.
-    """
-    if store is None:
-        store = spill_store_of(left) or spill_store_of(right)
-    temp_store = store if store is not None else SpillStore()
-    left_sorted, left_map = _sorted_with_rowids(left, key_names, temp_store)
-    right_sorted, right_map = _sorted_with_rowids(right, key_names, temp_store)
-    try:
-        lp, rp = _join_pairs_merge(left_sorted, right_sorted, key_names)
-    finally:
-        _release_sorted_temp(left_sorted, left_map)
-        _release_sorted_temp(right_sorted, right_map)
-    if len(lp):
-        if left_map is not None:
-            lp = left_map[lp]
-        if right_map is not None:
-            rp = right_map[rp]
-        order = np.lexsort((rp, lp))
-        lp, rp = lp[order], rp[order]
-    return lp, rp
 
 
 # ----------------------------------------------------------------------
@@ -939,7 +740,7 @@ def _assemble(
 
 
 # ----------------------------------------------------------------------
-# Public join API
+# Public API: join and semi-join membership
 # ----------------------------------------------------------------------
 def join(
     left: DataFrame,
@@ -949,14 +750,13 @@ def join(
     suffix: str = "_right",
     strategy: str | None = None,
     n_partitions: int | None = None,
-    spill: SpillStore | None = None,
 ) -> DataFrame:
     """Equality join with a pluggable physical strategy.
 
-    See the module docstring for the strategy, null, and sortedness
-    contracts. ``spill`` routes partition buckets through an explicit
-    store; by default buckets spill only when an input is already
-    spilled (through that input's own store).
+    See the module docstring for the plan and null contracts. Partition
+    buckets spill only when an input is already spilled, through that
+    input's own store; ``n_partitions`` overrides the bucket count of
+    the ``partitioned`` plan.
     """
     key_names = list(on)
     if how not in _JOIN_HOWS:
@@ -966,101 +766,19 @@ def join(
     for name in key_names:
         left.column(name)
         right.column(name)
-    resolved = resolve_join_strategy(strategy, left, right, on=key_names)
-    if resolved == "memory":
-        lp, rp = _join_pairs_memory(left, right, key_names)
-    elif resolved == "partitioned":
-        store = (
-            spill
-            if spill is not None
-            else (spill_store_of(left) or spill_store_of(right))
+    if resolve_join_strategy(strategy, left, right) == "memory":
+        lp, rp = _probe_pairs(
+            [left.column(name) for name in key_names],
+            [right.column(name) for name in key_names],
+            left.num_rows,
+            right.num_rows,
         )
-        parts = resolve_join_partitions(n_partitions, left, right, store)
-        lp, rp = _join_pairs_partitioned(left, right, key_names, parts, store)
-    elif resolved == "sortmerge":
-        lp, rp = _join_pairs_sortmerge(left, right, key_names, store=spill)
     else:
-        lp, rp = _join_pairs_merge(left, right, key_names)
+        lp, rp = _join_pairs_partitioned(left, right, key_names, n_partitions)
     left_idx, right_idx = _expand_pairs(
         how, left.num_rows, right.num_rows, lp, rp
     )
     return _assemble(left, right, key_names, suffix, how, left_idx, right_idx)
-
-
-def left_join(
-    left: DataFrame,
-    right: DataFrame,
-    on: Sequence[str],
-    suffix: str = "_right",
-    strategy: str | None = None,
-    n_partitions: int | None = None,
-) -> DataFrame:
-    """Keep every left row; unmatched rows get missing right cells."""
-    return join(
-        left,
-        right,
-        on,
-        how="left",
-        suffix=suffix,
-        strategy=strategy,
-        n_partitions=n_partitions,
-    )
-
-
-def outer_join(
-    left: DataFrame,
-    right: DataFrame,
-    on: Sequence[str],
-    suffix: str = "_right",
-    strategy: str | None = None,
-    n_partitions: int | None = None,
-) -> DataFrame:
-    """Full outer join; unmatched right rows follow all left rows."""
-    return join(
-        left,
-        right,
-        on,
-        how="outer",
-        suffix=suffix,
-        strategy=strategy,
-        n_partitions=n_partitions,
-    )
-
-
-# ----------------------------------------------------------------------
-# Semi-join membership (referential-integrity consumer)
-# ----------------------------------------------------------------------
-def _membership(
-    left_cols: Sequence[Column],
-    right_cols: Sequence[Column],
-    n_left: int,
-    n_right: int,
-) -> np.ndarray:
-    """Boolean per left row: does any right row share its (valid) key?"""
-    left_codes = np.zeros(n_left, dtype=np.int64)
-    right_codes = np.zeros(n_right, dtype=np.int64)
-    span = 1
-    left_missing = np.zeros(n_left, dtype=bool)
-    right_missing = np.zeros(n_right, dtype=bool)
-    for l_col, r_col in zip(left_cols, right_cols):
-        extra_left, extra_right, extra_span = _joint_codes(l_col, r_col)
-        left_codes, right_codes, span = _combine_codes(
-            left_codes, right_codes, span, extra_left, extra_right, extra_span
-        )
-        left_missing |= np.asarray(l_col.mask())
-        right_missing |= np.asarray(r_col.mask())
-    out = np.zeros(n_left, dtype=bool)
-    unique_right = np.unique(right_codes[~right_missing])
-    left_rows = np.flatnonzero(~left_missing)
-    probe = left_codes[left_rows]
-    if unique_right.size and probe.size:
-        slot = np.searchsorted(unique_right, probe)
-        slot_clipped = np.minimum(slot, len(unique_right) - 1)
-        hit = (slot < len(unique_right)) & (
-            unique_right[slot_clipped] == probe
-        )
-        out[left_rows[hit]] = True
-    return out
 
 
 def semi_join_mask(
@@ -1069,16 +787,14 @@ def semi_join_mask(
     on: Sequence[str],
     right_on: Sequence[str] | None = None,
     strategy: str | None = None,
-    n_partitions: int | None = None,
 ) -> np.ndarray:
     """Per left row, True when its key exists among the right rows.
 
     Rows with a missing key cell are False (they match nothing). The
     key columns pair positionally with ``right_on`` (default: the same
-    names). ``merge``/``sortmerge`` fall back to ``memory`` —
-    membership needs no sorted output — and ``auto`` resolves without
-    key columns (``on=None``), keeping the historical
-    partitioned/memory routing.
+    names). Runs the same ``memory``/``partitioned`` plans as
+    :func:`join`; under ``auto`` spilled inputs take ``partitioned``
+    and stay spilled.
     """
     left_names = list(on)
     right_names = list(right_on) if right_on is not None else left_names
@@ -1090,37 +806,19 @@ def semi_join_mask(
     for l_name, r_name in zip(left_names, right_names):
         left.column(l_name)
         right.column(r_name)
-    resolved = resolve_join_strategy(strategy, left, right)
-    if resolved != "partitioned":
+    if resolve_join_strategy(strategy, left, right) == "memory":
         return _membership(
             [left.column(name) for name in left_names],
             [right.column(name) for name in right_names],
             left.num_rows,
             right.num_rows,
         )
-    store = spill_store_of(left) or spill_store_of(right)
-    parts = resolve_join_partitions(n_partitions, left, right, store)
-    l_dtypes = [left.column(name).dtype for name in left_names]
-    r_dtypes = [right.column(name).dtype for name in right_names]
-    l_buckets = _partition_side(left, left_names, parts, store)
-    r_buckets = _partition_side(right, right_names, parts, store)
     out = np.zeros(left.num_rows, dtype=bool)
-    for p in range(parts):
-        if not l_buckets[p] or not r_buckets[p]:
-            _release_contribs(l_buckets[p], store)
-            _release_contribs(r_buckets[p], store)
-            continue
-        l_rows, l_cols, l_handles = _load_bucket(
-            l_buckets[p], left_names, l_dtypes, store
-        )
-        r_rows, r_cols, r_handles = _load_bucket(
-            r_buckets[p], right_names, r_dtypes, store
-        )
+    for l_rows, l_cols, r_rows, r_cols in _bucket_pairs(
+        left, right, left_names, right_names, None
+    ):
         member = _membership(l_cols, r_cols, len(l_rows), len(r_rows))
         out[l_rows[member]] = True
-        if store is not None:
-            for handle in l_handles + r_handles:
-                store.release(handle)
     return out
 
 

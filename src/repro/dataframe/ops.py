@@ -539,9 +539,9 @@ def inner_join(
     preserves the input column dtypes.
 
     The physical execution lives in :mod:`repro.dataframe.joins`: the
-    planner there picks the in-memory joint-codes probe, a partitioned
-    hash join (bucketing shards by key hash, spilling buckets when the
-    inputs are spilled), or a sorted-merge join, all bit-identical;
+    planner there picks the in-memory joint-codes probe for resident
+    inputs or the partitioned hash join (bucketing shards by key hash,
+    spilling buckets) when either input is spilled, both bit-identical;
     ``DATALENS_JOIN_STRATEGY`` overrides the choice.
     """
     from .joins import join

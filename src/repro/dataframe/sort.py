@@ -42,9 +42,7 @@ Strategy seam
 :func:`resolve_sort_strategy`: an explicit argument wins, then the
 ``DATALENS_SORT_STRATEGY`` environment override, then ``auto`` —
 ``external`` when any input column is spilled (the memory plan would
-densify it), ``memory`` otherwise. The join planner's ``sortmerge``
-strategy (:mod:`repro.dataframe.joins`) external-sorts unsorted inputs
-through this module before running the validated merge join.
+densify it), ``memory`` otherwise.
 
 Cost model
 ----------

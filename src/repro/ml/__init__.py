@@ -1,39 +1,13 @@
 """ML substrate (scikit-learn substitute): models, metrics, preprocessing."""
 
 from .boosting import GradientBoostingClassifier, GradientBoostingRegressor
-from .cluster import AgglomerativeClustering, KMeans, cluster_by_vector
+from .cluster import AgglomerativeClustering, cluster_by_vector
 from .forest import IsolationForest, RandomForestClassifier, RandomForestRegressor
 from .knn import KNeighborsClassifier, KNeighborsRegressor
 from .linear import LinearRegression, LogisticRegression
-from .metrics import (
-    accuracy_score,
-    class_distribution,
-    confusion_matrix,
-    detection_scores,
-    f1_score,
-    macro_f1_score,
-    mean_absolute_error,
-    mean_squared_error,
-    micro_f1_score,
-    precision_score,
-    r2_score,
-    recall_score,
-    root_mean_squared_error,
-)
-from .model_selection import (
-    cross_val_score,
-    k_fold_indices,
-    train_test_split,
-    train_test_split_indices,
-)
-from .naive_bayes import GaussianNB
-from .preprocessing import (
-    FrameEncoder,
-    LabelEncoder,
-    MinMaxScaler,
-    OneHotEncoder,
-    StandardScaler,
-)
+from .metrics import detection_scores, macro_f1_score, mean_squared_error
+from .model_selection import train_test_split_indices
+from .preprocessing import FrameEncoder
 from .tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
@@ -41,37 +15,18 @@ __all__ = [
     "DecisionTreeClassifier",
     "DecisionTreeRegressor",
     "FrameEncoder",
-    "GaussianNB",
     "GradientBoostingClassifier",
     "GradientBoostingRegressor",
     "IsolationForest",
-    "KMeans",
     "KNeighborsClassifier",
     "KNeighborsRegressor",
-    "LabelEncoder",
     "LinearRegression",
     "LogisticRegression",
-    "MinMaxScaler",
-    "OneHotEncoder",
     "RandomForestClassifier",
     "RandomForestRegressor",
-    "StandardScaler",
-    "accuracy_score",
-    "class_distribution",
     "cluster_by_vector",
-    "confusion_matrix",
-    "cross_val_score",
     "detection_scores",
-    "f1_score",
-    "k_fold_indices",
     "macro_f1_score",
-    "mean_absolute_error",
     "mean_squared_error",
-    "micro_f1_score",
-    "precision_score",
-    "r2_score",
-    "recall_score",
-    "root_mean_squared_error",
-    "train_test_split",
     "train_test_split_indices",
 ]

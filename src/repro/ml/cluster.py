@@ -1,85 +1,8 @@
-"""Clustering: k-means and agglomerative — the engines behind RAHA sampling."""
+"""Agglomerative clustering — the engine behind RAHA sampling."""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-class KMeans:
-    """Lloyd's algorithm with k-means++ style seeding (deterministic RNG)."""
-
-    def __init__(
-        self,
-        n_clusters: int = 8,
-        max_iterations: int = 100,
-        tolerance: float = 1e-6,
-        seed: int = 0,
-    ) -> None:
-        if n_clusters < 1:
-            raise ValueError("n_clusters must be >= 1")
-        self.n_clusters = n_clusters
-        self.max_iterations = max_iterations
-        self.tolerance = tolerance
-        self.seed = seed
-        self.centers_: np.ndarray | None = None
-        self.labels_: np.ndarray | None = None
-        self.inertia_: float = float("inf")
-
-    def fit(self, matrix: np.ndarray) -> "KMeans":
-        data = np.asarray(matrix, dtype=float)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError("matrix must be non-empty and 2-D")
-        k = min(self.n_clusters, data.shape[0])
-        centers = self._seed_centers(data, k)
-        labels = np.zeros(data.shape[0], dtype=int)
-        for _ in range(self.max_iterations):
-            distances = self._pairwise_sq(data, centers)
-            labels = distances.argmin(axis=1)
-            new_centers = centers.copy()
-            for cluster in range(k):
-                members = data[labels == cluster]
-                if len(members):
-                    new_centers[cluster] = members.mean(axis=0)
-            shift = float(np.max(np.abs(new_centers - centers)))
-            centers = new_centers
-            if shift < self.tolerance:
-                break
-        self.centers_ = centers
-        self.labels_ = labels
-        self.inertia_ = float(
-            np.sum(self._pairwise_sq(data, centers)[np.arange(len(labels)), labels])
-        )
-        return self
-
-    def predict(self, matrix: np.ndarray) -> np.ndarray:
-        if self.centers_ is None:
-            raise RuntimeError("model is not fitted")
-        data = np.asarray(matrix, dtype=float)
-        if data.ndim == 1:
-            data = data.reshape(1, -1)
-        return self._pairwise_sq(data, self.centers_).argmin(axis=1)
-
-    def fit_predict(self, matrix: np.ndarray) -> np.ndarray:
-        return self.fit(matrix).labels_
-
-    def _seed_centers(self, data: np.ndarray, k: int) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        first = int(rng.integers(data.shape[0]))
-        centers = [data[first]]
-        for _ in range(1, k):
-            distances = np.min(self._pairwise_sq(data, np.array(centers)), axis=1)
-            total = float(distances.sum())
-            if total == 0.0:
-                centers.append(data[int(rng.integers(data.shape[0]))])
-                continue
-            probabilities = distances / total
-            choice = int(rng.choice(data.shape[0], p=probabilities))
-            centers.append(data[choice])
-        return np.array(centers)
-
-    @staticmethod
-    def _pairwise_sq(data: np.ndarray, centers: np.ndarray) -> np.ndarray:
-        return ((data[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
 
 
 class AgglomerativeClustering:

@@ -6,7 +6,6 @@ paper's §4) and the detection-quality measurements of Figure 3.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Hashable, Iterable, Sequence
 
 import numpy as np
@@ -32,54 +31,13 @@ def mean_squared_error(y_true: Sequence[float], y_pred: Sequence[float]) -> floa
     return float(np.mean((true - pred) ** 2))
 
 
-def root_mean_squared_error(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
-    return float(np.sqrt(mean_squared_error(y_true, y_pred)))
-
-
-def mean_absolute_error(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
-    true, pred = _as_float_arrays(y_true, y_pred)
-    return float(np.mean(np.abs(true - pred)))
-
-
-def r2_score(y_true: Sequence[float], y_pred: Sequence[float]) -> float:
-    true, pred = _as_float_arrays(y_true, y_pred)
-    residual = float(np.sum((true - pred) ** 2))
-    total = float(np.sum((true - np.mean(true)) ** 2))
-    if total == 0.0:
-        return 1.0 if residual == 0.0 else 0.0
-    return 1.0 - residual / total
-
-
 # ----------------------------------------------------------------------
 # Classification
 # ----------------------------------------------------------------------
-def accuracy_score(y_true: Sequence[Hashable], y_pred: Sequence[Hashable]) -> float:
-    true = list(y_true)
-    pred = list(y_pred)
-    if len(true) != len(pred):
-        raise ValueError("length mismatch")
-    if not true:
-        raise ValueError("metrics need at least one sample")
-    return sum(t == p for t, p in zip(true, pred)) / len(true)
-
-
-def confusion_matrix(
-    y_true: Sequence[Hashable], y_pred: Sequence[Hashable]
-) -> tuple[list[Hashable], np.ndarray]:
-    """Return (sorted labels, matrix[true_index][pred_index])."""
-    true = list(y_true)
-    pred = list(y_pred)
-    labels = sorted(set(true) | set(pred), key=str)
-    index = {label: i for i, label in enumerate(labels)}
-    matrix = np.zeros((len(labels), len(labels)), dtype=int)
-    for t, p in zip(true, pred):
-        matrix[index[t], index[p]] += 1
-    return labels, matrix
-
-
-def _binary_counts(
+def _binary_f1(
     y_true: Sequence[Hashable], y_pred: Sequence[Hashable], positive: Hashable
-) -> tuple[int, int, int]:
+) -> float:
+    """F1 of ``positive`` against every other label (0.0 when undefined)."""
     tp = fp = fn = 0
     for t, p in zip(y_true, y_pred):
         if p == positive and t == positive:
@@ -88,28 +46,8 @@ def _binary_counts(
             fp += 1
         elif t == positive:
             fn += 1
-    return tp, fp, fn
-
-
-def precision_score(
-    y_true: Sequence[Hashable], y_pred: Sequence[Hashable], positive: Hashable = True
-) -> float:
-    tp, fp, _ = _binary_counts(list(y_true), list(y_pred), positive)
-    return tp / (tp + fp) if tp + fp else 0.0
-
-
-def recall_score(
-    y_true: Sequence[Hashable], y_pred: Sequence[Hashable], positive: Hashable = True
-) -> float:
-    tp, _, fn = _binary_counts(list(y_true), list(y_pred), positive)
-    return tp / (tp + fn) if tp + fn else 0.0
-
-
-def f1_score(
-    y_true: Sequence[Hashable], y_pred: Sequence[Hashable], positive: Hashable = True
-) -> float:
-    precision = precision_score(y_true, y_pred, positive)
-    recall = recall_score(y_true, y_pred, positive)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
     if precision + recall == 0.0:
         return 0.0
     return 2.0 * precision * recall / (precision + recall)
@@ -122,24 +60,7 @@ def macro_f1_score(y_true: Sequence[Hashable], y_pred: Sequence[Hashable]) -> fl
     labels = sorted(set(true), key=str)
     if not labels:
         raise ValueError("metrics need at least one sample")
-    return float(np.mean([f1_score(true, pred, positive=label) for label in labels]))
-
-
-def micro_f1_score(y_true: Sequence[Hashable], y_pred: Sequence[Hashable]) -> float:
-    true = list(y_true)
-    pred = list(y_pred)
-    labels = set(true) | set(pred)
-    tp = fp = fn = 0
-    for label in labels:
-        ltp, lfp, lfn = _binary_counts(true, pred, label)
-        tp += ltp
-        fp += lfp
-        fn += lfn
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
+    return float(np.mean([_binary_f1(true, pred, label) for label in labels]))
 
 
 # ----------------------------------------------------------------------
@@ -159,10 +80,3 @@ def detection_scores(
     else:
         f1 = 2.0 * precision * recall / (precision + recall)
     return {"precision": precision, "recall": recall, "f1": f1}
-
-
-def class_distribution(labels: Sequence[Hashable]) -> dict[Hashable, float]:
-    """Relative frequency of each label."""
-    counts = Counter(labels)
-    total = sum(counts.values())
-    return {label: count / total for label, count in counts.items()}

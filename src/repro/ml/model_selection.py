@@ -1,8 +1,6 @@
-"""Train/test splitting and cross-validation utilities."""
+"""Deterministic train/test splitting."""
 
 from __future__ import annotations
-
-from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,64 +20,3 @@ def train_test_split_indices(
     test = sorted(int(i) for i in order[:n_test])
     train = sorted(int(i) for i in order[n_test:])
     return train, test
-
-
-def train_test_split(
-    features: np.ndarray,
-    target: Sequence[Any],
-    test_size: float = 0.2,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, list[Any], list[Any]]:
-    """Split a feature matrix and target into train/test portions."""
-    matrix = np.asarray(features)
-    labels = list(target)
-    if matrix.shape[0] != len(labels):
-        raise ValueError("features and target disagree on sample count")
-    train_idx, test_idx = train_test_split_indices(len(labels), test_size, seed)
-    return (
-        matrix[train_idx],
-        matrix[test_idx],
-        [labels[i] for i in train_idx],
-        [labels[i] for i in test_idx],
-    )
-
-
-def k_fold_indices(
-    n_samples: int, n_folds: int = 5, seed: int = 0
-) -> Iterator[tuple[list[int], list[int]]]:
-    """Yield (train_indices, test_indices) for each of ``n_folds`` folds."""
-    if n_folds < 2:
-        raise ValueError("need at least two folds")
-    if n_folds > n_samples:
-        raise ValueError("more folds than samples")
-    rng = np.random.default_rng(seed)
-    order = [int(i) for i in rng.permutation(n_samples)]
-    fold_sizes = [n_samples // n_folds] * n_folds
-    for i in range(n_samples % n_folds):
-        fold_sizes[i] += 1
-    start = 0
-    for size in fold_sizes:
-        test = sorted(order[start : start + size])
-        train = sorted(order[:start] + order[start + size :])
-        yield train, test
-        start += size
-
-
-def cross_val_score(
-    model_factory: Callable[[], Any],
-    features: np.ndarray,
-    target: Sequence[Any],
-    scorer: Callable[[Sequence[Any], Sequence[Any]], float],
-    n_folds: int = 5,
-    seed: int = 0,
-) -> list[float]:
-    """Fit a fresh model per fold and score its held-out predictions."""
-    matrix = np.asarray(features)
-    labels = list(target)
-    scores = []
-    for train_idx, test_idx in k_fold_indices(len(labels), n_folds, seed):
-        model = model_factory()
-        model.fit(matrix[train_idx], [labels[i] for i in train_idx])
-        predictions = model.predict(matrix[test_idx])
-        scores.append(scorer([labels[i] for i in test_idx], list(predictions)))
-    return scores

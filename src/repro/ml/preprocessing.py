@@ -1,4 +1,4 @@
-"""Feature preprocessing: encoders, scalers, and frame-to-matrix assembly.
+"""Feature preprocessing: frame-to-matrix assembly.
 
 ``FrameEncoder`` — the hot feature-assembly path for every optimizer
 trial — encodes categorical columns through ``Column.codes()``: the
@@ -9,114 +9,11 @@ operation instead of a per-cell dict probe.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from ..dataframe import Column, DataFrame
-
-
-class LabelEncoder:
-    """Map hashable labels to contiguous integer codes."""
-
-    def __init__(self) -> None:
-        self.classes_: list[Hashable] = []
-        self._index: dict[Hashable, int] = {}
-
-    def fit(self, labels: Sequence[Hashable]) -> "LabelEncoder":
-        self.classes_ = sorted(set(labels), key=str)
-        self._index = {label: i for i, label in enumerate(self.classes_)}
-        return self
-
-    def transform(self, labels: Sequence[Hashable]) -> np.ndarray:
-        try:
-            return np.array([self._index[label] for label in labels], dtype=int)
-        except KeyError as exc:
-            raise ValueError(f"unseen label {exc.args[0]!r}") from exc
-
-    def fit_transform(self, labels: Sequence[Hashable]) -> np.ndarray:
-        return self.fit(labels).transform(labels)
-
-    def inverse_transform(self, codes: Sequence[int]) -> list[Hashable]:
-        return [self.classes_[int(code)] for code in codes]
-
-
-class OneHotEncoder:
-    """Dense one-hot encoding with an explicit unknown-value policy."""
-
-    def __init__(self, handle_unknown: str = "ignore") -> None:
-        if handle_unknown not in ("ignore", "error"):
-            raise ValueError("handle_unknown must be 'ignore' or 'error'")
-        self.handle_unknown = handle_unknown
-        self.categories_: list[Any] = []
-        self._index: dict[Any, int] = {}
-
-    def fit(self, values: Sequence[Any]) -> "OneHotEncoder":
-        self.categories_ = sorted(set(values), key=str)
-        self._index = {value: i for i, value in enumerate(self.categories_)}
-        return self
-
-    def transform(self, values: Sequence[Any]) -> np.ndarray:
-        matrix = np.zeros((len(values), len(self.categories_)), dtype=float)
-        for row, value in enumerate(values):
-            col = self._index.get(value)
-            if col is None:
-                if self.handle_unknown == "error":
-                    raise ValueError(f"unseen category {value!r}")
-                continue
-            matrix[row, col] = 1.0
-        return matrix
-
-    def fit_transform(self, values: Sequence[Any]) -> np.ndarray:
-        return self.fit(values).transform(values)
-
-
-class StandardScaler:
-    """Zero-mean, unit-variance scaling (constant features left centered)."""
-
-    def __init__(self) -> None:
-        self.mean_: np.ndarray | None = None
-        self.scale_: np.ndarray | None = None
-
-    def fit(self, matrix: np.ndarray) -> "StandardScaler":
-        data = np.asarray(matrix, dtype=float)
-        self.mean_ = np.nanmean(data, axis=0)
-        scale = np.nanstd(data, axis=0)
-        scale[scale == 0.0] = 1.0
-        self.scale_ = scale
-        return self
-
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
-        if self.mean_ is None or self.scale_ is None:
-            raise RuntimeError("scaler is not fitted")
-        return (np.asarray(matrix, dtype=float) - self.mean_) / self.scale_
-
-    def fit_transform(self, matrix: np.ndarray) -> np.ndarray:
-        return self.fit(matrix).transform(matrix)
-
-
-class MinMaxScaler:
-    """Scale features into [0, 1] (constant features map to 0)."""
-
-    def __init__(self) -> None:
-        self.min_: np.ndarray | None = None
-        self.range_: np.ndarray | None = None
-
-    def fit(self, matrix: np.ndarray) -> "MinMaxScaler":
-        data = np.asarray(matrix, dtype=float)
-        self.min_ = np.nanmin(data, axis=0)
-        span = np.nanmax(data, axis=0) - self.min_
-        span[span == 0.0] = 1.0
-        self.range_ = span
-        return self
-
-    def transform(self, matrix: np.ndarray) -> np.ndarray:
-        if self.min_ is None or self.range_ is None:
-            raise RuntimeError("scaler is not fitted")
-        return (np.asarray(matrix, dtype=float) - self.min_) / self.range_
-
-    def fit_transform(self, matrix: np.ndarray) -> np.ndarray:
-        return self.fit(matrix).transform(matrix)
 
 
 class FrameEncoder:

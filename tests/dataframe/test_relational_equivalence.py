@@ -26,8 +26,7 @@ from repro.dataframe import (
     group_by,
     group_indices,
     inner_join,
-    left_join,
-    outer_join,
+    join,
     sort_by,
     value_counts_frame,
 )
@@ -347,7 +346,7 @@ class TestJoinEquivalence(_GeneratorBound):
         left, right = self._pair(seed)
         for keys in (["i"], ["s"], ["big"], ["i", "s"], ["s", "f"]):
             _assert_frames_identical(
-                left_join(left, right, on=keys),
+                join(left, right, keys, how="left"),
                 reference_left_join(left, right, on=keys),
             )
 
@@ -355,7 +354,7 @@ class TestJoinEquivalence(_GeneratorBound):
         left, right = self._pair(seed)
         for keys in (["i"], ["s"], ["big"], ["i", "s"], ["s", "f"]):
             _assert_frames_identical(
-                outer_join(left, right, on=keys),
+                join(left, right, keys, how="outer"),
                 reference_outer_join(left, right, on=keys),
             )
 
@@ -374,7 +373,7 @@ class TestJoinEquivalence(_GeneratorBound):
                 "w": self._random_values(rng, "int", 18, 0.2),
             }
         )
-        joined = outer_join(left, right, on=["k"])
+        joined = join(left, right, ["k"], how="outer")
         assert joined.column("k").dtype == "float"
         _assert_frames_identical(
             joined, reference_outer_join(left, right, on=["k"])

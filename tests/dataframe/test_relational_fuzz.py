@@ -4,7 +4,7 @@ operators (:mod:`repro.dataframe.joins`).
 Seeded random schemas — mixed dtypes, varying null rates, narrow key
 cardinalities (forcing collisions), adversarial chunk sizes (1, 2, 257,
 n±1) and spilled legs at a 512-byte budget — drive every join variant
-(inner/left/outer × memory/partitioned/merge/sortmerge), the external
+(inner/left/outer × memory/partitioned), semi-join membership, the external
 merge sort (every leg bit-identical to the in-memory ``ops.sort_by``
 kernel, including descending, multi-key, and all-None keys), and the
 grouped aggregation pushdown, asserting each leg bit-identical to the
@@ -18,21 +18,29 @@ materializes and releases shards by design, so the order matters.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import test_relational_equivalence as ref
 from repro.dataframe import (
+    Column,
     DataFrame,
     SpillStore,
     external_sort_by,
     group_by,
     inner_join,
-    is_sorted_on,
     join,
     resolve_join_strategy,
+    semi_join_mask,
     sort_by,
     spill_frame,
+)
+from repro.dataframe.joins import (
+    _partition_ids,
+    _value_hashes,
+    resolve_join_partitions,
 )
 
 SPILL_BUDGET = 512
@@ -145,10 +153,9 @@ class TestJoinFuzz:
         for how, reference_join in REFERENCE_JOINS.items():
             expected = reference_join(left, right, on=keys)
             # Fresh legs per strategy: the memory strategy densifies key
-            # columns (releasing their spill, by design); partitioned
-            # and sortmerge are the strategies that must leave the
-            # inputs spilled.
-            for strategy in ("memory", "partitioned", "sortmerge"):
+            # columns (releasing their spill, by design); partitioned is
+            # the strategy that must leave the inputs spilled.
+            for strategy in ("memory", "partitioned"):
                 left_legs = _legs(left)
                 right_legs = _legs(right)
                 pairs = [(name, name) for name in left_legs]
@@ -165,7 +172,7 @@ class TestJoinFuzz:
                         n_partitions=3,
                     )
                     ref._assert_frames_identical(actual, expected)
-                    if strategy not in ("partitioned", "sortmerge"):
+                    if strategy != "partitioned":
                         continue
                     for frame, name, store in (
                         (left_frame, left_name, left_store),
@@ -177,23 +184,169 @@ class TestJoinFuzz:
                             stats = store.stats()
                             assert stats["peak_resident_bytes"] <= SPILL_BUDGET
 
-    def test_merge_join_on_sorted_inputs_matches_reference(
-        self, random_values, seed, n_left, n_right, n_keys
+    def test_presorted_spilled_inputs_route_partitioned(
+        self, random_values, seed, n_left, n_right, n_keys, monkeypatch
     ):
+        """Spilled inputs presorted on the key take the partitioned plan.
+
+        Sortedness plays no part in planning: under ``auto`` spilled
+        inputs route to ``partitioned``, both sides stay spilled within
+        the store budget, and each join variant matches the reference.
+        The subject is the auto-router, so the CI legs that force a
+        strategy via the environment are neutralized here.
+        """
+        monkeypatch.delenv("DATALENS_JOIN_STRATEGY", raising=False)
         left, right, keys = self._tables(
             random_values, seed, n_left, n_right, n_keys
         )
-        left_sorted = sort_by(left, keys)
-        right_sorted = sort_by(right, keys)
+        left = sort_by(left, keys)
+        right = sort_by(right, keys)
         for how, reference_join in REFERENCE_JOINS.items():
-            expected = reference_join(left_sorted, right_sorted, on=keys)
-            for left_name in ("mono", "chunk2", "chunk_n-1"):
-                left_frame = _legs(left_sorted)[left_name][0]
-                right_frame = _legs(right_sorted)[left_name][0]
-                actual = join(
-                    left_frame, right_frame, keys, how=how, strategy="merge"
+            expected = reference_join(left, right, on=keys)
+            legs = []
+            for frame in (left, right):
+                store = SpillStore(budget_bytes=SPILL_BUDGET)
+                legs.append((spill_frame(frame, store, chunk_size=7), store))
+            (left_leg, _), (right_leg, _) = legs
+            assert (
+                resolve_join_strategy(None, left_leg, right_leg)
+                == "partitioned"
+            )
+            actual = join(left_leg, right_leg, keys, how=how)
+            for leg, store in legs:
+                _assert_still_spilled(leg, how)
+                assert store.stats()["peak_resident_bytes"] <= SPILL_BUDGET
+            ref._assert_frames_identical(actual, expected)
+
+    def test_semi_join_mask_all_legs_match_reference(
+        self, random_values, seed, n_left, n_right, n_keys
+    ):
+        """Per left row: does the reference find a right row with its key?
+
+        The right key columns are renamed, so ``right_on`` must pair them
+        positionally. Rows with a missing key cell are never members.
+        """
+        left, right, keys = self._tables(
+            random_values, seed, n_left, n_right, n_keys
+        )
+        right_keys = [f"r_{name}" for name in keys]
+        right = DataFrame(
+            [
+                right.column(name).rename(f"r_{name}")
+                if name in keys
+                else right.column(name)
+                for name in right.column_names
+            ]
+        )
+        groups = ref.reference_group_indices(right, right_keys)
+        expected = []
+        for i in range(left.num_rows):
+            key = tuple(left.at(i, name) for name in keys)
+            expected.append(None not in key and key in groups)
+        for strategy in ("memory", "partitioned"):
+            left_legs = _legs(left)
+            right_legs = _legs(right)
+            pairs = [(name, name) for name in left_legs]
+            pairs += [("mono", "spilled"), ("spilled", "chunk_n-1")]
+            for left_name, right_name in pairs:
+                left_frame, left_store = left_legs[left_name]
+                right_frame, right_store = right_legs[right_name]
+                mask = semi_join_mask(
+                    left_frame,
+                    right_frame,
+                    keys,
+                    right_on=right_keys,
+                    strategy=strategy,
                 )
-                ref._assert_frames_identical(actual, expected)
+                label = (strategy, left_name, right_name)
+                assert mask.dtype == np.bool_, label
+                assert mask.tolist() == expected, label
+                if strategy != "partitioned":
+                    continue
+                for frame, store in (
+                    (left_frame, left_store),
+                    (right_frame, right_store),
+                ):
+                    if store is not None:
+                        _assert_still_spilled(frame, label)
+                        stats = store.stats()
+                        assert stats["peak_resident_bytes"] <= SPILL_BUDGET
+
+    def test_partition_count_never_changes_result(
+        self, random_values, seed, n_left, n_right, n_keys
+    ):
+        """One bucket, a few, and far more buckets than rows agree.
+
+        Most buckets are empty or one-sided at 64 partitions; ``None``
+        derives the count from the spill budget.
+        """
+        left, right, keys = self._tables(
+            random_values, seed, n_left, n_right, n_keys
+        )
+        expected = {
+            how: reference_join(left, right, on=keys)
+            for how, reference_join in REFERENCE_JOINS.items()
+        }
+        left_legs = _legs(left)
+        right_legs = _legs(right)
+        pairs = [("spilled", "spilled"), ("chunk1", "spilled"), ("mono", "chunk2")]
+        for n_partitions in (1, 7, 64, None):
+            for left_name, right_name in pairs:
+                left_frame, left_store = left_legs[left_name]
+                right_frame, right_store = right_legs[right_name]
+                for how in REFERENCE_JOINS:
+                    actual = join(
+                        left_frame,
+                        right_frame,
+                        keys,
+                        how=how,
+                        strategy="partitioned",
+                        n_partitions=n_partitions,
+                    )
+                    label = (n_partitions, left_name, right_name, how)
+                    for frame, store in (
+                        (left_frame, left_store),
+                        (right_frame, right_store),
+                    ):
+                        if store is not None:
+                            _assert_still_spilled(frame, label)
+                            stats = store.stats()
+                            assert (
+                                stats["peak_resident_bytes"] <= SPILL_BUDGET
+                            ), label
+                    ref._assert_frames_identical(actual, expected[how])
+
+    def test_partitioned_plan_releases_bucket_shards(
+        self, random_values, seed, n_left, n_right, n_keys
+    ):
+        """Bucket shards spill through the input's store and are deleted.
+
+        After each join and semi-join the spill directory holds exactly
+        the input shards it held before.
+        """
+        left, right, keys = self._tables(
+            random_values, seed, n_left, n_right, n_keys
+        )
+        store = SpillStore(budget_bytes=SPILL_BUDGET)
+        left_leg = spill_frame(left, store, chunk_size=7)
+        right_leg = spill_frame(right, store, chunk_size=5)
+
+        def files():
+            return sorted(path.name for path in store.directory.iterdir())
+
+        before = files()
+        spilled_before = store.stats()["spilled_shards"]
+        for how in REFERENCE_JOINS:
+            join(left_leg, right_leg, keys, how=how, strategy="partitioned")
+            assert files() == before, how
+        semi_join_mask(left_leg, right_leg, keys, strategy="partitioned")
+        assert files() == before
+        if n_left and n_right:
+            # The buckets did go through the store.
+            assert store.stats()["spilled_shards"] > spilled_before
+        _assert_still_spilled(left_leg, "left")
+        _assert_still_spilled(right_leg, "right")
+        assert store.stats()["peak_resident_bytes"] <= SPILL_BUDGET
 
 
 @pytest.mark.parametrize("seed,n_left,n_right,n_keys", CASES)
@@ -254,48 +407,6 @@ class TestExternalSortFuzz:
         assert store.stats()["peak_resident_bytes"] <= SPILL_BUDGET
         ref._assert_frames_identical(actual, expected)
 
-    def test_sortmerge_routing_equivalence(
-        self, random_values, seed, n_left, n_right, n_keys, monkeypatch
-    ):
-        """Auto picks a merge plan out-of-core, matching partitioned.
-
-        A spilled frame already sorted on the key routes ``auto`` to
-        ``sortmerge``; the result must be bit-identical to the
-        partitioned-hash plan over the same inputs. The subject is the
-        auto-router itself, so the CI legs that force a strategy via
-        the environment are neutralized here.
-        """
-        monkeypatch.delenv("DATALENS_JOIN_STRATEGY", raising=False)
-        rng = np.random.default_rng(seed + 40_000)
-        key_dtypes = [str(rng.choice(KEY_POOL)) for _ in range(n_keys)]
-        left = sort_by(
-            _random_frame(
-                random_values, seed * 31 + 5, n_left, key_dtypes, prefix="l"
-            ),
-            [f"k{j}" for j in range(n_keys)],
-        )
-        right = _random_frame(
-            random_values, seed * 31 + 6, n_right, key_dtypes, prefix="r"
-        )
-        keys = [f"k{j}" for j in range(n_keys)]
-        for how in ("inner", "left", "outer"):
-            expected = join(left, right, keys, how=how, strategy="partitioned")
-            store = SpillStore(budget_bytes=SPILL_BUDGET)
-            left_leg = spill_frame(left, store, chunk_size=7)
-            right_leg = spill_frame(
-                right, SpillStore(budget_bytes=SPILL_BUDGET), chunk_size=7
-            )
-            if n_left:  # empty frames spill as plain columns
-                assert (
-                    resolve_join_strategy(None, left_leg, right_leg, on=keys)
-                    == "sortmerge"
-                )
-            actual = join(left_leg, right_leg, keys, how=how)
-            _assert_still_spilled(left_leg, how)
-            _assert_still_spilled(right_leg, how)
-            assert store.stats()["peak_resident_bytes"] <= SPILL_BUDGET
-            ref._assert_frames_identical(actual, expected)
-
 
 class TestExternalSortEdges:
     def test_all_none_keys_preserve_input_order(self):
@@ -316,23 +427,6 @@ class TestExternalSortEdges:
         for leg, _ in _legs(frame).values():
             with pytest.raises(KeyError):
                 external_sort_by(leg, ["ghost"])
-
-    def test_is_sorted_probe_does_not_pin_spilled_shards(self):
-        """Sortedness probing is a streaming scan: the spilled columns
-        must stay spilled and the peak must stay within budget."""
-        frame = sort_by(
-            DataFrame.from_dict(
-                {"k": [5, 1, 4, 1, 3, 2, 2, 5, 0, 4, 1], "v": list(range(11))}
-            ),
-            ["k"],
-        )
-        store = SpillStore(budget_bytes=SPILL_BUDGET)
-        leg = spill_frame(frame, store, chunk_size=2)
-        assert is_sorted_on(leg, ["k"])
-        # A failing probe (early False) must not pin shards either.
-        assert not is_sorted_on(leg, ["v"])
-        _assert_still_spilled(leg, "probe")
-        assert store.stats()["peak_resident_bytes"] <= SPILL_BUDGET
 
 
 @pytest.mark.parametrize("seed,n_left,n_right,n_keys", CASES)
@@ -433,12 +527,6 @@ class TestSameExceptionOutcomes:
             with pytest.raises(ValueError, match="colliding output column"):
                 REFERENCE_JOINS[how](left, right, on=["k"])
 
-    def test_merge_join_on_unsorted_raises_valueerror_everywhere(self):
-        anchor = self._assert_all_legs(
-            lambda l, r: lambda: join(l, r, ["k"], strategy="merge")
-        )
-        assert anchor == ("raise", ValueError)
-
     def test_unknown_strategy_and_how_raise_valueerror(self):
         left, right = self._frame_pair()
         with pytest.raises(ValueError, match="join strategy"):
@@ -467,6 +555,174 @@ class TestSameExceptionOutcomes:
         for leg in (frame, frame.to_chunked(2)):
             with pytest.raises(RuntimeError, match="bad aggregator"):
                 group_by(leg, ["k"], {"x": ("v", explode)})
+
+
+class TestJoinPlanner:
+    """Two plans, one per residency regime; any other name fails loudly."""
+
+    def _pair(self):
+        left = DataFrame.from_dict({"k": [1, 2, 2], "a": ["x", "y", "z"]})
+        right = DataFrame.from_dict({"k": [2, 5], "b": [1.0, 2.0]})
+        return left, right
+
+    def _rejects(self, name):
+        return pytest.raises(
+            ValueError,
+            match=f"unknown join strategy '{name}'; expected one of "
+            + re.escape("['auto', 'memory', 'partitioned']"),
+        )
+
+    def test_join_rejects_merge(self):
+        left, right = self._pair()
+        with self._rejects("merge"):
+            join(left, right, ["k"], strategy="merge")
+
+    def test_semi_join_rejects_sortmerge(self):
+        left, right = self._pair()
+        with self._rejects("sortmerge"):
+            semi_join_mask(left, right, ["k"], strategy="sortmerge")
+
+    def test_env_rejects_sortmerge(self, monkeypatch):
+        monkeypatch.setenv("DATALENS_JOIN_STRATEGY", "sortmerge")
+        left, right = self._pair()
+        with self._rejects("sortmerge"):
+            inner_join(left, right, on=["k"])
+
+    def test_auto_routes_by_residency(self, monkeypatch):
+        monkeypatch.delenv("DATALENS_JOIN_STRATEGY", raising=False)
+        left, right = self._pair()
+        spilled = spill_frame(
+            right, SpillStore(budget_bytes=SPILL_BUDGET), chunk_size=1
+        )
+        assert resolve_join_strategy(None, left, right) == "memory"
+        assert resolve_join_strategy(None, left, spilled) == "partitioned"
+        assert resolve_join_strategy(None, spilled, left) == "partitioned"
+
+    def test_strategy_names_are_case_insensitive(self, monkeypatch):
+        left, right = self._pair()
+        monkeypatch.setenv("DATALENS_JOIN_STRATEGY", " Partitioned ")
+        assert resolve_join_strategy(None, left, right) == "partitioned"
+        assert resolve_join_strategy("MEMORY", left, right) == "memory"
+
+    def test_blank_env_means_auto(self, monkeypatch):
+        monkeypatch.setenv("DATALENS_JOIN_STRATEGY", "  ")
+        left, right = self._pair()
+        assert resolve_join_strategy(None, left, right) == "memory"
+
+    def test_partition_count_must_be_positive(self):
+        left, right = self._pair()
+        with pytest.raises(ValueError, match="n_partitions must be >= 1, got 0"):
+            join(left, right, ["k"], strategy="partitioned", n_partitions=0)
+
+    def test_derived_partition_count_follows_store_budget(self):
+        left, right = self._pair()
+        # Without a store: one partition per 64k input rows.
+        assert resolve_join_partitions(None, left, right, None) == 1
+        # With one: ~64 B per input row, so 5 rows in a 64 B budget
+        # need 5 partitions and fit one partition of a 1 MiB budget.
+        small = SpillStore(budget_bytes=64)
+        large = SpillStore(budget_bytes=1 << 20)
+        assert resolve_join_partitions(None, left, right, small) == 5
+        assert resolve_join_partitions(None, left, right, large) == 1
+        assert resolve_join_partitions(4, left, right, small) == 4
+
+    def test_small_chunk_spilled_input_buckets_in_batches(self):
+        """Consecutive chunks are bucketed together up to one budget.
+
+        Bucketing each one-row chunk on its own would spill a row-id and
+        a key shard per chunk; batching keeps the bucket shard count far
+        below the chunk count while peak residency stays within budget.
+        """
+        n = 400
+        frame = DataFrame.from_dict(
+            {"k": [i % 37 for i in range(n)], "v": [float(i) for i in range(n)]}
+        )
+        right = DataFrame.from_dict(
+            {"k": list(range(0, 40, 3)), "w": [str(i) for i in range(14)]}
+        )
+        store = SpillStore(budget_bytes=4096)
+        left = spill_frame(frame, store, chunk_size=1)
+        spilled_before = store.stats()["spilled_shards"]
+        actual = join(left, right, ["k"], strategy="partitioned", n_partitions=2)
+        written = store.stats()["spilled_shards"] - spilled_before
+        _assert_still_spilled(left, "batched")
+        assert store.stats()["peak_resident_bytes"] <= 4096
+        assert 0 < written <= n // 8
+        ref._assert_frames_identical(
+            actual, ref.reference_inner_join(frame, right, on=["k"])
+        )
+
+
+class TestPartitionHash:
+    """Equal keys (Python ``==``) land in the same bucket on both sides."""
+
+    def test_equal_numbers_hash_equal_across_backings(self):
+        ints = _value_hashes(np.array([2, 0, 1], dtype=np.int64))
+        floats = _value_hashes(np.array([2.0, -0.0, 1.0]))
+        objects = _value_hashes(np.array([2, 0.0, True], dtype=object))
+        bools = _value_hashes(np.array([False, True]))
+        assert ints.tolist() == floats.tolist() == objects.tolist()
+        assert bools.tolist() == ints[1:].tolist()
+
+    def test_overflowing_ints_hash_as_signed_infinity(self):
+        huge = _value_hashes(np.array([10**400, -(10**400)], dtype=object))
+        assert huge.tolist() == _value_hashes(np.array([np.inf, -np.inf])).tolist()
+
+    def test_rows_with_any_missing_key_cell_are_not_bucketed(self):
+        cols = [Column("a", [1, None, 3, 4]), Column("b", ["x", "y", None, "z"])]
+        valid, pids = _partition_ids(cols, 4, 5)
+        assert valid.tolist() == [True, False, False, True]
+        assert ((pids >= 0) & (pids < 5)).all()
+
+    @pytest.mark.parametrize(
+        "left_dtype,right_dtype",
+        [
+            ("int", "float"),
+            ("int", "bool"),
+            ("float", "bool"),
+            ("bigint", "int"),
+            ("bigint", "float"),
+            ("string", "int"),
+        ],
+    )
+    def test_mixed_dtype_keys_match_reference(self, left_dtype, right_dtype):
+        keys = {
+            "int": [0, 1, 2, -3, None, 2, 7],
+            "float": [0.0, 1.0, 2.5, None, -3.0, 2.0, 7.0],
+            "bool": [True, False, None, True],
+            "bigint": [2**70, 1, None, -(2**70), 0, 7],
+            "string": ["1", "0", None, "x", "2"],
+        }
+        left = DataFrame.from_dict(
+            {"k": keys[left_dtype], "a": list(range(len(keys[left_dtype])))}
+        )
+        right = DataFrame.from_dict(
+            {"k": keys[right_dtype], "b": [f"r{i}" for i in range(len(keys[right_dtype]))]}
+        )
+        member = ref.reference_group_indices(right, ["k"])
+        expected_mask = [
+            value is not None and (value,) in member
+            for value in left.column("k").values()
+        ]
+        for how, reference_join in REFERENCE_JOINS.items():
+            expected = reference_join(left, right, on=["k"])
+            for n_partitions in (1, 3, 16):
+                store = SpillStore(budget_bytes=SPILL_BUDGET)
+                left_leg = spill_frame(left, store, chunk_size=2)
+                actual = join(
+                    left_leg,
+                    right,
+                    ["k"],
+                    how=how,
+                    strategy="partitioned",
+                    n_partitions=n_partitions,
+                )
+                ref._assert_frames_identical(actual, expected)
+        for strategy in ("memory", "partitioned"):
+            store = SpillStore(budget_bytes=SPILL_BUDGET)
+            left_leg = spill_frame(left, store, chunk_size=2)
+            mask = semi_join_mask(left_leg, right, ["k"], strategy=strategy)
+            assert mask.tolist() == expected_mask, strategy
 
 
 class TestEnvStrategyOverride:

@@ -7,7 +7,6 @@ from repro.ml import (
     DecisionTreeRegressor,
     GradientBoostingClassifier,
     GradientBoostingRegressor,
-    accuracy_score,
     mean_squared_error,
 )
 
@@ -72,7 +71,7 @@ class TestGradientBoostingClassifier:
         labels = ["a"] * 60 + ["b"] * 60
         model = GradientBoostingClassifier(n_estimators=20, seed=0)
         model.fit(features, labels)
-        assert accuracy_score(labels, model.predict(features)) >= 0.97
+        assert np.mean(np.asarray(model.predict(features)) == labels) >= 0.97
 
     def test_multiclass_one_vs_rest(self):
         rng = np.random.default_rng(1)
@@ -84,7 +83,7 @@ class TestGradientBoostingClassifier:
         features = np.vstack(features)
         model = GradientBoostingClassifier(n_estimators=25, seed=0)
         model.fit(features, labels)
-        assert accuracy_score(labels, model.predict(features)) >= 0.95
+        assert np.mean(np.asarray(model.predict(features)) == labels) >= 0.95
 
     def test_probabilities_normalized(self):
         features = np.array([[0.0], [1.0], [2.0], [3.0]] * 10)
@@ -105,7 +104,7 @@ class TestGradientBoostingClassifier:
         model = GradientBoostingClassifier(
             n_estimators=40, max_depth=3, seed=0
         ).fit(features, labels)
-        assert accuracy_score(labels, model.predict(features)) >= 0.9
+        assert np.mean(np.asarray(model.predict(features)) == labels) >= 0.9
 
     def test_usable_as_downstream_model(self, beers_dirty):
         from repro.core import DownstreamScorer

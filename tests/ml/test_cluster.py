@@ -1,9 +1,9 @@
-"""Clustering tests: k-means, agglomerative, and RAHA's vector grouping."""
+"""Clustering tests: agglomerative and RAHA's vector grouping."""
 
 import numpy as np
 import pytest
 
-from repro.ml import AgglomerativeClustering, KMeans, cluster_by_vector
+from repro.ml import AgglomerativeClustering, cluster_by_vector
 
 
 def _three_blobs(seed: int = 0):
@@ -24,34 +24,6 @@ def _clusters_match(labels, truth) -> bool:
             return False
         mapping[label] = expected
     return len(set(mapping.values())) == len(set(truth))
-
-
-class TestKMeans:
-    def test_recovers_blobs(self):
-        points, truth = _three_blobs()
-        labels = KMeans(n_clusters=3, seed=1).fit_predict(points)
-        assert _clusters_match(labels, truth)
-
-    def test_predict_assigns_nearest(self):
-        points, _ = _three_blobs()
-        model = KMeans(n_clusters=3, seed=1).fit(points)
-        label_at_origin = model.predict(np.array([[0.0, 0.0]]))[0]
-        label_far = model.predict(np.array([[10.0, 0.0]]))[0]
-        assert label_at_origin != label_far
-
-    def test_k_capped_at_n(self):
-        model = KMeans(n_clusters=10).fit(np.zeros((3, 2)))
-        assert model.centers_.shape[0] <= 3
-
-    def test_inertia_decreases_with_k(self):
-        points, _ = _three_blobs()
-        inertia_1 = KMeans(n_clusters=1, seed=0).fit(points).inertia_
-        inertia_3 = KMeans(n_clusters=3, seed=0).fit(points).inertia_
-        assert inertia_3 < inertia_1
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            KMeans(n_clusters=0)
 
 
 class TestAgglomerative:

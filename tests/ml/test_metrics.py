@@ -1,42 +1,14 @@
 """Metric correctness tests, cross-checked against closed forms."""
 
-import numpy as np
 import pytest
 
-from repro.ml import (
-    accuracy_score,
-    class_distribution,
-    confusion_matrix,
-    detection_scores,
-    f1_score,
-    macro_f1_score,
-    mean_absolute_error,
-    mean_squared_error,
-    micro_f1_score,
-    precision_score,
-    r2_score,
-    recall_score,
-    root_mean_squared_error,
-)
+from repro.ml import detection_scores, macro_f1_score, mean_squared_error
+from repro.ml.metrics import _binary_f1
 
 
 class TestRegression:
     def test_mse(self):
         assert mean_squared_error([1, 2, 3], [1, 2, 5]) == pytest.approx(4 / 3)
-
-    def test_rmse(self):
-        assert root_mean_squared_error([0, 0], [3, 4]) == pytest.approx(
-            np.sqrt(12.5)
-        )
-
-    def test_mae(self):
-        assert mean_absolute_error([1, 2], [2, 4]) == pytest.approx(1.5)
-
-    def test_perfect_r2(self):
-        assert r2_score([1, 2, 3], [1, 2, 3]) == pytest.approx(1.0)
-
-    def test_mean_predictor_r2_zero(self):
-        assert r2_score([1, 2, 3], [2, 2, 2]) == pytest.approx(0.0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -48,39 +20,33 @@ class TestRegression:
 
 
 class TestClassification:
-    def test_accuracy(self):
-        assert accuracy_score(["a", "b"], ["a", "a"]) == pytest.approx(0.5)
-
     def test_precision_recall_f1(self):
         truth = [1, 1, 0, 0, 1]
         pred = [1, 0, 1, 0, 1]
-        assert precision_score(truth, pred, positive=1) == pytest.approx(2 / 3)
-        assert recall_score(truth, pred, positive=1) == pytest.approx(2 / 3)
-        assert f1_score(truth, pred, positive=1) == pytest.approx(2 / 3)
+        # Class 1: precision 2/3, recall 2/3; class 0: precision 1/2,
+        # recall 1/2 — F1 equals both when precision equals recall.
+        assert _binary_f1(truth, pred, positive=1) == pytest.approx(2 / 3)
+        assert _binary_f1(truth, pred, positive=0) == pytest.approx(0.5)
+        assert macro_f1_score(truth, pred) == pytest.approx((2 / 3 + 0.5) / 2)
 
-    def test_f1_zero_when_no_positives_predicted(self):
-        assert f1_score([1, 1], [0, 0], positive=1) == 0.0
+    def test_labels_only_predicted_are_not_scored(self):
+        # "c" never occurs in the truth, so only class "a" is averaged:
+        # precision 1, recall 1/2 -> F1 2/3.
+        assert macro_f1_score(["a", "a"], ["a", "c"]) == pytest.approx(2 / 3)
+
+    def test_macro_f1_empty_raises(self):
+        with pytest.raises(ValueError, match="at least one sample"):
+            macro_f1_score([], [])
 
     def test_macro_f1_averages_classes(self):
         truth = ["a", "a", "b", "b"]
         pred = ["a", "a", "a", "b"]
-        f1_a = f1_score(truth, pred, positive="a")
-        f1_b = f1_score(truth, pred, positive="b")
-        assert macro_f1_score(truth, pred) == pytest.approx((f1_a + f1_b) / 2)
+        # a: precision 2/3, recall 1 -> F1 0.8; b: precision 1,
+        # recall 1/2 -> F1 2/3.
+        assert macro_f1_score(truth, pred) == pytest.approx((0.8 + 2 / 3) / 2)
 
-    def test_micro_f1_equals_accuracy_single_label(self):
-        truth = ["a", "b", "c", "a"]
-        pred = ["a", "b", "a", "a"]
-        assert micro_f1_score(truth, pred) == pytest.approx(
-            accuracy_score(truth, pred)
-        )
-
-    def test_confusion_matrix(self):
-        labels, matrix = confusion_matrix(["a", "b", "a"], ["a", "a", "b"])
-        assert labels == ["a", "b"]
-        assert matrix[0, 0] == 1  # a -> a
-        assert matrix[0, 1] == 1  # a -> b
-        assert matrix[1, 0] == 1  # b -> a
+    def test_f1_zero_when_no_positives_predicted(self):
+        assert macro_f1_score([1, 1], [0, 0]) == 0.0
 
 
 class TestDetectionScores:
@@ -100,9 +66,3 @@ class TestDetectionScores:
     def test_empty_truth(self):
         scores = detection_scores({(0, "a")}, set())
         assert scores["recall"] == 0.0
-
-
-def test_class_distribution():
-    dist = class_distribution(["x", "x", "y", "z"])
-    assert dist["x"] == pytest.approx(0.5)
-    assert sum(dist.values()) == pytest.approx(1.0)

@@ -1,16 +1,8 @@
-"""Split and cross-validation tests."""
+"""Train/test index split tests."""
 
-import numpy as np
 import pytest
 
-from repro.ml import (
-    DecisionTreeClassifier,
-    accuracy_score,
-    cross_val_score,
-    k_fold_indices,
-    train_test_split,
-    train_test_split_indices,
-)
+from repro.ml import train_test_split_indices
 
 
 class TestTrainTestSplit:
@@ -36,44 +28,3 @@ class TestTrainTestSplit:
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
             train_test_split_indices(1, 0.5)
-
-    def test_matrix_split(self):
-        features = np.arange(20).reshape(10, 2)
-        target = list(range(10))
-        x_train, x_test, y_train, y_test = train_test_split(
-            features, target, 0.3, seed=0
-        )
-        assert len(x_test) == 3
-        assert [int(row[0] // 2) for row in x_train] == y_train
-
-
-class TestKFold:
-    def test_folds_partition(self):
-        seen = []
-        for train, test in k_fold_indices(10, 5, seed=0):
-            assert sorted(train + test) == list(range(10))
-            seen += test
-        assert sorted(seen) == list(range(10))
-
-    def test_uneven_folds(self):
-        sizes = [len(test) for _, test in k_fold_indices(10, 3, seed=0)]
-        assert sorted(sizes) == [3, 3, 4]
-
-    def test_too_many_folds(self):
-        with pytest.raises(ValueError):
-            list(k_fold_indices(3, 5))
-
-
-def test_cross_val_score_runs_per_fold():
-    rng = np.random.default_rng(0)
-    features = rng.normal(size=(60, 2))
-    target = ["a" if x > 0 else "b" for x in features[:, 0]]
-    scores = cross_val_score(
-        lambda: DecisionTreeClassifier(max_depth=3),
-        features,
-        target,
-        scorer=accuracy_score,
-        n_folds=4,
-    )
-    assert len(scores) == 4
-    assert all(score > 0.7 for score in scores)

@@ -1,4 +1,4 @@
-"""Model tests: trees, kNN, linear, naive Bayes, and forests."""
+"""Model tests: trees, kNN, linear, and forests."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,12 @@ import pytest
 from repro.ml import (
     DecisionTreeClassifier,
     DecisionTreeRegressor,
-    GaussianNB,
     KNeighborsClassifier,
     KNeighborsRegressor,
     LinearRegression,
     LogisticRegression,
     RandomForestClassifier,
     RandomForestRegressor,
-    accuracy_score,
     mean_squared_error,
 )
 
@@ -32,7 +30,7 @@ class TestDecisionTreeClassifier:
     def test_separable_data(self):
         features, labels = _blobs()
         model = DecisionTreeClassifier(max_depth=3).fit(features, labels)
-        assert accuracy_score(labels, model.predict(features)) >= 0.98
+        assert np.mean(np.asarray(model.predict(features)) == labels) >= 0.98
 
     def test_depth_limit_respected(self):
         features, labels = _blobs()
@@ -55,7 +53,7 @@ class TestDecisionTreeClassifier:
         features = np.array([[0, 0], [0, 1], [1, 0], [1, 1]] * 8, dtype=float)
         labels = [int(a) ^ int(b) for a, b in features]
         model = DecisionTreeClassifier(max_depth=3).fit(features, labels)
-        assert accuracy_score(labels, model.predict(features)) == 1.0
+        assert np.mean(np.asarray(model.predict(features)) == labels) == 1.0
 
 
 class TestDecisionTreeRegressor:
@@ -155,7 +153,7 @@ class TestLinear:
     def test_logistic_separable(self):
         features, labels = _blobs()
         model = LogisticRegression(n_iterations=200).fit(features, labels)
-        assert accuracy_score(labels, model.predict(features)) >= 0.97
+        assert np.mean(np.asarray(model.predict(features)) == labels) >= 0.97
 
     def test_logistic_probabilities_sum_to_one(self):
         features, labels = _blobs()
@@ -172,21 +170,7 @@ class TestLinear:
             labels += [label] * 40
         features = np.vstack(features)
         model = LogisticRegression(n_iterations=300).fit(features, labels)
-        assert accuracy_score(labels, model.predict(features)) >= 0.95
-
-
-class TestNaiveBayes:
-    def test_separable(self):
-        features, labels = _blobs()
-        model = GaussianNB().fit(features, labels)
-        assert accuracy_score(labels, model.predict(features)) >= 0.98
-
-    def test_probabilities_valid(self):
-        features, labels = _blobs()
-        model = GaussianNB().fit(features, labels)
-        proba = model.predict_proba(features)
-        assert np.all(proba >= 0.0)
-        assert np.allclose(proba.sum(axis=1), 1.0)
+        assert np.mean(np.asarray(model.predict(features)) == labels) >= 0.95
 
 
 class TestForests:
@@ -195,7 +179,7 @@ class TestForests:
         model = RandomForestClassifier(n_estimators=5, max_depth=3).fit(
             features, labels
         )
-        assert accuracy_score(labels, model.predict(features)) >= 0.95
+        assert np.mean(np.asarray(model.predict(features)) == labels) >= 0.95
 
     def test_regressor_reduces_variance(self):
         rng = np.random.default_rng(2)

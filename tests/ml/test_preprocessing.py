@@ -1,69 +1,9 @@
-"""Encoder and scaler tests."""
+"""FrameEncoder tests."""
 
-import numpy as np
 import pytest
 
 from repro.dataframe import DataFrame
-from repro.ml import (
-    FrameEncoder,
-    LabelEncoder,
-    MinMaxScaler,
-    OneHotEncoder,
-    StandardScaler,
-)
-
-
-class TestLabelEncoder:
-    def test_roundtrip(self):
-        encoder = LabelEncoder()
-        codes = encoder.fit_transform(["b", "a", "b"])
-        assert list(codes) == [1, 0, 1]
-        assert encoder.inverse_transform(codes) == ["b", "a", "b"]
-
-    def test_unseen_label_raises(self):
-        encoder = LabelEncoder().fit(["a"])
-        with pytest.raises(ValueError):
-            encoder.transform(["z"])
-
-
-class TestOneHotEncoder:
-    def test_basic(self):
-        encoder = OneHotEncoder()
-        matrix = encoder.fit_transform(["a", "b", "a"])
-        assert matrix.shape == (3, 2)
-        assert matrix[0, 0] == 1.0
-        assert matrix[1, 1] == 1.0
-
-    def test_unknown_ignored(self):
-        encoder = OneHotEncoder().fit(["a"])
-        assert encoder.transform(["z"]).sum() == 0.0
-
-    def test_unknown_error_mode(self):
-        encoder = OneHotEncoder(handle_unknown="error").fit(["a"])
-        with pytest.raises(ValueError):
-            encoder.transform(["z"])
-
-
-class TestScalers:
-    def test_standard_scaler(self):
-        data = np.array([[1.0], [3.0]])
-        scaled = StandardScaler().fit_transform(data)
-        assert scaled.mean() == pytest.approx(0.0)
-
-    def test_standard_scaler_constant_column(self):
-        data = np.array([[5.0], [5.0]])
-        scaled = StandardScaler().fit_transform(data)
-        assert np.all(scaled == 0.0)
-
-    def test_minmax(self):
-        data = np.array([[0.0], [10.0], [5.0]])
-        scaled = MinMaxScaler().fit_transform(data)
-        assert scaled.min() == 0.0
-        assert scaled.max() == 1.0
-
-    def test_unfitted_raises(self):
-        with pytest.raises(RuntimeError):
-            StandardScaler().transform(np.zeros((1, 1)))
+from repro.ml import FrameEncoder
 
 
 class TestFrameEncoder:

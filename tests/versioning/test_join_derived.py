@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dataframe import DataFrame, left_join, outer_join
+from repro.dataframe import DataFrame, join
 from repro.versioning import DeltaTable, VersionNotFoundError
 
 
@@ -24,7 +24,7 @@ class TestJoinDerivedVersions:
         child, parent = tables
         table = DeltaTable(tmp_path / "t")
         v0 = table.write(child, operation="upload")
-        joined = left_join(child, parent, on=["k"])
+        joined = join(child, parent, ["k"], how="left")
         v1 = table.write(
             joined,
             operation="join",
@@ -43,7 +43,7 @@ class TestJoinDerivedVersions:
         child, parent = tables
         table = DeltaTable(tmp_path / "t")
         table.write(child, operation="upload")
-        joined = outer_join(child, parent, on=["k"])
+        joined = join(child, parent, ["k"], how="outer")
         table.write(joined, operation="join")
         v2 = table.restore(0)
         assert v2 == 2
