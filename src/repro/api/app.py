@@ -149,6 +149,7 @@ Environment knobs
 
 from __future__ import annotations
 
+import heapq
 import io
 import re
 from typing import Any, Callable
@@ -694,7 +695,7 @@ def create_app(
         limit = _int_param(request.query, "limit", 200)
 
         def work(session) -> dict:
-            cells = sorted(session.detected_cells)[:limit]
+            cells = heapq.nsmallest(limit, session.detected_cells)
             return {
                 "num_cells": len(session.detected_cells),
                 "cells": [

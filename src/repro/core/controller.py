@@ -20,6 +20,7 @@ from ..detection import (
     DetectionResult,
     Detector,
     merge_results,
+    summarize_by_column,
 )
 from ..fd import (
     FunctionalDependency,
@@ -342,16 +343,7 @@ class DataLensSession:
 
     def detection_summary(self) -> dict[str, dict[str, float]]:
         """Per-tool, per-column detection rates (Figure 4's series)."""
-        summary: dict[str, dict[str, float]] = {}
-        for name, result in self.detection_results.items():
-            rates = {}
-            for column in self.frame.column_names:
-                hits = len(result.cells_in_column(column))
-                rates[column] = (
-                    hits / self.frame.num_rows if self.frame.num_rows else 0.0
-                )
-            summary[name] = rates
-        return summary
+        return summarize_by_column(self.detection_results, self.frame)
 
     # ------------------------------------------------------------------
     # Repair (§3)

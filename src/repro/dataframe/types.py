@@ -41,10 +41,14 @@ concatenation normalizes to object-backed Python ints — the same
 representation :func:`repro.dataframe.column._pack` chooses monolithically.
 Streaming ingestion folds :func:`infer_dtype` incrementally (the
 ``saw_*`` flags ignore missing cells, so an all-missing chunk never
-forces ``string``) and re-coerces earlier shards on widening; coercion
-composes along the lattice (``coerce(coerce(v, d1), d2) ==
-coerce(v, d2)`` for fold-reachable ``d1 <= d2``), keeping streamed
-columns bit-identical to a whole-table pass.
+forces ``string``) and converts earlier shards to the final dtype when
+the scan ends. Numeric coercion composes along the lattice
+(``coerce(coerce(v, d1), d2) == coerce(v, d2)`` for numeric
+``d1 <= d2``); the text a numeric shard cannot give back when the
+column ends up ``string`` (bool tokens, ints beyond 2**53 in a float
+shard) is kept in a per-shard widening record (see
+:mod:`repro.dataframe.io`), keeping streamed columns bit-identical to a
+whole-table pass.
 """
 
 from __future__ import annotations

@@ -42,6 +42,14 @@ class TestDatasets:
         )
         assert response.body["shape"] == [1, 2]
 
+    def test_ingest_csv_text_duplicate_header_400(self, client):
+        response = client.post(
+            "/datasets", {"name": "dup", "csv_text": "a,b,a\n1,x,2\n"}
+        )
+        assert response.status == 400
+        assert response.body == {"detail": "duplicate column 'a'"}
+        assert "dup" not in client.get("/datasets").body["datasets"]
+
     def test_ingest_preloaded(self, client):
         response = client.post(
             "/datasets", {"name": "h", "preloaded": "hospital"}
@@ -71,6 +79,45 @@ class TestPipelineEndpoints:
         listing = client.get("/datasets/nasa/detections")
         assert listing.body["num_cells"] == response.body["num_cells"]
         assert "iqr" in listing.body["summary"]
+
+    def test_detections_payload_matches_reference(self, tmp_path, nasa_dirty):
+        """Listing and summary equal a plain sort and per-column count."""
+        lens = DataLens(tmp_path / "workspace", seed=0)
+        lens.ingest_frame("nasa", nasa_dirty.dirty)
+        client = TestClient(create_app(lens))
+        tagged = nasa_dirty.dirty.at(3, "Chord Length")
+        client.post("/datasets/nasa/tags", {"value": tagged})
+        client.post("/datasets/nasa/detect", {"tools": ["iqr", "mv_detector"]})
+        session = lens.session("nasa")
+        cells = session.detected_cells
+        n_rows = session.frame.num_rows
+        summary = {
+            tool: {
+                column: len([c for c in result.cells if c[1] == column]) / n_rows
+                for column in session.frame.column_names
+            }
+            for tool, result in session.detection_results.items()
+        }
+        assert list(summary) == ["iqr", "mv_detector", "user_tags"]
+        assert summary["user_tags"]["Chord Length"] > 0
+        assert summary["user_tags"]["Angle"] == 0.0
+        for limit, query in [
+            (200, None),
+            (0, {"limit": "0"}),
+            (0, {"limit": "-3"}),
+            (1, {"limit": "1"}),
+            (37, {"limit": "37"}),
+            (len(cells) + 5, {"limit": str(len(cells) + 5)}),
+        ]:
+            body = client.get("/datasets/nasa/detections", query=query).body
+            assert body == {
+                "num_cells": len(cells),
+                "cells": [
+                    {"row": row, "column": column}
+                    for row, column in sorted(cells)[:limit]
+                ],
+                "summary": summary,
+            }
 
     def test_detect_requires_tools(self, client):
         assert client.post("/datasets/nasa/detect", {}).status == 422

@@ -22,10 +22,13 @@ from repro.dataframe import (
     ChunkedColumn,
     ChunkedFrame,
     DataFrame,
+    SpillStore,
     read_csv_text,
     read_csv_text_chunked,
     to_csv_text,
 )
+from repro.dataframe import io as csv_io
+from repro.dataframe.spill import ShardHandle
 from repro.detection.base import DetectionContext
 from repro.detection.mvdetector import MVDetector
 from repro.detection.outliers import IQRDetector, SDDetector
@@ -246,6 +249,12 @@ class TestStreamingWidening:
         (["", "", "7"], "int"),
         (["", "", ""], "string"),
         (["1.0", "2", "x"], "string"),
+        # Parsed values whose text a numeric shard cannot give back: a
+        # bool token packs as 1, an int beyond 2**53 rounds as a float.
+        (["true", "2", "x"], "string"),
+        (["yes", "1.5", "x"], "string"),
+        (["9007199254740993", "1.5", "x"], "string"),
+        ([str(2**63 - 1), "1.5", "x"], "string"),
     ]
 
     @pytest.mark.parametrize("cells,expected_dtype", CASES)
@@ -263,6 +272,40 @@ class TestStreamingWidening:
                 reference.column("col").values(),
                 (cells, size),
             )
+
+    @pytest.mark.parametrize("last", ["late string", "2"])
+    @pytest.mark.parametrize(
+        "pair", [("yes", "1"), ("yes", "1.5"), ("9007199254740993", "1.5")]
+    )
+    def test_spilled_ingest_keeps_no_widening_record_resident(
+        self, monkeypatch, pair, last
+    ):
+        """Under a 512 B store, each widening record is spilled with its
+        shard, and its file is gone once the column is finished, whether
+        the column widens to string (record applied) or not (dropped)."""
+        held = []
+        finish = csv_io._StreamingColumnBuilder.finish
+
+        def spy(builder):
+            held.extend(record for record in builder.records if record is not None)
+            return finish(builder)
+
+        monkeypatch.setattr(csv_io._StreamingColumnBuilder, "finish", spy)
+        cells = list(pair) * 40 + [last]
+        text = "col\n" + "\n".join(cells) + "\n"
+        store = SpillStore(budget_bytes=512)
+        streamed = read_csv_text_chunked(text, chunk_size=8, spill=store)
+        assert len(held) == 10
+        assert all(isinstance(record, ShardHandle) for record in held)
+        # The column's 11 shards: one pickle file per string shard, two
+        # .npy files per numeric one; no file is left for a record.
+        reference = read_csv_text(text)
+        files = 11 if reference.dtypes()["col"] == "string" else 22
+        assert len(list(store.directory.glob("shard-*"))) == files
+        assert streamed.dtypes() == reference.dtypes()
+        assert_deep_identical(
+            streamed.column("col").values(), reference.column("col").values()
+        )
 
     def test_declared_dtypes_respected(self):
         text = "a,b\n1,x\n2,y\n3,z\n"

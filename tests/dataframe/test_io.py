@@ -7,6 +7,7 @@ from repro.dataframe import (
     from_json_records,
     read_csv,
     read_csv_text,
+    read_csv_text_chunked,
     to_csv_text,
     to_json_records,
     write_csv,
@@ -31,6 +32,13 @@ class TestCSV:
     def test_header_required(self):
         with pytest.raises(ValueError):
             read_csv_text("")
+
+    def test_duplicate_header_raises_like_chunked_reader(self):
+        # Every reader runs one kernel, so none keeps only the last
+        # of two same-named columns.
+        for read in (read_csv_text, read_csv_text_chunked):
+            with pytest.raises(ValueError, match="duplicate column 'a'"):
+                read("a,a\n1,2\n")
 
     def test_file_roundtrip(self, tmp_path, mixed_frame):
         path = tmp_path / "sub" / "data.csv"

@@ -190,6 +190,30 @@ class TestCapacity:
             isinstance(column, SpilledChunkedColumn) and column.spilled
         )
 
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            [str(i) for i in range(20)] + ["late string"],
+            # Bool tokens give the int shards widening records, which
+            # are spilled too and must come back resident with them.
+            ["yes", "1"] * 10 + ["late string"],
+        ],
+        ids=["ints", "with-records"],
+    )
+    @pytest.mark.parametrize("after", range(0, 12, 2))
+    def test_widening_ingest_survives_full_disk(self, tmp_path, after, cells):
+        """The disk may fill while earlier shards are re-spilled at a
+        wider dtype when the scan ends; the column then finishes resident."""
+        path = tmp_path / "data.csv"
+        path.write_text("x\n" + "\n".join(cells) + "\n", encoding="utf-8")
+        plain = read_csv_chunked(path, chunk_size=7, spill=False)
+        with faults.inject(f"site=spill.write,error=enospc,after={after}"):
+            degraded = read_csv_chunked(
+                path, chunk_size=7, spill=SpillStore(budget_bytes=512)
+            )
+        assert degraded.dtypes() == {"x": "string"}
+        assert degraded == plain
+
 
 # ----------------------------------------------------------------------
 # Transient faults: absorbed by internal retries, results identical
