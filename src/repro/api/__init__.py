@@ -12,9 +12,6 @@ from .http import (
     serve,
 )
 from .jobs import (
-    DEFAULT_WORKERS,
-    JOB_QUEUE_DEPTH_ENV,
-    JOB_RETRIES_ENV,
     Job,
     JobNotFoundError,
     JobQueue,
@@ -22,18 +19,11 @@ from .jobs import (
     JobQueueFullError,
     LockRegistry,
     RWLock,
-    SERVER_WORKERS_ENV,
-    resolve_job_retries,
-    resolve_queue_depth,
-    resolve_worker_count,
 )
 
 __all__ = [
     "AsyncHTTPServer",
-    "DEFAULT_WORKERS",
     "HTTPError",
-    "JOB_QUEUE_DEPTH_ENV",
-    "JOB_RETRIES_ENV",
     "Job",
     "JobNotFoundError",
     "JobQueue",
@@ -44,13 +34,9 @@ __all__ = [
     "Request",
     "Response",
     "Router",
-    "SERVER_WORKERS_ENV",
     "TenantRegistry",
     "TestClient",
     "create_app",
-    "resolve_job_retries",
-    "resolve_queue_depth",
-    "resolve_worker_count",
     "sanitize_json",
     "serve",
 ]

@@ -60,7 +60,7 @@ Async vs sync mode
     Jobs that fail with a *transient* error (connection resets,
     timeouts, injected :class:`~repro.core.faults.TransientFaultError`)
     are retried automatically with exponential backoff + jitter, up to
-    ``DATALENS_JOB_RETRIES`` extra attempts (default 2); between
+    ``DATALENS_JOB_RETRIES`` extra attempts; between
     attempts the job polls as ``retrying``, and every attempt's error,
     timing, and backoff is listed under ``attempts`` in the
     ``GET /jobs/{id}`` payload. A job still queued when the server
@@ -70,9 +70,9 @@ Overload & degradation
     The serving path sheds load instead of queueing unboundedly:
 
     * ``429`` + ``Retry-After`` — the job queue is at its depth bound
-      (``DATALENS_JOB_QUEUE_DEPTH`` active jobs, default 256).
+      (``DATALENS_JOB_QUEUE_DEPTH`` active jobs).
     * ``503`` + ``Retry-After`` — the per-request deadline
-      (``DATALENS_REQUEST_TIMEOUT`` seconds, unset = none) elapsed
+      (``DATALENS_REQUEST_TIMEOUT``) elapsed
       before the handler finished, the server is draining for
       shutdown, or a transient fault surfaced; all are safe to retry.
     * ``507`` — storage exhaustion: the spill directory
@@ -135,16 +135,8 @@ Error semantics
     (``ValueError`` / ``RuntimeError`` from the pipeline).
 
 Environment knobs
-    ``DATALENS_SERVER_WORKERS`` — job-pool *and* HTTP-dispatch worker
-    count (default 4); ``DATALENS_JOB_QUEUE_DEPTH`` — active-job bound
-    before 429s (default 256); ``DATALENS_JOB_RETRIES`` — transient-job
-    retry budget (default 2); ``DATALENS_REQUEST_TIMEOUT`` — per-request
-    deadline in seconds (unset = none); ``DATALENS_FAULT_INJECT`` /
-    ``DATALENS_IO_RETRIES`` — chaos spec and storage retry budget. The
-    chunk/spill knobs of the underlying controller
-    (``DATALENS_DEFAULT_CHUNK_SIZE``, ``DATALENS_SPILL_BUDGET``,
-    ``DATALENS_SPILL_DIR``, ``DATALENS_ARTIFACT_CACHE*``) apply to
-    uploads as usual.
+    Every ``DATALENS_*`` variable, with its meaning, default and reader,
+    is listed in :class:`repro.settings.Settings`.
 """
 
 from __future__ import annotations
@@ -313,7 +305,10 @@ def create_app(
     attributes: ``router.job_queue`` (bounded worker pool for
     ``?async=1`` submissions), ``router.locks`` (per-(tenant, dataset)
     reader/writer locks), and ``router.tenants`` (the
-    :class:`TenantRegistry` with the shared artifact store).
+    :class:`TenantRegistry` with the shared artifact store). The job
+    pool has ``workers`` threads, else ``DATALENS_SERVER_WORKERS``; its
+    depth and retry budget, like every other ``DATALENS_*`` variable,
+    come from :class:`repro.settings.Settings`.
     """
     router = Router()
     registry = TenantRegistry(lens)
@@ -443,8 +438,8 @@ def create_app(
 
         The body flows socket → chunked parser → (optionally spilled)
         shards in one pass, so uploads far larger than RAM ingest under
-        the controller's ``DATALENS_SPILL_BUDGET`` / chunk-size
-        configuration without ever materializing.
+        the controller's chunk-size and spill configuration without ever
+        materializing.
         """
         tenant = _tenant_of(request)
         name = request.path_params["name"]

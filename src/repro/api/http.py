@@ -11,8 +11,8 @@ Serving model
 :func:`serve` boots an :class:`AsyncHTTPServer`: a stdlib-``asyncio``
 front end whose event loop only parses requests and writes responses —
 every handler runs on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`
-(``max_workers`` argument, else the ``DATALENS_SERVER_WORKERS``
-environment variable, else 4), so a slow pipeline call never blocks
+(``max_workers`` argument, else ``DATALENS_SERVER_WORKERS``; see
+:class:`repro.settings.Settings`), so a slow pipeline call never blocks
 request intake. Connections are keep-alive (HTTP/1.1) unless the client
 sends ``Connection: close``; a request body with Content-Type
 ``text/csv`` is *streamed*: the handler receives a binary file-like at
@@ -43,7 +43,6 @@ import io
 import json
 import logging
 import math
-import os
 import re
 import threading
 from collections import deque
@@ -53,40 +52,15 @@ from typing import Any, Callable
 from urllib.parse import parse_qs, unquote, urlsplit
 
 from ..core import faults as _faults
-from .jobs import resolve_worker_count
+from ..settings import resolve
 
 logger = logging.getLogger(__name__)
 
 #: Request bodies with this content type are streamed to the handler.
 STREAMING_CONTENT_TYPES = ("text/csv",)
 
-#: Environment variable holding the per-request handler deadline in
-#: seconds; a handler still running at the deadline gets its request
-#: answered with ``503`` + ``Retry-After`` (unset = no deadline).
-REQUEST_TIMEOUT_ENV = "DATALENS_REQUEST_TIMEOUT"
-
 #: ``Retry-After`` seconds advertised on overload/deadline responses.
 RETRY_AFTER_SECONDS = 1
-
-
-def resolve_request_timeout(timeout: float | None = None) -> float | None:
-    """Explicit ``timeout``, else ``DATALENS_REQUEST_TIMEOUT``, else None."""
-    if timeout is not None:
-        if timeout <= 0:
-            raise ValueError(f"request timeout must be > 0, got {timeout}")
-        return timeout
-    raw = os.environ.get(REQUEST_TIMEOUT_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid number for {REQUEST_TIMEOUT_ENV}: {raw!r}"
-        ) from None
-    if value <= 0:
-        raise ValueError(f"{REQUEST_TIMEOUT_ENV} must be > 0, got {value}")
-    return value
 
 
 def sanitize_json(value: Any) -> Any:
@@ -409,9 +383,11 @@ class AsyncHTTPServer:
         self.router = router
         self._host = host
         self._port = port
-        self.request_timeout = resolve_request_timeout(request_timeout)
+        self.request_timeout = resolve(
+            "request_timeout", request_timeout, "request_timeout"
+        )
         self._pool = ThreadPoolExecutor(
-            max_workers=resolve_worker_count(max_workers),
+            max_workers=resolve("server_workers", max_workers, "max_workers"),
             thread_name_prefix="datalens-http",
         )
         self.server_address: tuple[str, int] = (host, port)

@@ -14,21 +14,22 @@ heavy pipeline work runs elsewhere:
                      │   └───> failed    (error carries the detail)
                      └─> retrying ──> running ──> …
 
-    The worker count comes from the ``workers`` argument, else the
-    ``DATALENS_SERVER_WORKERS`` environment variable, else
-    :data:`DEFAULT_WORKERS`. Finished jobs are retained (newest first)
-    up to ``max_retained`` so polls after completion still answer.
+    The worker count comes from the ``workers`` argument, else
+    ``DATALENS_SERVER_WORKERS`` (see :class:`repro.settings.Settings`
+    for every variable and its default). Finished jobs are retained
+    (newest first) up to ``max_retained`` so polls after completion
+    still answer.
 
     Overload and failure handling:
 
-    * The queue is **depth-bounded** (``DATALENS_JOB_QUEUE_DEPTH``,
-      default 256 active jobs): submitting beyond the bound raises
+    * The queue is **depth-bounded** (``max_depth``, else
+      ``DATALENS_JOB_QUEUE_DEPTH`` active jobs): submitting beyond it raises
       :class:`JobQueueFullError`, which the REST layer maps to ``429`` +
       ``Retry-After`` instead of queueing unboundedly.
     * Jobs failing with a **transient** error (see
       :func:`repro.core.faults.is_transient`) are retried automatically
-      with exponential backoff + seeded jitter, up to
-      ``DATALENS_JOB_RETRIES`` extra attempts (default 2); every attempt
+      with exponential backoff + seeded jitter, up to ``retries``, else
+      ``DATALENS_JOB_RETRIES``, extra attempts; every attempt
       is recorded in ``Job.attempts`` and visible via ``GET /jobs/{id}``.
     * :meth:`JobQueue.shutdown` with a ``drain_timeout`` stops accepting
       (:class:`JobQueueClosedError` → ``503``), waits for active jobs up
@@ -47,7 +48,6 @@ heavy pipeline work runs elsewhere:
 
 from __future__ import annotations
 
-import os
 import random
 import threading
 import time
@@ -58,19 +58,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterator
 
 from ..core import faults as _faults
-
-SERVER_WORKERS_ENV = "DATALENS_SERVER_WORKERS"
-DEFAULT_WORKERS = 4
-
-#: Environment variable bounding concurrently active (queued + running +
-#: retrying) jobs; submits beyond it raise :class:`JobQueueFullError`.
-JOB_QUEUE_DEPTH_ENV = "DATALENS_JOB_QUEUE_DEPTH"
-DEFAULT_QUEUE_DEPTH = 256
-
-#: Environment variable setting how many extra attempts a job failing
-#: with a *transient* error gets (0 disables retries).
-JOB_RETRIES_ENV = "DATALENS_JOB_RETRIES"
-DEFAULT_JOB_RETRIES = 2
+from ..settings import VARIABLES, resolve
 
 QUEUED = "queued"
 RUNNING = "running"
@@ -82,64 +70,13 @@ FAILED = "failed"
 ACTIVE_STATUSES = (QUEUED, RUNNING, RETRYING)
 
 
-def _resolve_positive_int(env: str, default: int, minimum: int) -> int:
-    raw = os.environ.get(env, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"invalid integer for {env}: {raw!r}") from None
-    if value < minimum:
-        raise ValueError(f"{env} must be >= {minimum}, got {value}")
-    return value
-
-
-def resolve_queue_depth(depth: int | None = None) -> int:
-    """Explicit ``depth``, else ``DATALENS_JOB_QUEUE_DEPTH``, else 256."""
-    if depth is not None:
-        if depth < 1:
-            raise ValueError(f"queue depth must be >= 1, got {depth}")
-        return depth
-    return _resolve_positive_int(JOB_QUEUE_DEPTH_ENV, DEFAULT_QUEUE_DEPTH, 1)
-
-
-def resolve_job_retries(retries: int | None = None) -> int:
-    """Explicit ``retries``, else ``DATALENS_JOB_RETRIES``, else 2."""
-    if retries is not None:
-        if retries < 0:
-            raise ValueError(f"job retries must be >= 0, got {retries}")
-        return retries
-    return _resolve_positive_int(JOB_RETRIES_ENV, DEFAULT_JOB_RETRIES, 0)
-
-
-def resolve_worker_count(workers: int | None = None) -> int:
-    """Explicit ``workers``, else ``DATALENS_SERVER_WORKERS``, else 4."""
-    if workers is not None:
-        if workers < 1:
-            raise ValueError(f"worker count must be >= 1, got {workers}")
-        return workers
-    raw = os.environ.get(SERVER_WORKERS_ENV, "").strip()
-    if not raw:
-        return DEFAULT_WORKERS
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid integer for {SERVER_WORKERS_ENV}: {raw!r}"
-        ) from None
-    if value < 1:
-        raise ValueError(f"{SERVER_WORKERS_ENV} must be >= 1, got {value}")
-    return value
-
-
 class JobQueueFullError(RuntimeError):
     """The queue is at its depth bound (mapped to HTTP 429 + Retry-After)."""
 
     def __init__(self, depth: int) -> None:
         super().__init__(
             f"job queue is full ({depth} active jobs); retry shortly or "
-            f"raise {JOB_QUEUE_DEPTH_ENV}"
+            f"raise {VARIABLES['job_queue_depth'].env}"
         )
         self.depth = depth
 
@@ -217,12 +154,12 @@ class JobQueue:
         retries: int | None = None,
         retry_base_delay: float = 0.05,
     ) -> None:
-        self.workers = resolve_worker_count(workers)
+        self.workers = resolve("server_workers", workers, "workers")
         if max_retained < 1:
             raise ValueError(f"max_retained must be >= 1, got {max_retained}")
         self._max_retained = max_retained
-        self.max_depth = resolve_queue_depth(max_depth)
-        self.retries = resolve_job_retries(retries)
+        self.max_depth = resolve("job_queue_depth", max_depth, "max_depth")
+        self.retries = resolve("job_retries", retries, "retries")
         self.retry_base_delay = retry_base_delay
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="datalens-job"

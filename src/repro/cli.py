@@ -22,41 +22,37 @@ import sys
 from pathlib import Path
 
 from .core import DataSheet, make_detector, make_repairer
-from .dataframe import (
-    JOIN_STRATEGIES,
-    SORT_STRATEGIES,
-    SpillStore,
-    parse_byte_size,
-    read_csv,
-    read_csv_chunked,
-    write_csv,
-)
+from .dataframe import SpillStore, read_csv, read_csv_chunked, write_csv
 from .detection import DetectionContext, merge_results
 from .fd import approximate_fds, discover_fds, discover_fds_hyfd
 from .ingestion import PRELOADED, load_clean
 from .profiling import profile
+from .settings import JOIN_STRATEGIES, SORT_STRATEGIES, parse_byte_size
+
+
+def _spill_budget(args: argparse.Namespace) -> int | None:
+    raw = getattr(args, "spill_budget", None)
+    return None if raw is None else parse_byte_size(raw, "--spill-budget")
 
 
 def _load_frame(args: argparse.Namespace, attr: str = "data"):
+    """Read the data argument, chunked only when a scale flag is given.
+
+    The chunked reader takes any scale setting not flagged from the
+    environment.
+    """
     source = Path(getattr(args, attr))
     if not source.exists() and source.stem in PRELOADED:
         return load_clean(source.stem)
     chunk_size = getattr(args, "chunk_size", None)
-    spill_budget = getattr(args, "spill_budget", None)
+    spill_budget = _spill_budget(args)
     spill_dir = getattr(args, "spill_dir", None)
-    if chunk_size is None and spill_budget is None and spill_dir is None:
-        return read_csv(source)
-    spill = None  # environment default (DATALENS_SPILL_BUDGET)
     if spill_budget is not None or spill_dir is not None:
-        spill = SpillStore(
-            budget_bytes=(
-                parse_byte_size(spill_budget, "--spill-budget")
-                if spill_budget is not None
-                else None
-            ),
-            directory=spill_dir,
-        )
-    return read_csv_chunked(source, chunk_size=chunk_size, spill=spill)
+        store = SpillStore(budget_bytes=spill_budget, directory=spill_dir)
+        return read_csv_chunked(source, chunk_size=chunk_size, spill=store)
+    if chunk_size is not None:
+        return read_csv_chunked(source, chunk_size=chunk_size)
+    return read_csv(source)
 
 
 def _add_scale_options(command: argparse.ArgumentParser) -> None:
@@ -229,11 +225,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.workspace,
         seed=args.seed,
         chunk_size=args.chunk_size,
-        spill_budget=(
-            parse_byte_size(args.spill_budget, "--spill-budget")
-            if args.spill_budget is not None
-            else None
-        ),
+        spill_budget=_spill_budget(args),
         spill_dir=args.spill_dir,
     )
     router = create_app(lens, workers=args.workers)
@@ -371,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve_cmd.add_argument(
         "--workers", type=int,
         help="thread-pool size for handlers and jobs "
-        "(default: DATALENS_SERVER_WORKERS or 4)",
+        "(default: DATALENS_SERVER_WORKERS)",
     )
     serve_cmd.add_argument("--seed", type=int, default=0)
     serve_cmd.add_argument(
         "--request-timeout", type=float, default=None,
         help="per-request deadline in seconds; exceeded requests get "
-        "503 + Retry-After (default: DATALENS_REQUEST_TIMEOUT or none)",
+        "503 + Retry-After (default: DATALENS_REQUEST_TIMEOUT)",
     )
     serve_cmd.add_argument(
         "--drain-timeout", type=float, default=None,

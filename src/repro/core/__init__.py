@@ -1,14 +1,6 @@
 """DataLens core: controller, iterative cleaning, user-in-the-loop, DataSheets."""
 
-from .artifacts import (
-    ARTIFACT_CACHE_BYTES_ENV,
-    ARTIFACT_CACHE_ENV,
-    ArtifactCapacityError,
-    ArtifactStore,
-    cache_enabled_by_env,
-    cache_max_bytes_from_env,
-    estimate_artifact_bytes,
-)
+from .artifacts import ArtifactCapacityError, ArtifactStore, estimate_artifact_bytes
 from .controller import DataLens, DataLensSession, DatasetNotFoundError
 from .faults import (
     FAULT_INJECT_ENV,
@@ -61,8 +53,6 @@ from .registry import (
 from .tagging import TagRegistry
 
 __all__ = [
-    "ARTIFACT_CACHE_BYTES_ENV",
-    "ARTIFACT_CACHE_ENV",
     "ArtifactCapacityError",
     "ArtifactStore",
     "FAULT_INJECT_ENV",
@@ -76,8 +66,6 @@ __all__ = [
     "maybe_fire",
     "CLASSIFICATION",
     "COMPOSITE_PRESETS",
-    "cache_enabled_by_env",
-    "cache_max_bytes_from_env",
     "estimate_artifact_bytes",
     "CellExplanation",
     "Evidence",

@@ -54,22 +54,22 @@ content-identical frames tokenize and fit once.
 Bounding
 --------
 The LRU bound is two-dimensional: ``max_entries`` caps the entry count
-and ``max_bytes`` (optional; also settable via the
-``DATALENS_ARTIFACT_CACHE_BYTES`` environment variable, with ``k`` /
-``m`` / ``g`` suffixes) caps the *estimated* resident bytes — entries
-are size-weighted via :func:`estimate_artifact_bytes` (numpy ``nbytes``
-plus a recursive container estimate), so one row-scaled artifact (rank
-vector, stripped partition) counts for what it holds. Eviction pops
-least-recently-used entries until both bounds are satisfied; the
-newest entry always survives, so a single artifact larger than
-``max_bytes`` is cached (one-entry floor) rather than rejected.
+and ``max_bytes`` (optional, else ``DATALENS_ARTIFACT_CACHE_BYTES``)
+caps the *estimated* resident bytes — entries are size-weighted via
+:func:`estimate_artifact_bytes` (numpy ``nbytes`` plus a recursive
+container estimate), so one row-scaled artifact (rank vector, stripped
+partition) counts for what it holds. Eviction pops least-recently-used
+entries until both bounds are satisfied; the newest entry always
+survives, so a single artifact larger than ``max_bytes`` is cached
+(one-entry floor) rather than rejected.
 
 Disabling
 ---------
-Setting ``DATALENS_ARTIFACT_CACHE=0`` (or ``false`` / ``off`` / ``no``)
-in the environment makes every store constructed without an explicit
-``enabled`` flag a no-op: gets always miss, puts are dropped, and every
-consumer runs its cold path — CI runs the full suite in both modes.
+``DATALENS_ARTIFACT_CACHE`` (see :class:`repro.settings.Settings` for
+its spellings and the other variables) can make every store constructed
+without an explicit ``enabled`` flag a no-op: gets always miss, puts are
+dropped, and every consumer runs its cold path — CI runs the full suite
+in both modes.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from __future__ import annotations
 import copy as _copy
 import errno as _errno
 import logging
-import os
 import sys
 import threading
 from collections import OrderedDict
@@ -85,39 +84,15 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from ..dataframe.spill import parse_byte_size
+from ..settings import Settings, resolve
 from . import faults as _faults
 
 _logger = logging.getLogger(__name__)
-
-#: Environment variable gating the cache. Any value other than the
-#: falsey tokens below (default: unset = enabled) keeps caching on.
-ARTIFACT_CACHE_ENV = "DATALENS_ARTIFACT_CACHE"
-
-#: Environment variable holding the default byte bound for stores
-#: constructed without an explicit ``max_bytes``.
-ARTIFACT_CACHE_BYTES_ENV = "DATALENS_ARTIFACT_CACHE_BYTES"
-
-_FALSEY = {"0", "false", "off", "no"}
 
 #: Default entry bound: generous for interactive sessions (a 20-column
 #: profile run populates well under 300 entries) while keeping pathological
 #: loops (iterative cleaning over hundreds of candidate frames) bounded.
 DEFAULT_MAX_ENTRIES = 4096
-
-
-def cache_enabled_by_env() -> bool:
-    """Whether the environment allows artifact caching (default: yes)."""
-    raw = os.environ.get(ARTIFACT_CACHE_ENV, "").strip().lower()
-    return raw not in _FALSEY
-
-
-def cache_max_bytes_from_env() -> int | None:
-    """Byte bound requested via the environment, or None when unset."""
-    raw = os.environ.get(ARTIFACT_CACHE_BYTES_ENV, "").strip()
-    if not raw:
-        return None
-    return parse_byte_size(raw, ARTIFACT_CACHE_BYTES_ENV)
 
 
 def estimate_artifact_bytes(value: Any) -> int:
@@ -210,12 +185,12 @@ class ArtifactStore:
     which is harmless because values are pure functions of the key.
 
     The bound is entry-count *and* byte aware: ``max_entries`` caps how
-    many artifacts stay resident, ``max_bytes`` (default: the
-    ``DATALENS_ARTIFACT_CACHE_BYTES`` environment override, else
-    unbounded) caps their summed :func:`estimate_artifact_bytes` sizes —
-    the size-weighted eviction that keeps long sessions over very large
-    frames bounded by memory, not by entry count. The most recent entry
-    is never evicted by the byte bound (one-entry floor).
+    many artifacts stay resident, ``max_bytes`` (default:
+    ``DATALENS_ARTIFACT_CACHE_BYTES``, else unbounded) caps their summed
+    :func:`estimate_artifact_bytes` sizes — the size-weighted eviction
+    that keeps long sessions over very large frames bounded by memory,
+    not by entry count. The most recent entry is never evicted by the
+    byte bound (one-entry floor).
     """
 
     def __init__(
@@ -226,13 +201,13 @@ class ArtifactStore:
     ) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if max_bytes is None:
-            max_bytes = cache_max_bytes_from_env()
-        elif max_bytes < 1:
-            raise ValueError(f"max_bytes must be >= 1, got {max_bytes}")
+        settings = Settings.from_env()
         self.max_entries = max_entries
-        self.max_bytes = max_bytes
-        self.enabled = cache_enabled_by_env() if enabled is None else bool(enabled)
+        self.max_bytes = resolve(
+            "artifact_cache_bytes", max_bytes, "max_bytes", settings
+        )
+        self.enabled = settings.artifact_cache if enabled is None else bool(enabled)
+        self._io_retries = settings.io_retries
         #: key -> (value, deepcopy_on_get, estimated_bytes)
         self._entries: OrderedDict[Key, tuple[Any, bool, int]] = OrderedDict()
         self._lock = threading.Lock()
@@ -300,7 +275,7 @@ class ArtifactStore:
         if not self.enabled:
             return False, None
         try:
-            retried = _faults.absorb_transient("artifact.get")
+            retried = _faults.absorb_transient("artifact.get", self._io_retries)
         except BaseException as error:  # noqa: BLE001 — degrade, don't fail
             self._record_degradation("get_errors", "lookup", error)
             return False, None
@@ -347,7 +322,7 @@ class ArtifactStore:
         if not self.enabled:
             return
         try:
-            retried = _faults.absorb_transient("artifact.put")
+            retried = _faults.absorb_transient("artifact.put", self._io_retries)
         except OSError as error:
             if error.errno in (_errno.ENOSPC, getattr(_errno, "EDQUOT", -1)):
                 with self._lock:

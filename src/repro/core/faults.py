@@ -59,38 +59,35 @@ connection resets, worker blips). :func:`is_transient` classifies them
 (plus ``ConnectionError`` / ``TimeoutError`` / anything with a truthy
 ``transient`` attribute), and the storage layers *absorb* them: spill
 and artifact operations retry transient faults internally
-(:func:`with_transient_retries`, bounded by ``DATALENS_IO_RETRIES``),
-so low-probability transient injection leaves results — and cache
-counters — bit-identical to a fault-free run. Persistent faults
-(``enospc``, checksum corruption) are never retried; they surface as
-typed errors (:class:`~repro.dataframe.spill.SpillCapacityError`,
+(:func:`with_transient_retries`, bounded by ``DATALENS_IO_RETRIES`` as
+read when the store was built), so low-probability transient injection
+leaves results — and cache counters — bit-identical to a fault-free
+run. Persistent faults (``enospc``, checksum corruption) are never
+retried; they surface as typed errors
+(:class:`~repro.dataframe.spill.SpillCapacityError`,
 :class:`~repro.core.artifacts.ArtifactCapacityError`,
 :class:`~repro.dataframe.spill.SpillError`).
 
-This module imports nothing from the package (stdlib only), so the
-low-level dataframe modules can use it without import cycles.
+Besides the standard library this module imports only
+:mod:`repro.settings`, so the low-level dataframe modules can use it
+without import cycles. Every ``DATALENS_*`` variable is described in
+:class:`repro.settings.Settings`.
 """
 
 from __future__ import annotations
 
 import errno as _errno
 import fnmatch
-import os
 import random
 import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator
 
+from ..settings import VARIABLES, read
+
 #: Environment variable holding the ambient fault plan.
-FAULT_INJECT_ENV = "DATALENS_FAULT_INJECT"
-
-#: Environment variable bounding internal transient-fault retries in the
-#: storage layers (spill store, artifact cache). Total attempts per
-#: operation = 1 + retries.
-IO_RETRIES_ENV = "DATALENS_IO_RETRIES"
-
-DEFAULT_IO_RETRIES = 4
+FAULT_INJECT_ENV = VARIABLES["fault_inject"].env
 
 #: Base delay for the exponential backoff between internal retries.
 DEFAULT_RETRY_BASE_DELAY = 0.002
@@ -134,26 +131,6 @@ ERROR_FACTORIES: dict[str, Callable[[str], BaseException]] = {
     "timeout": TimeoutError,
     "connection": ConnectionResetError,
 }
-
-
-def resolve_io_retries(retries: int | None = None) -> int:
-    """Explicit ``retries``, else ``DATALENS_IO_RETRIES``, else 4."""
-    if retries is not None:
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        return retries
-    raw = os.environ.get(IO_RETRIES_ENV, "").strip()
-    if not raw:
-        return DEFAULT_IO_RETRIES
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid integer for {IO_RETRIES_ENV}: {raw!r}"
-        ) from None
-    if value < 0:
-        raise ValueError(f"{IO_RETRIES_ENV} must be >= 0, got {value}")
-    return value
 
 
 class FaultRule:
@@ -265,18 +242,15 @@ class FaultPlan:
                     kwargs["latency"] = float(fields.pop("latency"))
                 if "seed" in fields:
                     kwargs["seed"] = int(fields.pop("seed"))
+                if fields:
+                    unknown = ", ".join(sorted(fields))
+                    raise ValueError(f"unknown fault rule field(s) {unknown}")
+                rules.append(FaultRule(**kwargs))
             except ValueError as error:
                 raise ValueError(
                     f"malformed fault rule {chunk!r} in "
                     f"{FAULT_INJECT_ENV}: {error}"
                 ) from None
-            if fields:
-                unknown = ", ".join(sorted(fields))
-                raise ValueError(
-                    f"unknown fault rule field(s) {unknown} in {chunk!r} "
-                    f"({FAULT_INJECT_ENV})"
-                )
-            rules.append(FaultRule(**kwargs))
         return cls(rules)
 
     # ------------------------------------------------------------------
@@ -324,24 +298,26 @@ class FaultPlan:
 _context_plans: list[FaultPlan] = []
 _context_lock = threading.Lock()
 
-#: (raw env spec, parsed plan) — reparsed whenever the raw value changes,
+#: (env spec, parsed plan) — reparsed whenever the spec text changes,
 #: so monkeypatched environments work without explicit invalidation.
-_env_plan: tuple[str, FaultPlan | None] = ("", None)
+_env_plan: tuple[str | None, FaultPlan | None] = (None, None)
 _env_lock = threading.Lock()
 
 
 def _plan_from_env() -> FaultPlan | None:
     global _env_plan
-    raw = os.environ.get(FAULT_INJECT_ENV, "").strip()
-    cached_raw, cached_plan = _env_plan
-    if raw == cached_raw:
+    # One variable per fire: parsing every setting here would cost each
+    # spill load and cache access a dozen environment reads.
+    spec = read("fault_inject")
+    cached_spec, cached_plan = _env_plan
+    if spec == cached_spec:
         return cached_plan
     with _env_lock:
-        cached_raw, cached_plan = _env_plan
-        if raw == cached_raw:
+        cached_spec, cached_plan = _env_plan
+        if spec == cached_spec:
             return cached_plan
-        plan = FaultPlan.parse(raw) if raw else None
-        _env_plan = (raw, plan)
+        plan = FaultPlan.parse(spec) if spec else None
+        _env_plan = (spec, plan)
         return plan
 
 
@@ -397,7 +373,7 @@ def fault_stats() -> list[dict[str, Any]]:
 # ----------------------------------------------------------------------
 def with_transient_retries(
     operation: Callable[[], Any],
-    retries: int | None = None,
+    retries: int,
     base_delay: float = DEFAULT_RETRY_BASE_DELAY,
 ) -> tuple[Any, int]:
     """Run ``operation``, retrying transient failures with backoff.
@@ -405,18 +381,17 @@ def with_transient_retries(
     Returns ``(result, retries_used)``. Non-transient failures (ENOSPC,
     corruption, programming errors) propagate immediately; transient
     ones (see :func:`is_transient`) are retried up to ``retries`` times
-    (default :func:`resolve_io_retries`) with exponential backoff, after
-    which the last error propagates. This is how the storage layers
-    absorb injected/real transient I/O faults without changing results
-    or cache counters.
+    (the stores pass ``DATALENS_IO_RETRIES`` as read when they were
+    built) with exponential backoff, after which the last error
+    propagates. This is how the storage layers absorb injected/real
+    transient I/O faults without changing results or cache counters.
     """
-    limit = resolve_io_retries(retries)
     attempt = 0
     while True:
         try:
             return operation(), attempt
         except BaseException as error:  # noqa: BLE001 — reclassified below
-            if not is_transient(error) or attempt >= limit:
+            if not is_transient(error) or attempt >= retries:
                 raise
             time.sleep(base_delay * (2**attempt))
             attempt += 1
@@ -424,7 +399,7 @@ def with_transient_retries(
 
 def absorb_transient(
     site: str,
-    retries: int | None = None,
+    retries: int,
     base_delay: float = DEFAULT_RETRY_BASE_DELAY,
 ) -> int:
     """Fire ``site``, absorbing transient faults by re-firing.

@@ -47,61 +47,34 @@ Out-of-core spilling
 :mod:`repro.dataframe.spill` extends this layer with
 :class:`~repro.dataframe.spill.SpilledChunkedColumn`, whose shards live
 on disk behind the :meth:`ChunkedColumn._shard_pairs` seam instead of in
-RAM. Setting ``DATALENS_SPILL_BUDGET`` (bytes; ``k``/``m``/``g``
-suffixes allowed) makes the streaming ingestion paths spill their shards
-with that resident byte budget, and ``DATALENS_SPILL_DIR`` overrides
-where the spill files go. Spilled columns obey the full chunking
+RAM. ``DATALENS_SPILL_BUDGET`` makes the streaming ingestion paths spill
+their shards (see :class:`repro.settings.Settings` for every
+``DATALENS_*`` variable). Spilled columns obey the full chunking
 contract above — spilled ≡ resident ≡ monolithic, bit for bit.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..settings import resolve
 from . import types as _types
 from .column import Column, _readonly
 from .frame import DataFrame
 
-#: Fallback chunk size when neither an explicit value nor the environment
-#: override is given: large enough that per-chunk numpy dispatch overhead
-#: vanishes, small enough that a chunk of a wide table stays cache-warm.
+#: Fallback chunk size when neither an explicit value nor
+#: ``DATALENS_DEFAULT_CHUNK_SIZE`` is given: large enough that per-chunk
+#: numpy dispatch overhead vanishes, small enough that a chunk of a wide
+#: table stays cache-warm.
 DEFAULT_CHUNK_SIZE = 65_536
-
-#: Environment variable consulted for the default chunk size.  Setting it
-#: (e.g. ``DATALENS_DEFAULT_CHUNK_SIZE=257`` in CI) makes ingestion and
-#: ``profile()`` run every dataset through the chunked engine so the whole
-#: test suite exercises odd chunk boundaries.
-CHUNK_SIZE_ENV = "DATALENS_DEFAULT_CHUNK_SIZE"
-
-
-def default_chunk_size() -> int | None:
-    """Chunk size requested via the environment, or None when unset."""
-    raw = os.environ.get(CHUNK_SIZE_ENV, "").strip()
-    if not raw:
-        return None
-    try:
-        size = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{CHUNK_SIZE_ENV} must be an integer chunk size, got {raw!r}"
-        ) from None
-    if size < 1:
-        raise ValueError(f"{CHUNK_SIZE_ENV} must be >= 1, got {size}")
-    return size
 
 
 def resolve_chunk_size(chunk_size: int | None = None) -> int:
-    """Explicit size, else the environment override, else the default."""
-    if chunk_size is None:
-        chunk_size = default_chunk_size()
-    if chunk_size is None:
-        chunk_size = DEFAULT_CHUNK_SIZE
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    return chunk_size
+    """Explicit size, else ``DATALENS_DEFAULT_CHUNK_SIZE``, else the default."""
+    size = resolve("default_chunk_size", chunk_size, "chunk_size")
+    return DEFAULT_CHUNK_SIZE if size is None else size
 
 
 def chunk_lengths_for(n_rows: int, chunk_size: int) -> tuple[int, ...]:
@@ -403,9 +376,9 @@ class ChunkedFrame(DataFrame):
 
         ``spill`` (a :class:`~repro.dataframe.spill.SpillStore` or True)
         writes the shards to disk instead of keeping them resident. It is
-        explicit-only here — the ``DATALENS_SPILL_BUDGET`` environment
-        override applies to the *ingestion* paths, because spilling a
-        frame that is already in memory cannot lower its peak RSS.
+        explicit-only here — ``DATALENS_SPILL_BUDGET`` applies to the
+        *ingestion* paths, because spilling a frame that is already in
+        memory cannot lower its peak RSS.
         """
         size = resolve_chunk_size(chunk_size)
         lengths = chunk_lengths_for(frame.num_rows, size)

@@ -328,11 +328,12 @@ class DataFrame:
     def to_chunked(self, chunk_size: int | None = None, spill=None):
         """Return a :class:`~repro.dataframe.chunked.ChunkedFrame` copy.
 
-        ``chunk_size`` defaults to the ``DATALENS_DEFAULT_CHUNK_SIZE``
-        environment override, else the built-in default. ``spill`` (a
+        ``chunk_size`` defaults to ``DATALENS_DEFAULT_CHUNK_SIZE`` (see
+        :class:`repro.settings.Settings`), else ``DEFAULT_CHUNK_SIZE``
+        rows (:mod:`repro.dataframe.chunked`). ``spill`` (a
         :class:`~repro.dataframe.spill.SpillStore` or True) writes the
-        shards to disk — explicit-only; the spill environment override
-        applies to ingestion, not to in-memory conversion.
+        shards to disk — explicit-only; ``DATALENS_SPILL_BUDGET`` applies
+        to ingestion, not to in-memory conversion.
         """
         from .chunked import ChunkedFrame
 
@@ -362,9 +363,6 @@ class DataFrame:
     # ------------------------------------------------------------------
     # Missing data
     # ------------------------------------------------------------------
-    def missing_mask(self) -> dict[str, list[bool]]:
-        return {name: col.is_missing() for name, col in self._columns.items()}
-
     def missing_cells(self) -> set[Cell]:
         cells: set[Cell] = set()
         for name, col in self._columns.items():

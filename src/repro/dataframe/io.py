@@ -741,14 +741,5 @@ def from_json_records(text: str) -> DataFrame:
     return DataFrame.from_records(records)
 
 
-def write_json(frame: DataFrame, path: str | Path) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(to_json_records(frame), encoding="utf-8")
-
-
-def read_json(path: str | Path) -> DataFrame:
-    return from_json_records(Path(path).read_text(encoding="utf-8"))
-
-
 def _json_default(value: Any) -> Any:
     raise TypeError(f"cannot serialize {type(value).__name__}")

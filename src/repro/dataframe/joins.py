@@ -76,13 +76,13 @@ path uses, including its exception behaviour.
 from __future__ import annotations
 
 import math
-import os
 import struct
 import zlib
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from ..settings import resolve
 from . import types as _types
 from .chunked import _concat_payload
 from .column import Column
@@ -95,11 +95,6 @@ from .ops import (
     _resolve_aggregator,
 )
 from .spill import SpillStore, spill_store_of
-
-#: Environment override for the default join strategy.
-JOIN_STRATEGY_ENV = "DATALENS_JOIN_STRATEGY"
-
-JOIN_STRATEGIES = ("auto", "memory", "partitioned")
 
 _JOIN_HOWS = ("inner", "left", "outer")
 
@@ -115,16 +110,7 @@ def resolve_join_strategy(
     ``auto`` picks ``partitioned`` when either input is spilled (joining
     through ``memory`` would densify it) and ``memory`` otherwise.
     """
-    if strategy is None:
-        strategy = (
-            os.environ.get(JOIN_STRATEGY_ENV, "").strip().lower() or "auto"
-        )
-    strategy = strategy.lower()
-    if strategy not in JOIN_STRATEGIES:
-        raise ValueError(
-            f"unknown join strategy {strategy!r}; expected one of "
-            f"{list(JOIN_STRATEGIES)}"
-        )
+    strategy = resolve("join_strategy", strategy, "strategy")
     if strategy == "auto":
         if spill_store_of(left) is not None or spill_store_of(right) is not None:
             return "partitioned"

@@ -68,11 +68,11 @@ between I/O-linear and LRU-thrashing behavior.
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
+from ..settings import resolve
 from . import types as _types
 from .chunked import ChunkedColumn, ChunkedFrame, chunk_lengths_for
 from .column import Column
@@ -84,11 +84,6 @@ from .spill import (
     _resliced_pairs,
     spill_store_of,
 )
-
-#: Environment override for the default sort strategy.
-SORT_STRATEGY_ENV = "DATALENS_SORT_STRATEGY"
-
-SORT_STRATEGIES = ("auto", "memory", "external")
 
 #: Payload-byte estimate per row for object-backed cells (strings,
 #: overflowed ints) when sizing runs — deliberately generous so runs
@@ -108,16 +103,7 @@ def resolve_sort_strategy(strategy: str | None, frame: DataFrame) -> str:
     (sorting through the memory kernel would densify it and release its
     shards), else ``memory``.
     """
-    if strategy is None:
-        strategy = (
-            os.environ.get(SORT_STRATEGY_ENV, "").strip().lower() or "auto"
-        )
-    strategy = strategy.lower()
-    if strategy not in SORT_STRATEGIES:
-        raise ValueError(
-            f"unknown sort strategy {strategy!r}; expected one of "
-            f"{list(SORT_STRATEGIES)}"
-        )
+    strategy = resolve("sort_strategy", strategy, "strategy")
     if strategy == "auto":
         return "external" if spill_store_of(frame) is not None else "memory"
     return strategy

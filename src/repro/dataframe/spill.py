@@ -28,8 +28,8 @@ can never flow into kernels. Disk exhaustion (ENOSPC/EDQUOT) raises the
 typed :class:`SpillCapacityError`, which the ingestion paths catch to
 fall back to resident shards. Transient I/O faults (see
 :mod:`repro.core.faults`) are absorbed by bounded internal retries
-(``DATALENS_IO_RETRIES``). Crashed sessions leave ``datalens-spill-*``
-directories behind; :func:`sweep_orphaned_spill_dirs` (run at
+(``DATALENS_IO_RETRIES``, read when a store is built). Crashed sessions
+leave ``datalens-spill-*`` directories behind; :func:`sweep_orphaned_spill_dirs` (run at
 :class:`~repro.core.controller.DataLens` startup) removes those whose
 owning pid is dead.
 
@@ -49,15 +49,14 @@ differential harness pins spilled ≡ resident ≡ monolithic.
 
 Configuration
 -------------
-``DATALENS_SPILL_BUDGET`` (bytes, with optional ``k``/``m``/``g``
-suffix) turns spilling on for the ingestion paths
+``DATALENS_SPILL_BUDGET`` turns spilling on for the ingestion paths
 (:func:`~repro.dataframe.io.read_csv_chunked`, the
 :class:`~repro.ingestion.loader.DataLoader`) and sets the resident
-budget; ``DATALENS_SPILL_DIR`` overrides where spill directories are
-created (default: the system temp dir). Spilling an already in-memory
-frame cannot lower its peak RSS, so ``to_chunked()`` and ``profile()``
-never spill implicitly — use :func:`spill_frame` or the explicit
-``spill=`` parameters.
+budget; ``DATALENS_SPILL_DIR`` and ``DATALENS_IO_RETRIES`` apply to
+every store. See :class:`repro.settings.Settings` for their grammar
+and defaults. Spilling an already in-memory frame cannot lower its peak
+RSS, so ``to_chunked()`` and ``profile()`` never spill implicitly — use
+:func:`spill_frame` or the explicit ``spill=`` parameters.
 
 Dense access (``values_array()`` / ``to_monolithic()`` / mutation)
 materializes the column — shards are gathered into owned dense arrays
@@ -95,23 +94,14 @@ from .chunked import (
     chunk_lengths_for,
     resolve_chunk_size,
 )
+from ..settings import Settings, resolve
 from .column import Column
 from .frame import DataFrame
-
-#: Environment variable holding the resident-shard byte budget. Setting
-#: it (e.g. ``DATALENS_SPILL_BUDGET=64k`` in CI) makes every chunked
-#: ingestion path spill its shards to disk.
-SPILL_BUDGET_ENV = "DATALENS_SPILL_BUDGET"
-
-#: Environment variable overriding where spill directories are created.
-SPILL_DIR_ENV = "DATALENS_SPILL_DIR"
 
 #: Budget used when a store is built without an explicit or environment
 #: budget: big enough that small tables never churn, small enough that a
 #: beyond-RAM ingest stays bounded.
 DEFAULT_SPILL_BUDGET = 256 * 1024 * 1024
-
-_SIZE_SUFFIXES = {"k": 1024, "m": 1024**2, "g": 1024**3}
 
 #: Age (seconds) after which a spill directory with no readable owner
 #: file counts as orphaned for :func:`sweep_orphaned_spill_dirs`.
@@ -174,63 +164,18 @@ def _atomic_write(path: Path, blob: bytes) -> None:
         raise
 
 
-def parse_byte_size(raw: str | int, source: str) -> int:
-    """Parse a byte size like ``"1048576"`` / ``"64k"`` / ``"2g"``.
-
-    ``source`` names where the value came from (an env var, a CLI flag)
-    so the error identifies the misconfiguration, not just the literal.
-    """
-    if isinstance(raw, int):
-        size = raw
-    else:
-        text = str(raw).strip().lower()
-        scale = 1
-        if text and text[-1] in _SIZE_SUFFIXES:
-            scale = _SIZE_SUFFIXES[text[-1]]
-            text = text[:-1]
-        try:
-            size = int(text) * scale
-        except ValueError:
-            raise ValueError(
-                f"{source} must be a byte size (an integer with an "
-                f"optional k/m/g suffix), got {raw!r}"
-            ) from None
-    if size < 1:
-        raise ValueError(f"{source} must be >= 1 byte, got {raw!r}")
-    return size
-
-
-def spill_budget_from_env() -> int | None:
-    """Byte budget requested via the environment, or None when unset."""
-    raw = os.environ.get(SPILL_BUDGET_ENV, "").strip()
-    if not raw:
-        return None
-    return parse_byte_size(raw, SPILL_BUDGET_ENV)
-
-
-def spill_dir_from_env() -> str | None:
-    """Spill-directory override from the environment, or None."""
-    raw = os.environ.get(SPILL_DIR_ENV, "").strip()
-    return raw or None
-
-
-def spill_enabled_by_env() -> bool:
-    """Whether the environment asks ingestion paths to spill shards."""
-    return spill_budget_from_env() is not None
-
-
 def resolve_spill_store(spill: "SpillStore | bool | None") -> "SpillStore | None":
     """Normalize a ``spill=`` parameter to a store or None.
 
     A :class:`SpillStore` passes through; ``True`` builds a fresh store
-    from the environment defaults; ``None`` consults
-    ``DATALENS_SPILL_BUDGET`` (the ingestion-path default); ``False``
-    disables spilling regardless of the environment.
+    from the environment defaults; ``None`` spills when
+    ``DATALENS_SPILL_BUDGET`` is set (the ingestion-path default);
+    ``False`` disables spilling regardless of the environment.
     """
     if isinstance(spill, SpillStore):
         return spill
     if spill is None:
-        return SpillStore() if spill_enabled_by_env() else None
+        spill = Settings.from_env().spill_budget is not None
     return SpillStore() if spill else None
 
 
@@ -285,12 +230,11 @@ class SpillStore:
         budget_bytes: int | None = None,
         directory: str | Path | None = None,
     ) -> None:
-        if budget_bytes is None:
-            budget_bytes = spill_budget_from_env()
-        if budget_bytes is None:
-            budget_bytes = DEFAULT_SPILL_BUDGET
-        self.budget_bytes = parse_byte_size(budget_bytes, "spill budget")
-        base = directory if directory is not None else spill_dir_from_env()
+        settings = Settings.from_env()
+        budget = resolve("spill_budget", budget_bytes, "budget_bytes", settings)
+        self.budget_bytes = DEFAULT_SPILL_BUDGET if budget is None else budget
+        self._io_retries = settings.io_retries
+        base = resolve("spill_dir", directory, "directory", settings)
         if base is not None:
             Path(base).mkdir(parents=True, exist_ok=True)
         self.directory = Path(
@@ -337,7 +281,8 @@ class SpillStore:
         bytes), then written through tmp-file + atomic rename — a crash
         mid-spill never leaves a torn shard behind. ENOSPC/EDQUOT raise
         :class:`SpillCapacityError` naming the directory; transient I/O
-        faults are retried internally (``DATALENS_IO_RETRIES``).
+        faults are retried internally, up to ``DATALENS_IO_RETRIES`` times
+        (read when the store was built).
         """
         data = np.asarray(data)
         mask = np.asarray(mask, dtype=bool)
@@ -374,7 +319,7 @@ class SpillStore:
                 _atomic_write(path, blob)
 
         try:
-            _, retried = faults.with_transient_retries(write_all)
+            _, retried = faults.with_transient_retries(write_all, self._io_retries)
         except OSError as error:
             for path, _ in blobs:
                 path.unlink(missing_ok=True)
@@ -422,7 +367,7 @@ class SpillStore:
                 self._evict_down_to(self.budget_bytes - handle.nbytes)
             return self._read(handle)
 
-        pair, retried = faults.with_transient_retries(miss)
+        pair, retried = faults.with_transient_retries(miss, self._io_retries)
         if retried:
             with self._lock:
                 self.transient_retries += retried
@@ -466,7 +411,9 @@ class SpillStore:
                 except (FileNotFoundError, OSError) as error:
                     raise self._missing_shard_error(handle, error) from error
 
-            mask, retried = faults.with_transient_retries(read_mask)
+            mask, retried = faults.with_transient_retries(
+                read_mask, self._io_retries
+            )
             if retried:
                 with self._lock:
                     self.transient_retries += retried
@@ -619,7 +566,7 @@ def sweep_orphaned_spill_dirs(
     hygiene, never a reason not to start.
     """
     if base is None:
-        base = spill_dir_from_env() or tempfile.gettempdir()
+        base = Settings.from_env().spill_dir or tempfile.gettempdir()
     removed: list[Path] = []
     try:
         candidates = sorted(Path(base).glob("datalens-spill-*"))

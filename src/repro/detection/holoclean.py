@@ -35,9 +35,6 @@ per-value Python list:
   tokenize bit-identically); only bins that actually occur get codes, so
   the domain — and therefore the Laplace smoothing denominator — matches
   the historical per-value tokenizer exactly.
-* :class:`TokenColumn` still behaves as a read-only sequence of legacy
-  token values (``tc[i]`` / ``iter``), so downstream code that thinks in
-  values keeps working.
 
 :class:`CooccurrenceModel` is an array program over those codes: ``fit``
 builds one sparse contingency table per ordered column pair — sorted
@@ -47,8 +44,8 @@ per-row Python loop. :meth:`CooccurrenceModel.score_matrix` returns the
 ``(n_cells, n_candidates)`` log-posterior matrix in one shot, and
 :meth:`CooccurrenceModel.score_cells` the per-cell observed scores; both
 accumulate per-pair ``np.log`` terms in column order, which makes them
-bit-identical to the scalar :meth:`CooccurrenceModel.log_score` (and to
-the retained pure-Python reference in ``benchmarks/repair_reference.py``).
+bit-identical to the scalar ``log_score`` of the retained pure-Python
+reference in ``benchmarks/repair_reference.py``.
 
 Artifact caching: when a content-addressed store is supplied (duck-typed
 :class:`~repro.core.artifacts.ArtifactStore`), tokenization publishes
@@ -65,7 +62,7 @@ column recount.
 
 from __future__ import annotations
 
-from typing import Any, Hashable, Iterator, Sequence
+from typing import Any, Hashable, Sequence
 
 import numpy as np
 
@@ -94,35 +91,6 @@ class TokenColumn:
     @property
     def missing_code(self) -> int:
         return len(self.tokens)
-
-    # -- legacy sequence view (token values, _MISSING at missing rows) --
-    def __len__(self) -> int:
-        return len(self.codes)
-
-    def __getitem__(self, index: int) -> Hashable:
-        code = int(self.codes[index])
-        return _MISSING if code == len(self.tokens) else self.tokens[code]
-
-    def __iter__(self) -> Iterator[Hashable]:
-        lookup = self.tokens + [_MISSING]
-        return (lookup[code] for code in self.codes.tolist())
-
-    def to_list(self) -> list[Hashable]:
-        """Materialize the historical per-value token list."""
-        return list(self)
-
-    @classmethod
-    def from_values(cls, values: Sequence[Hashable]) -> "TokenColumn":
-        """Factorize a legacy token list (first-seen code order)."""
-        index: dict[Hashable, int] = {}
-        codes = np.empty(len(values), dtype=np.int64)
-        for i, value in enumerate(values):
-            if value == _MISSING:
-                codes[i] = -1
-            else:
-                codes[i] = index.setdefault(value, len(index))
-        codes[codes == -1] = len(index)
-        return cls(list(index), codes)
 
 
 def _tokenize_numeric(column: Any, n_bins: int) -> TokenColumn:
@@ -202,31 +170,22 @@ class CooccurrenceModel:
         self._pair_cache = pair_cache
         self._order: list[str] = []
         self._columns: dict[str, TokenColumn] = {}
-        self._index: dict[str, dict[Hashable, int]] = {}
         #: (target, other) -> (sorted joint codes, counts, seen-per-other)
         self._pairs: dict[
             tuple[str, str], tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = {}
 
-    def fit(self, tokens: dict[str, Any]) -> "CooccurrenceModel":
+    def fit(self, tokens: dict[str, TokenColumn]) -> "CooccurrenceModel":
         """Build per-pair contingency tables with array programs only.
 
-        ``tokens`` maps column name to a :class:`TokenColumn` (fast path)
-        or a legacy per-value list (factorized first). Each unordered
-        column pair is joint-coded once (``other * n_target + target``
-        over rows where both are observed) and counted with
+        ``tokens`` maps column name to its :class:`TokenColumn`. Each
+        unordered column pair is joint-coded once (``other * n_target +
+        target`` over rows where both are observed) and counted with
         ``np.unique``; the transposed direction is derived from the same
         sparse table, so the fit contains no per-row Python loop.
         """
         self._order = list(tokens)
-        self._columns = {
-            name: tc if isinstance(tc, TokenColumn) else TokenColumn.from_values(tc)
-            for name, tc in tokens.items()
-        }
-        self._index = {
-            name: {token: code for code, token in enumerate(tc.tokens)}
-            for name, tc in self._columns.items()
-        }
+        self._columns = dict(tokens)
         self._pairs = {}
         valid_masks = {
             name: tc.codes != tc.missing_code for name, tc in self._columns.items()
@@ -283,14 +242,6 @@ class CooccurrenceModel:
         tcol = self._columns.get(column)
         return set(tcol.tokens) if tcol is not None else set()
 
-    def domain_tokens(self, column: str) -> list[Hashable]:
-        """Distinct observed tokens in code order (empty if unknown)."""
-        tcol = self._columns.get(column)
-        return list(tcol.tokens) if tcol is not None else []
-
-    def token_column(self, column: str) -> TokenColumn | None:
-        return self._columns.get(column)
-
     # ------------------------------------------------------------------
     def score_matrix(
         self,
@@ -300,11 +251,12 @@ class CooccurrenceModel:
     ) -> np.ndarray:
         """Batched log-posteriors: one row per cell, one column per candidate.
 
-        Entry ``(i, j)`` equals ``log_score(column, tokens[cand[j]],
-        row_tokens(rows[i]))`` bit-for-bit: per-pair terms are computed
-        with the same ``(count + alpha) / (seen + alpha * domain_size)``
-        expression and accumulated in fit column order, with missing
-        other-values contributing an exact ``0.0``.
+        Entry ``(i, j)`` is the smoothed log-posterior of candidate
+        ``tokens[cand[j]]`` given row ``rows[i]``'s other tokens: per-pair
+        terms ``log((count + alpha) / (seen + alpha * domain_size))``
+        accumulate in fit column order, and missing other-values
+        contribute an exact ``0.0`` (bit-identical to the reference's
+        scalar ``log_score``).
         """
         rows_arr = np.asarray(rows, dtype=np.intp)
         tcol = self._columns[column]
@@ -365,48 +317,6 @@ class CooccurrenceModel:
             term[~valid] = 0.0
             result += term
         return result
-
-    def log_score(
-        self,
-        column: str,
-        candidate: Hashable,
-        row_tokens: dict[str, Hashable],
-    ) -> float:
-        """Sum of smoothed log P(candidate | other=value) over attributes.
-
-        Scalar entry point kept for interactive probing and the
-        differential suites; semantics (unknown columns, unseen values,
-        missing skips, smoothing) match the historical Counter-based
-        implementation exactly.
-        """
-        tcol = self._columns.get(column)
-        n_t = len(tcol.tokens) if tcol is not None else 0
-        domain_size = max(1, n_t)
-        cand_code = self._index.get(column, {}).get(candidate)
-        total = 0.0
-        for other, other_value in row_tokens.items():
-            if other == column or other_value == _MISSING:
-                continue
-            count = 0
-            seen_value = 0
-            other_code = self._index.get(other, {}).get(other_value)
-            pair = self._pairs.get((column, other))
-            if pair is not None and other_code is not None:
-                keys, counts, seen = pair
-                if other_code < seen.size:
-                    seen_value = int(seen[other_code])
-                if cand_code is not None and keys.size:
-                    joint = other_code * n_t + cand_code
-                    idx = int(np.searchsorted(keys, joint))
-                    if idx < keys.size and int(keys[idx]) == joint:
-                        count = int(counts[idx])
-            total += float(
-                np.log(
-                    (count + self.alpha)
-                    / (seen_value + self.alpha * domain_size)
-                )
-            )
-        return total
 
 
 class HoloCleanDetector(Detector):

@@ -67,9 +67,6 @@ class DirtyDataset:
                 return error_type
         return None
 
-    def dirty_rows(self) -> set[int]:
-        return {row for row, _ in self.mask}
-
     def column_error_rates(self) -> dict[str, float]:
         """Fraction of corrupted cells per column (Figure 4's y-axis)."""
         rates = {}

@@ -16,14 +16,13 @@ from pathlib import Path
 from ..dataframe import (
     DataFrame,
     SpillStore,
-    default_chunk_size,
     read_csv,
     read_csv_chunked,
     read_csv_stream,
     read_csv_text,
-    spill_enabled_by_env,
     write_csv,
 )
+from ..settings import Settings
 from .datasets import PRELOADED, load_clean
 
 DIRTY_FILE_NAME = "dirty.csv"
@@ -55,16 +54,17 @@ class DataLoader:
     ``chunk_size`` switches :meth:`load` to the streaming chunked reader
     (:func:`~repro.dataframe.read_csv_chunked`): the dirty CSV is packed
     into a :class:`~repro.dataframe.ChunkedFrame` of that many rows per
-    shard without materializing the full table as Python rows. When not
-    given, the ``DATALENS_DEFAULT_CHUNK_SIZE`` environment override
-    applies; when neither is set, loads stay monolithic.
+    shard without materializing the full table as Python rows.
 
     ``spill_budget`` / ``spill_dir`` additionally spill the packed
     shards to disk (see :mod:`repro.dataframe.spill`), bounding resident
     shard bytes during and after the load — this is the beyond-RAM
-    ingestion path. Either setting implies chunked loads; when neither
-    is given, the ``DATALENS_SPILL_BUDGET`` / ``DATALENS_SPILL_DIR``
-    environment overrides apply.
+    ingestion path. Either setting implies chunked loads.
+
+    Arguments not given fall back to ``DATALENS_DEFAULT_CHUNK_SIZE`` and
+    ``DATALENS_SPILL_BUDGET`` / ``DATALENS_SPILL_DIR`` (see
+    :class:`repro.settings.Settings`); when neither a chunk size nor a
+    spill budget is set, loads stay monolithic.
     """
 
     def __init__(
@@ -80,27 +80,24 @@ class DataLoader:
         self.spill_budget = spill_budget
         self.spill_dir = spill_dir
 
-    def _effective_chunk_size(self) -> int | None:
-        if self.chunk_size is not None:
-            return self.chunk_size
-        return default_chunk_size()
+    def _chunked_read(self) -> dict | None:
+        """Chunked-reader arguments, or None for a monolithic load.
 
-    def _spill_requested(self) -> bool:
-        if self.spill_budget is not None or self.spill_dir is not None:
-            return True
-        return spill_enabled_by_env()
-
-    def _spill_store(self) -> SpillStore | None:
-        """A fresh store for one load when spilling is explicitly set.
-
-        Returns None otherwise, letting ``read_csv_chunked`` apply the
-        environment default.
+        The readers resolve whatever is not set here from the
+        environment. An explicit spill setting gets a fresh store per
+        load (sessions must not share spill files).
         """
-        if self.spill_budget is not None or self.spill_dir is not None:
-            return SpillStore(
-                budget_bytes=self.spill_budget, directory=self.spill_dir
-            )
-        return None
+        spill = self.spill_budget is not None or self.spill_dir is not None
+        if not spill and self.chunk_size is None:
+            settings = Settings.from_env()
+            if settings.default_chunk_size is None and settings.spill_budget is None:
+                return None
+        store = (
+            SpillStore(budget_bytes=self.spill_budget, directory=self.spill_dir)
+            if spill
+            else None
+        )
+        return {"chunk_size": self.chunk_size, "spill": store}
 
     # ------------------------------------------------------------------
     def workspace_for(self, dataset_name: str) -> DatasetWorkspace:
@@ -133,20 +130,17 @@ class DataLoader:
         frame so callers skip the usual re-load from disk.
         """
         workspace = self.workspace_for(name)
-        chunk_size = self._effective_chunk_size()
-        chunked = chunk_size is not None or self._spill_requested()
+        chunked = self._chunked_read()
         with open(
             workspace.dirty_path, "w", newline="", encoding="utf-8"
         ) as sink:
-            if chunked:
+            if chunked is not None:
                 def tee():
                     for line in lines:
                         sink.write(line)
                         yield line
 
-                frame: DataFrame = read_csv_stream(
-                    tee(), chunk_size=chunk_size, spill=self._spill_store()
-                )
+                frame: DataFrame = read_csv_stream(tee(), **chunked)
             else:
                 # Monolithic configuration: small-data path, parse the
                 # accumulated text exactly like ``load`` would.
@@ -192,13 +186,9 @@ class DataLoader:
             raise FileNotFoundError(
                 f"dataset {dataset_name!r} has no {DIRTY_FILE_NAME}"
             )
-        chunk_size = self._effective_chunk_size()
-        if chunk_size is not None or self._spill_requested():
-            return read_csv_chunked(
-                workspace.dirty_path,
-                chunk_size=chunk_size,
-                spill=self._spill_store(),
-            )
+        chunked = self._chunked_read()
+        if chunked is not None:
+            return read_csv_chunked(workspace.dirty_path, **chunked)
         return read_csv(workspace.dirty_path)
 
     def list_datasets(self) -> list[str]:

@@ -83,6 +83,3 @@ class Trial:
     def report(self, value: float, step: int) -> None:
         """Record an intermediate value (used by pruners)."""
         self._intermediate[step] = float(value)
-
-    def intermediate_values(self) -> dict[int, float]:
-        return dict(self._intermediate)

@@ -30,7 +30,7 @@ from typing import Any
 import numpy as np
 
 from ..dataframe import DataFrame
-from ..dataframe.chunked import default_chunk_size
+from ..settings import Settings
 from .alerts import CORRELATION_ALERT_THRESHOLD, Alert, generate_alerts
 from .correlations import (
     categorical_association_matrix,
@@ -84,9 +84,6 @@ class ProfileReport:
             parts.append(_column_html(column))
         parts.append("</section>")
         return "".join(parts)
-
-    def alert_kinds(self) -> set[str]:
-        return {alert.kind for alert in self.alerts}
 
 
 def _column_html(column: dict[str, Any]) -> str:
@@ -189,7 +186,7 @@ def profile(
     :class:`~repro.core.artifacts.ArtifactStore`: unchanged columns (and
     pairs of unchanged columns) are served from cache bit-identically.
     """
-    env_chunk = default_chunk_size()
+    env_chunk = Settings.from_env().default_chunk_size
     if env_chunk is not None and frame.n_chunks == 1 and frame.num_rows:
         # A disabled store is falsy (ArtifactStore.__bool__): every store
         # check below is a truthiness check, so the kill-switch path is

@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.api import TestClient, create_app
-from repro.core import DataLens
+from repro.core import ArtifactStore, DataLens
 from repro.dataframe import to_csv_text
 
 
@@ -195,11 +195,22 @@ class TestTenancy:
         listing = client.get("/datasets", query={"tenant": "bob"})
         assert listing.body["datasets"] == ["q"]
 
+    @pytest.fixture
+    def cached_app(self, tmp_path):
+        """An app whose shared store is enabled explicitly, so sharing is
+        tested even where ``DATALENS_ARTIFACT_CACHE=0`` disables stores."""
+        store = ArtifactStore(enabled=True)
+        lens = DataLens(tmp_path / "shared", seed=0, artifact_store=store)
+        router = create_app(lens, workers=2)
+        yield router
+        router.job_queue.shutdown()
+
     def test_identical_columns_share_cache_across_tenants(
-        self, app, client, nasa_dirty
+        self, cached_app, nasa_dirty
     ):
         """The artifact store is shared: the same column content uploaded
         by two tenants deduplicates into the same cache entries."""
+        app, client = cached_app, TestClient(cached_app)
         csv_text = to_csv_text(nasa_dirty.dirty)
         for tenant in ("alice", "bob"):
             response = client.post(

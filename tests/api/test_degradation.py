@@ -27,12 +27,7 @@ from repro.api import (
     create_app,
     serve,
 )
-from repro.api.http import (
-    REQUEST_TIMEOUT_ENV,
-    RETRY_AFTER_SECONDS,
-    resolve_request_timeout,
-)
-from repro.api.jobs import JOB_QUEUE_DEPTH_ENV
+from repro.api.http import RETRY_AFTER_SECONDS
 from repro.core import DataLens
 from repro.core.faults import TransientFaultError, inject
 
@@ -49,7 +44,7 @@ class TestJobQueueDepth:
             queue.submit("block", release.wait)
             with pytest.raises(JobQueueFullError) as excinfo:
                 queue.submit("overflow", lambda: None)
-            assert JOB_QUEUE_DEPTH_ENV in str(excinfo.value)
+            assert "DATALENS_JOB_QUEUE_DEPTH" in str(excinfo.value)
             assert queue.rejected_full == 1
         finally:
             release.set()
@@ -66,12 +61,12 @@ class TestJobQueueDepth:
             queue.shutdown()
 
     def test_env_depth_resolution(self, monkeypatch):
-        monkeypatch.setenv(JOB_QUEUE_DEPTH_ENV, "3")
+        monkeypatch.setenv("DATALENS_JOB_QUEUE_DEPTH", "3")
         queue = JobQueue(workers=1)
         assert queue.max_depth == 3
         queue.shutdown()
-        monkeypatch.setenv(JOB_QUEUE_DEPTH_ENV, "0")
-        with pytest.raises(ValueError, match=JOB_QUEUE_DEPTH_ENV):
+        monkeypatch.setenv("DATALENS_JOB_QUEUE_DEPTH", "0")
+        with pytest.raises(ValueError, match="DATALENS_JOB_QUEUE_DEPTH"):
             JobQueue(workers=1)
 
 
@@ -374,19 +369,3 @@ class TestServerDegradation:
         time.sleep(0.1)
         assert server.shutdown(drain_timeout=0.05) is False
         thread.join(timeout=10)
-
-
-class TestRequestTimeoutResolution:
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(REQUEST_TIMEOUT_ENV, "9")
-        assert resolve_request_timeout(2.5) == 2.5
-        assert resolve_request_timeout() == 9.0
-        monkeypatch.delenv(REQUEST_TIMEOUT_ENV)
-        assert resolve_request_timeout() is None
-
-    def test_invalid_values_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_request_timeout(0)
-        monkeypatch.setenv(REQUEST_TIMEOUT_ENV, "fast")
-        with pytest.raises(ValueError, match=REQUEST_TIMEOUT_ENV):
-            resolve_request_timeout()

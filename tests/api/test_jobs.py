@@ -5,15 +5,7 @@ import time
 
 import pytest
 
-from repro.api import (
-    DEFAULT_WORKERS,
-    JobNotFoundError,
-    JobQueue,
-    LockRegistry,
-    RWLock,
-    SERVER_WORKERS_ENV,
-    resolve_worker_count,
-)
+from repro.api import JobNotFoundError, JobQueue, LockRegistry, RWLock
 from repro.api.jobs import DONE, FAILED, QUEUED, RUNNING
 
 
@@ -22,27 +14,6 @@ def queue():
     queue = JobQueue(workers=2)
     yield queue
     queue.shutdown()
-
-
-class TestResolveWorkerCount:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(SERVER_WORKERS_ENV, raising=False)
-        assert resolve_worker_count() == DEFAULT_WORKERS
-
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(SERVER_WORKERS_ENV, "9")
-        assert resolve_worker_count(2) == 2
-        assert resolve_worker_count() == 9
-
-    def test_invalid_values_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_worker_count(0)
-        monkeypatch.setenv(SERVER_WORKERS_ENV, "zero")
-        with pytest.raises(ValueError, match=SERVER_WORKERS_ENV):
-            resolve_worker_count()
-        monkeypatch.setenv(SERVER_WORKERS_ENV, "-3")
-        with pytest.raises(ValueError, match=">= 1"):
-            resolve_worker_count()
 
 
 class TestJobQueue:

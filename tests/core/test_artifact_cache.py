@@ -14,14 +14,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.artifacts import (
-    ARTIFACT_CACHE_BYTES_ENV,
-    ARTIFACT_CACHE_ENV,
-    ArtifactStore,
-    cache_enabled_by_env,
-    cache_max_bytes_from_env,
-    estimate_artifact_bytes,
-)
+from repro.core.artifacts import ArtifactStore, estimate_artifact_bytes
 from repro.core.quality import quality_summary
 from repro.dataframe import Column, DataFrame
 from repro.detection.base import DetectionContext
@@ -35,6 +28,9 @@ from repro.fd import (
 )
 from repro.profiling import profile
 from repro.repair.base import RepairResult
+
+ARTIFACT_CACHE_ENV = "DATALENS_ARTIFACT_CACHE"
+ARTIFACT_CACHE_BYTES_ENV = "DATALENS_ARTIFACT_CACHE_BYTES"
 
 
 def _random_frame(random_values, seed: int, n: int = 60) -> DataFrame:
@@ -118,7 +114,6 @@ class TestArtifactStore:
 
     def test_disabled_by_env(self, monkeypatch):
         monkeypatch.setenv(ARTIFACT_CACHE_ENV, "0")
-        assert not cache_enabled_by_env()
         store = ArtifactStore()
         assert not store.enabled
         store.put("k", ("fp",), (), "value")
@@ -146,7 +141,6 @@ class TestArtifactStore:
 
     def test_enabled_by_default(self, monkeypatch):
         monkeypatch.delenv(ARTIFACT_CACHE_ENV, raising=False)
-        assert cache_enabled_by_env()
         assert ArtifactStore().enabled
 
     def test_max_entries_validated(self):
@@ -241,16 +235,14 @@ class TestByteBound:
 
     def test_max_bytes_from_env(self, monkeypatch):
         monkeypatch.delenv(ARTIFACT_CACHE_BYTES_ENV, raising=False)
-        assert cache_max_bytes_from_env() is None
         assert ArtifactStore(enabled=True).max_bytes is None
         monkeypatch.setenv(ARTIFACT_CACHE_BYTES_ENV, "64k")
-        assert cache_max_bytes_from_env() == 64 * 1024
         assert ArtifactStore(enabled=True).max_bytes == 64 * 1024
         # explicit parameter beats the environment
         assert ArtifactStore(enabled=True, max_bytes=128).max_bytes == 128
         monkeypatch.setenv(ARTIFACT_CACHE_BYTES_ENV, "junk")
         with pytest.raises(ValueError, match=ARTIFACT_CACHE_BYTES_ENV):
-            cache_max_bytes_from_env()
+            ArtifactStore(enabled=True)
 
     def test_estimate_artifact_bytes_sanity(self):
         array = np.zeros(1000)

@@ -25,7 +25,6 @@ from repro.core.faults import (
     inject,
     is_transient,
     maybe_fire,
-    resolve_io_retries,
     with_transient_retries,
 )
 
@@ -237,18 +236,6 @@ class TestTransientClassification:
 
 
 class TestRetryHelpers:
-    def test_resolve_io_retries(self, monkeypatch):
-        monkeypatch.delenv(faults.IO_RETRIES_ENV, raising=False)
-        assert resolve_io_retries() == faults.DEFAULT_IO_RETRIES
-        assert resolve_io_retries(0) == 0
-        monkeypatch.setenv(faults.IO_RETRIES_ENV, "7")
-        assert resolve_io_retries() == 7
-        monkeypatch.setenv(faults.IO_RETRIES_ENV, "many")
-        with pytest.raises(ValueError, match=faults.IO_RETRIES_ENV):
-            resolve_io_retries()
-        with pytest.raises(ValueError):
-            resolve_io_retries(-1)
-
     def test_with_transient_retries_absorbs_then_succeeds(self):
         attempts = []
 

@@ -524,34 +524,18 @@ class TestChunkConfiguration:
             chunk_lengths_for(5, 0)
 
     def test_resolve_chunk_size(self, monkeypatch):
-        from repro.dataframe import (
-            DEFAULT_CHUNK_SIZE,
-            default_chunk_size,
-            resolve_chunk_size,
-        )
+        from repro.dataframe import DEFAULT_CHUNK_SIZE, resolve_chunk_size
 
         monkeypatch.delenv("DATALENS_DEFAULT_CHUNK_SIZE", raising=False)
-        assert default_chunk_size() is None
         assert resolve_chunk_size() == DEFAULT_CHUNK_SIZE
         assert resolve_chunk_size(257) == 257
         with pytest.raises(ValueError, match=">= 1"):
             resolve_chunk_size(0)
         monkeypatch.setenv("DATALENS_DEFAULT_CHUNK_SIZE", "41")
-        assert default_chunk_size() == 41
         assert resolve_chunk_size() == 41
         monkeypatch.setenv("DATALENS_DEFAULT_CHUNK_SIZE", "0")
         with pytest.raises(ValueError, match=">= 1"):
-            default_chunk_size()
-
-    def test_unparseable_chunk_size_names_env_var_and_value(self, monkeypatch):
-        """The error must say *which* setting is broken and what it held."""
-        from repro.dataframe import default_chunk_size
-
-        monkeypatch.setenv("DATALENS_DEFAULT_CHUNK_SIZE", "banana")
-        with pytest.raises(
-            ValueError, match="DATALENS_DEFAULT_CHUNK_SIZE.*'banana'"
-        ):
-            default_chunk_size()
+            resolve_chunk_size()
 
     def test_constructor_and_shard_validation(self):
         from repro.dataframe.column import _pack

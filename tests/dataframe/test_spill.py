@@ -21,20 +21,16 @@ from repro.dataframe import (
     SpillError,
     SpillStore,
     SpilledChunkedColumn,
-    parse_byte_size,
     read_csv_chunked,
-    spill_budget_from_env,
-    spill_enabled_by_env,
     spill_frame,
     spill_store_of,
     write_csv,
 )
-from repro.dataframe.spill import (
-    DEFAULT_SPILL_BUDGET,
-    SPILL_BUDGET_ENV,
-    SPILL_DIR_ENV,
-    resolve_spill_store,
-)
+from repro.dataframe.spill import DEFAULT_SPILL_BUDGET, resolve_spill_store
+from repro.settings import Settings, parse_byte_size
+
+SPILL_BUDGET_ENV = "DATALENS_SPILL_BUDGET"
+SPILL_DIR_ENV = "DATALENS_SPILL_DIR"
 
 
 def _frame(n: int = 40) -> DataFrame:
@@ -80,16 +76,14 @@ class TestByteSizeParsing:
 
     def test_env_budget_parsing(self, monkeypatch):
         monkeypatch.delenv(SPILL_BUDGET_ENV, raising=False)
-        assert spill_budget_from_env() is None
-        assert not spill_enabled_by_env()
+        assert Settings.from_env().spill_budget is None
         monkeypatch.setenv(SPILL_BUDGET_ENV, "64k")
-        assert spill_budget_from_env() == 64 * 1024
-        assert spill_enabled_by_env()
+        assert Settings.from_env().spill_budget == 64 * 1024
 
     def test_env_budget_error_names_env_var(self, monkeypatch):
         monkeypatch.setenv(SPILL_BUDGET_ENV, "lots")
         with pytest.raises(ValueError) as excinfo:
-            spill_budget_from_env()
+            Settings.from_env()
         assert SPILL_BUDGET_ENV in str(excinfo.value)
         assert "'lots'" in str(excinfo.value)
 

@@ -31,7 +31,7 @@ from repro.dataframe import (
     sweep_orphaned_spill_dirs,
     write_csv,
 )
-from repro.dataframe.spill import SPILL_BUDGET_ENV, SpilledChunkedColumn
+from repro.dataframe.spill import SpilledChunkedColumn
 
 
 @pytest.fixture(autouse=True)
@@ -178,7 +178,7 @@ class TestCapacity:
     def test_chunked_ingest_survives_full_disk(self, tmp_path, monkeypatch):
         path = tmp_path / "data.csv"
         write_csv(_frame(), path)
-        monkeypatch.setenv(SPILL_BUDGET_ENV, "1k")
+        monkeypatch.setenv("DATALENS_SPILL_BUDGET", "1k")
         plain = read_csv_chunked(path, chunk_size=7)
         with faults.inject("site=spill.write,error=enospc,after=2"):
             degraded = read_csv_chunked(path, chunk_size=7)
@@ -275,7 +275,7 @@ class TestReleaseErrors:
         from repro.api import TestClient, create_app
         from repro.core import DataLens
 
-        monkeypatch.delenv(SPILL_BUDGET_ENV, raising=False)
+        monkeypatch.delenv("DATALENS_SPILL_BUDGET", raising=False)
         lens = DataLens(tmp_path, spill_budget=4096)
         lens.ingest_frame("d", _frame())
         client = TestClient(create_app(lens))
@@ -340,7 +340,6 @@ class TestOrphanSweeper:
 
     def test_controller_startup_sweeps_spill_base(self, tmp_path, monkeypatch):
         from repro.core import DataLens
-        from repro.dataframe.spill import SPILL_DIR_ENV
 
         base = tmp_path / "spillbase"
         base.mkdir()
@@ -348,6 +347,6 @@ class TestOrphanSweeper:
         stale.mkdir()
         old = time.time() - 7200
         os.utime(stale, (old, old))
-        monkeypatch.setenv(SPILL_DIR_ENV, str(base))
+        monkeypatch.setenv("DATALENS_SPILL_DIR", str(base))
         DataLens(tmp_path / "workspace")
         assert not stale.exists()

@@ -9,35 +9,39 @@ from repro.detection import (
 from repro.ml import detection_scores
 
 
+def _fitted(columns: dict):
+    tokens = HoloCleanDetector().tokenize(DataFrame.from_dict(columns))
+    return tokens, CooccurrenceModel().fit(tokens)
+
+
 class TestCooccurrenceModel:
     def test_domain_collection(self):
-        tokens = {"a": ["x", "y", "__missing__"], "b": ["1", "1", "2"]}
-        model = CooccurrenceModel().fit(tokens)
+        _, model = _fitted({"a": ["x", "y", None], "b": ["1", "1", "2"]})
         assert model.domain("a") == {"x", "y"}
         assert model.domain("b") == {"1", "2"}
 
     def test_cooccurring_value_scores_higher(self):
-        tokens = {
-            "city": ["rome", "rome", "rome", "paris", "paris"],
-            "country": ["it", "it", "it", "fr", "fr"],
-        }
-        model = CooccurrenceModel().fit(tokens)
-        row = {"city": "rome", "country": "it"}
-        assert model.log_score("country", "it", row) > model.log_score(
-            "country", "fr", row
+        tokens, model = _fitted(
+            {
+                "city": ["rome", "rome", "rome", "paris", "paris"],
+                "country": ["it", "it", "it", "fr", "fr"],
+            }
         )
+        country = tokens["country"].tokens
+        (scores,) = model.score_matrix("country", [0])  # row 0: rome, it
+        assert scores[country.index("it")] > scores[country.index("fr")]
 
 
 class TestHoloCleanDetector:
     def test_tokenize_bins_numerics(self):
         frame = DataFrame.from_dict({"x": [float(i) for i in range(40)]})
         tokens = HoloCleanDetector(n_bins=4).tokenize(frame)
-        assert set(tokens["x"]) <= {"bin0", "bin1", "bin2", "bin3"}
+        assert set(tokens["x"].tokens) <= {"bin0", "bin1", "bin2", "bin3"}
 
     def test_tokenize_missing(self):
         frame = DataFrame.from_dict({"x": [1.0, None]})
         tokens = HoloCleanDetector().tokenize(frame)
-        assert tokens["x"][1] == "__missing__"
+        assert tokens["x"].codes[1] == tokens["x"].missing_code
 
     def test_tokenize_emits_integer_codes(self):
         import numpy as np
@@ -49,7 +53,7 @@ class TestHoloCleanDetector:
         for name in ("x", "c"):
             tcol = tokens[name]
             assert tcol.codes.dtype == np.int64
-            assert len(tcol) == 4
+            assert len(tcol.codes) == 4
             # missing rows carry the reserved code len(tokens)
             assert tcol.codes[tcol.codes == tcol.missing_code].size == 1
         assert tokens["c"].tokens == ["a", "b"]
