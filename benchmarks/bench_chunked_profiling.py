@@ -10,6 +10,7 @@ engine, not an approximation.
 
 from __future__ import annotations
 
+import io
 import os
 import time
 
@@ -17,8 +18,8 @@ import numpy as np
 
 from repro.dataframe import (
     DataFrame,
+    read_csv_stream,
     read_csv_text,
-    read_csv_text_chunked,
     to_csv_text,
 )
 from repro.profiling import profile
@@ -110,11 +111,13 @@ def test_streaming_csv_ingestion(benchmark):
             text = to_csv_text(_make_frame(n_rows))
             mono_time = _timed(lambda: read_csv_text(text))
             chunked_time = _timed(
-                lambda: read_csv_text_chunked(text, chunk_size=CHUNK_SIZE)
+                lambda: read_csv_stream(
+                    io.StringIO(text), chunk_size=CHUNK_SIZE
+                )
             )
             if n_rows <= 50_000:  # value equality spot-check, once
-                assert read_csv_text_chunked(
-                    text, chunk_size=CHUNK_SIZE
+                assert read_csv_stream(
+                    io.StringIO(text), chunk_size=CHUNK_SIZE
                 ) == read_csv_text(text)
             rows.append(
                 {"rows": n_rows, "mono": mono_time, "chunked": chunked_time}

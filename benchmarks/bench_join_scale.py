@@ -12,6 +12,7 @@ streamed from disk instead of densifying either table.
 
 from __future__ import annotations
 
+import io
 import resource
 import time
 
@@ -22,7 +23,7 @@ from repro.dataframe import (
     SpillStore,
     group_by,
     join,
-    read_csv_text_chunked,
+    read_csv_stream,
     to_csv_text,
 )
 
@@ -73,11 +74,11 @@ def test_partitioned_join_scale(benchmark):
     def run() -> dict:
         store = SpillStore(budget_bytes=BUDGET_BYTES)
         start = time.perf_counter()
-        left = read_csv_text_chunked(
-            left_text, chunk_size=CHUNK_SIZE, spill=store
+        left = read_csv_stream(
+            io.StringIO(left_text), chunk_size=CHUNK_SIZE, spill=store
         )
-        right = read_csv_text_chunked(
-            right_text, chunk_size=CHUNK_SIZE, spill=store
+        right = read_csv_stream(
+            io.StringIO(right_text), chunk_size=CHUNK_SIZE, spill=store
         )
         ingest_seconds = time.perf_counter() - start
         input_spilled_bytes = store.stats()["spilled_bytes"]

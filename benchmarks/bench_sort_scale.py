@@ -13,6 +13,7 @@ table that would not have fit.
 
 from __future__ import annotations
 
+import io
 import resource
 import time
 
@@ -23,7 +24,7 @@ from repro.dataframe import (
     SpillStore,
     external_sort_by,
     join,
-    read_csv_text_chunked,
+    read_csv_stream,
     to_csv_text,
 )
 
@@ -90,9 +91,11 @@ def test_external_sort_scale(benchmark):
     def run() -> dict:
         store = SpillStore(budget_bytes=BUDGET_BYTES)
         start = time.perf_counter()
-        frame = read_csv_text_chunked(text, chunk_size=CHUNK_SIZE, spill=store)
-        right = read_csv_text_chunked(
-            right_text, chunk_size=CHUNK_SIZE, spill=store
+        frame = read_csv_stream(
+            io.StringIO(text), chunk_size=CHUNK_SIZE, spill=store
+        )
+        right = read_csv_stream(
+            io.StringIO(right_text), chunk_size=CHUNK_SIZE, spill=store
         )
         ingest_seconds = time.perf_counter() - start
         input_spilled_bytes = store.stats()["spilled_bytes"]

@@ -11,12 +11,13 @@ genuinely streamed from disk instead of densifying the table.
 
 from __future__ import annotations
 
+import io
 import resource
 import time
 
 import numpy as np
 
-from repro.dataframe import SpillStore, read_csv_text_chunked, to_csv_text
+from repro.dataframe import SpillStore, read_csv_stream, to_csv_text
 from repro.dataframe import DataFrame
 from repro.detection.base import DetectionContext
 from repro.detection.mvdetector import MVDetector
@@ -50,7 +51,9 @@ def test_spill_scale_profile_and_detect(benchmark):
     def run() -> dict:
         store = SpillStore(budget_bytes=BUDGET_BYTES)
         start = time.perf_counter()
-        frame = read_csv_text_chunked(text, chunk_size=CHUNK_SIZE, spill=store)
+        frame = read_csv_stream(
+            io.StringIO(text), chunk_size=CHUNK_SIZE, spill=store
+        )
         ingest_seconds = time.perf_counter() - start
         start = time.perf_counter()
         profile(frame)

@@ -2,7 +2,7 @@
 
 This module preserves the historical row-at-a-time implementations that
 the block kernels in :mod:`repro.dataframe.io` replaced: rendering walks
-``row_tuple`` and formats every cell through ``_render``; parsing runs
+the rows and formats every cell through ``_render``; parsing runs
 ``parse_token`` on every cell and hands the rows to
 ``DataFrame.from_rows``, which infers, coerces and packs each column as
 a whole.
@@ -45,8 +45,9 @@ def reference_to_csv_text(frame: DataFrame, delimiter: str = ",") -> str:
     writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
     writer.writerow(frame.column_names)
     for chunk in frame.iter_chunks():
+        columns = [chunk.column(name) for name in chunk.column_names]
         for i in range(chunk.num_rows):
-            writer.writerow([reference_render(v) for v in chunk.row_tuple(i)])
+            writer.writerow([reference_render(column[i]) for column in columns])
     return buffer.getvalue()
 
 

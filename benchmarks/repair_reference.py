@@ -288,11 +288,19 @@ def reference_holoclean_repair(
 # ----------------------------------------------------------------------
 
 
+def _neighbor_labels(model: KNeighborsClassifier, row: np.ndarray) -> list:
+    """Targets of the ``n_neighbors`` training rows nearest to ``row``."""
+    distances = np.sqrt(np.sum((model._train - row) ** 2, axis=1))
+    k = min(model.n_neighbors, len(model._target))
+    nearest = np.argsort(distances, kind="stable")[:k]
+    return [model._target[int(i)] for i in nearest]
+
+
 def _reference_knn_predict(model: KNeighborsClassifier, matrix: np.ndarray):
     """Per-row distance + stable argsort + Counter vote (the old path)."""
     out = []
     for row in np.asarray(matrix, dtype=float):
-        labels = model._neighbor_labels(row)
+        labels = _neighbor_labels(model, row)
         counts = Counter(labels)
         best_count = max(counts.values())
         tied = sorted(
@@ -303,8 +311,19 @@ def _reference_knn_predict(model: KNeighborsClassifier, matrix: np.ndarray):
     return out
 
 
+def _predict_row(model: DecisionTreeRegressor, row: np.ndarray):
+    """Walk the fitted tree from the root for one row (the old path)."""
+    node = model._root
+    while node is not None and not node.is_leaf():
+        if row[node.feature] <= node.threshold:
+            node = node.left
+        else:
+            node = node.right
+    return node.prediction if node is not None else None
+
+
 def _reference_tree_predict(model: DecisionTreeRegressor, matrix: np.ndarray):
-    return [model._predict_row(row) for row in np.asarray(matrix, dtype=float)]
+    return [_predict_row(model, row) for row in np.asarray(matrix, dtype=float)]
 
 
 def reference_ml_impute(

@@ -572,7 +572,10 @@ def create_app(
                 from ..fd import FunctionalDependency
 
                 rule = FunctionalDependency(tuple(determinants), dependent)
-                session.rule_set.set_status(rule, status)
+                if status == "confirmed":
+                    session.confirm_rule(rule)
+                else:
+                    session.reject_rule(rule)
                 return {"rule": rule.to_dict(), "status": status}
             try:
                 rule = session.add_custom_rule(

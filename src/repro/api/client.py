@@ -95,6 +95,3 @@ class TestClient:
         headers: dict[str, str] | None = None,
     ) -> Response:
         return self.request("PUT", path, body=body, headers=headers)
-
-    def delete(self, path: str) -> Response:
-        return self.request("DELETE", path)

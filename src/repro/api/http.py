@@ -174,9 +174,6 @@ class Router:
     def put(self, template: str) -> Callable[[Handler], Handler]:
         return self._decorator("PUT", template)
 
-    def delete(self, template: str) -> Callable[[Handler], Handler]:
-        return self._decorator("DELETE", template)
-
     def _decorator(self, method: str, template: str) -> Callable[[Handler], Handler]:
         def register(handler: Handler) -> Handler:
             self.add(method, template, handler)

@@ -32,7 +32,7 @@ from .monitoring import (
     QualityRegression,
     VersionQuality,
 )
-from .nlrules import ParsedRule, RuleParseError, parse_rule, parse_rules
+from .nlrules import ParsedRule, RuleParseError, parse_rule
 from .quality import (
     accuracy_against,
     completeness,
@@ -74,7 +74,6 @@ __all__ = [
     "explain_cell",
     "explain_session",
     "parse_rule",
-    "parse_rules",
     "DEFAULT_DETECTOR_CHOICES",
     "DEFAULT_REPAIRER_CHOICES",
     "DataLens",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator
 
 from ..dataframe import Cell, DataFrame, sweep_orphaned_spill_dirs
 from ..detection import (
@@ -306,31 +306,6 @@ class DataLensSession:
             self._record_detection("user_tags", self.tags.search(self.frame))
         self.detected_cells = merge_results(list(self.detection_results.values()))
         return set(self.detected_cells)
-
-    def check_referential_integrity(
-        self,
-        parent: DataFrame,
-        on: Sequence[str],
-        parent_on: Sequence[str] | None = None,
-        strategy: str | None = None,
-    ) -> DetectionResult:
-        """Cross-table check: child keys must exist in ``parent``.
-
-        Runs the ``referential_integrity`` detector (a chunk-native semi
-        join, spill-aware on out-of-core frames) against this session's
-        frame and folds the violations into the consolidated detection
-        set like any other tool.
-        """
-        from ..detection import ReferentialIntegrityDetector
-
-        if self.version_before_detection is None:
-            self.version_before_detection = self.delta.latest_version()
-        detector = ReferentialIntegrityDetector(
-            on=on, parent=parent, parent_on=parent_on, strategy=strategy
-        )
-        result = detector.detect(self.frame, self.detection_context())
-        self._record_detection(detector.name, result)
-        return result
 
     def _record_detection(self, name: str, result: DetectionResult) -> None:
         self.detection_results[name] = result

@@ -56,13 +56,6 @@ class MonitoringReport:
     def latest(self) -> VersionQuality | None:
         return self.timeline[-1] if self.timeline else None
 
-    def metric_series(self, metric: str) -> list[tuple[int, float]]:
-        return [
-            (entry.version, entry.metrics[metric])
-            for entry in self.timeline
-            if metric in entry.metrics
-        ]
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "timeline": [

@@ -215,8 +215,3 @@ def parse_rule(text: str, frame: DataFrame) -> ParsedRule:
         )
 
     raise RuleParseError(f"could not interpret rule text: {text!r}")
-
-
-def parse_rules(sentences: list[str], frame: DataFrame) -> list[ParsedRule]:
-    """Parse a batch of sentences; raises on the first invalid one."""
-    return [parse_rule(sentence, frame) for sentence in sentences]

@@ -30,9 +30,6 @@ class TagRegistry:
         """Register one known-dirty value (numbers also match their float)."""
         self._values.add(value)
 
-    def untag(self, value: Any) -> None:
-        self._values.discard(value)
-
     def values(self) -> list[Any]:
         return sorted(self._values, key=str)
 
@@ -79,7 +76,3 @@ class TagRegistry:
             runtime_seconds=time.perf_counter() - start,
             metadata={"num_tagged_values": len(self._values)},
         )
-
-    def as_labels(self, frame: DataFrame) -> dict[Cell, bool]:
-        """Tagged cells as positive labels for ML-based detectors."""
-        return {cell: True for cell in self.search(frame).cells}

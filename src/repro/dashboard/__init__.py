@@ -1,6 +1,6 @@
 """Dashboard rendering (Figure 2): HTML tabs + SVG charts."""
 
-from .charts import PALETTE, bar_chart, line_chart, stacked_bar_chart
+from .charts import PALETTE, bar_chart, stacked_bar_chart
 from .views import (
     render_dashboard,
     render_datasheet_tab,
@@ -14,7 +14,6 @@ from .views import (
 __all__ = [
     "PALETTE",
     "bar_chart",
-    "line_chart",
     "render_dashboard",
     "render_datasheet_tab",
     "render_detection_tab",

@@ -1,8 +1,7 @@
 """Tiny standalone SVG chart generation for the dashboard.
 
-Covers the visual idioms the paper's figures use: grouped/stacked bars
-(Figure 4's per-attribute error distribution) and dual-axis line charts
-(Figures 3 and 5).
+Covers the visual idiom the dashboard tabs use: grouped/stacked bars
+(Figure 4's per-attribute error distribution).
 """
 
 from __future__ import annotations
@@ -124,69 +123,5 @@ def stacked_bar_chart(
         f"<line x1='{margin}' y1='{base_y}' x2='{width - margin}' "
         f"y2='{base_y}' stroke='#333'/>"
     )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def line_chart(
-    x_values: Sequence[float],
-    series: Mapping[str, Sequence[float]],
-    title: str = "",
-    width: int = 560,
-    height: int = 280,
-) -> str:
-    """Multi-series line chart (Figure 3/5 style)."""
-    margin = 46
-    plot_width = width - 2 * margin
-    plot_height = height - 2 * margin - 16
-    all_values = [v for values in series.values() for v in values]
-    maximum = max(all_values) if all_values else 1.0
-    minimum = min(all_values + [0.0])
-    span = max(maximum - minimum, 1e-12)
-    x_min = min(x_values) if x_values else 0.0
-    x_span = max((max(x_values) - x_min) if x_values else 1.0, 1e-12)
-
-    def to_xy(x: float, y: float) -> tuple[float, float]:
-        px = margin + (x - x_min) / x_span * plot_width
-        py = margin + 16 + plot_height - (y - minimum) / span * plot_height
-        return px, py
-
-    parts = [
-        f"<svg xmlns='http://www.w3.org/2000/svg' width='{width}' "
-        f"height='{height}' viewBox='0 0 {width} {height}'>",
-        f"<text x='{width / 2}' y='14' text-anchor='middle' "
-        f"font-size='13'>{escape(title)}</text>",
-    ]
-    for series_index, (name, values) in enumerate(series.items()):
-        color = PALETTE[series_index % len(PALETTE)]
-        points = " ".join(
-            f"{to_xy(x, y)[0]:.1f},{to_xy(x, y)[1]:.1f}"
-            for x, y in zip(x_values, values)
-        )
-        parts.append(
-            f"<polyline points='{points}' fill='none' stroke='{color}' "
-            f"stroke-width='2'/>"
-        )
-        lx = margin + series_index * 130
-        parts.append(
-            f"<rect x='{lx}' y='22' width='10' height='10' fill='{color}'/>"
-        )
-        parts.append(
-            f"<text x='{lx + 14}' y='31' font-size='10'>{escape(name)}</text>"
-        )
-        for x, y in zip(x_values, values):
-            px, py = to_xy(x, y)
-            parts.append(f"<circle cx='{px:.1f}' cy='{py:.1f}' r='2.5' fill='{color}'/>")
-    base_y = margin + 16 + plot_height
-    parts.append(
-        f"<line x1='{margin}' y1='{base_y}' x2='{width - margin}' "
-        f"y2='{base_y}' stroke='#333'/>"
-    )
-    for x in x_values:
-        px, _ = to_xy(x, minimum)
-        parts.append(
-            f"<text x='{px:.1f}' y='{base_y + 14}' text-anchor='middle' "
-            f"font-size='9'>{escape(str(x))}</text>"
-        )
     parts.append("</svg>")
     return "".join(parts)

@@ -11,23 +11,15 @@ from .chunked import (
 from .column import Column
 from .frame import Cell, DataFrame
 from .io import (
-    from_json_records,
     read_csv,
     read_csv_chunked,
     read_csv_stream,
     read_csv_text,
-    read_csv_text_chunked,
     to_csv_text,
-    to_json_records,
     write_csv,
 )
-from .joins import (
-    grouped_aggregate,
-    join,
-    resolve_join_strategy,
-    semi_join_mask,
-)
-from .ops import group_by, group_indices, inner_join, sort_by, value_counts_frame
+from .joins import join, resolve_join_strategy, semi_join_mask
+from .ops import group_by, sort_by
 from .sort import external_sort_by, resolve_sort_strategy
 from .spill import (
     SpillCapacityError,
@@ -72,12 +64,8 @@ __all__ = [
     "coerce",
     "common_dtype",
     "external_sort_by",
-    "from_json_records",
     "group_by",
-    "group_indices",
-    "grouped_aggregate",
     "infer_dtype",
-    "inner_join",
     "is_missing",
     "is_numeric_dtype",
     "join",
@@ -88,7 +76,6 @@ __all__ = [
     "read_csv_chunked",
     "read_csv_stream",
     "read_csv_text",
-    "read_csv_text_chunked",
     "resolve_chunk_size",
     "resolve_sort_strategy",
     "sort_by",
@@ -100,7 +87,5 @@ __all__ = [
     "spill_store_of",
     "sweep_orphaned_spill_dirs",
     "to_csv_text",
-    "to_json_records",
-    "value_counts_frame",
     "write_csv",
 ]

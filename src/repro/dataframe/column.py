@@ -353,11 +353,6 @@ class Column:
         out._mask_fingerprint_cache = self._mask_fingerprint_cache
         return out
 
-    def rename(self, name: str) -> "Column":
-        return Column._from_arrays(
-            name, self.dtype, self._data.copy(), self._mask.copy()
-        )
-
     def astype(self, dtype: str) -> "Column":
         """Return a copy coerced to ``dtype`` (missing cells preserved)."""
         if dtype == self.dtype:
@@ -380,10 +375,6 @@ class Column:
 
     def non_missing(self) -> list[Any]:
         return self._data[~self._mask].tolist()
-
-    def fill_missing(self, value: Any) -> "Column":
-        filled = [value if v is None else v for v in self.values()]
-        return Column(self.name, filled)
 
     # ------------------------------------------------------------------
     # Analytics helpers

@@ -2,13 +2,13 @@
 
 The frame is deliberately small but carries the pandas-like operations the
 rest of the system needs: construction from rows/columns, cell addressing by
-``(row_index, column_name)``, boolean-mask selection, column manipulation,
-iteration, and numpy export.
+``(row_index, column_name)``, boolean-mask selection, iteration, and numpy
+export.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -138,34 +138,6 @@ class DataFrame:
         """Dict-style access: ``frame["col"]`` is ``frame.column("col")``."""
         return self.column(name)
 
-    def with_column(self, column: Column) -> "DataFrame":
-        """Return a copy with ``column`` added or replaced."""
-        if self._columns and len(column) != self.num_rows:
-            raise ValueError(
-                f"column {column.name!r} has {len(column)} rows, expected {self.num_rows}"
-            )
-        columns = dict(self._columns)
-        columns[column.name] = column
-        return DataFrame(columns.values())
-
-    def drop_columns(self, names: Iterable[str]) -> "DataFrame":
-        drop = set(names)
-        missing = drop - set(self._columns)
-        if missing:
-            raise KeyError(f"cannot drop unknown columns {sorted(missing)}")
-        return DataFrame(
-            col for name, col in self._columns.items() if name not in drop
-        )
-
-    def select_columns(self, names: Sequence[str]) -> "DataFrame":
-        return DataFrame(self.column(name) for name in names)
-
-    def rename_columns(self, mapping: Mapping[str, str]) -> "DataFrame":
-        return DataFrame(
-            col.rename(mapping.get(name, name))
-            for name, col in self._columns.items()
-        )
-
     def numeric_column_names(self) -> list[str]:
         return [n for n, c in self._columns.items() if c.is_numeric()]
 
@@ -202,9 +174,6 @@ class DataFrame:
     def row(self, index: int) -> dict[str, Any]:
         return {name: col[index] for name, col in self._columns.items()}
 
-    def row_tuple(self, index: int) -> tuple[Any, ...]:
-        return tuple(col[index] for col in self._columns.values())
-
     def iter_rows(self) -> Iterator[dict[str, Any]]:
         for i in range(self.num_rows):
             yield self.row(i)
@@ -224,13 +193,6 @@ class DataFrame:
         if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= self.num_rows):
             raise IndexError(f"row index out of range for {self.num_rows} rows")
         return DataFrame(col.take(idx) for col in self._columns.values())
-
-    def filter(self, mask: Sequence[bool]) -> "DataFrame":
-        """Return rows where the boolean mask is True."""
-        if len(mask) != self.num_rows:
-            raise ValueError("mask length must equal number of rows")
-        return self.select(np.fromiter((bool(k) for k in mask), dtype=bool,
-                                       count=self.num_rows))
 
     def select(self, mask: np.ndarray) -> "DataFrame":
         """Boolean-mask row selection — the vectorized fast path.
@@ -287,18 +249,8 @@ class DataFrame:
             span = len(uniques)
         return codes, span
 
-    def filter_rows(self, predicate: Callable[[dict[str, Any]], bool]) -> "DataFrame":
-        mask = [bool(predicate(row)) for row in self.iter_rows()]
-        return self.filter(mask)
-
     def head(self, n: int = 5) -> "DataFrame":
         return self.take(list(range(min(n, self.num_rows))))
-
-    def sample_indices(self, n: int, seed: int = 0) -> list[int]:
-        """Deterministic random sample of row indices without replacement."""
-        rng = np.random.default_rng(seed)
-        n = min(n, self.num_rows)
-        return [int(i) for i in rng.choice(self.num_rows, size=n, replace=False)]
 
     def copy(self) -> "DataFrame":
         return DataFrame(col.copy() for col in self._columns.values())
@@ -373,13 +325,6 @@ class DataFrame:
     def missing_count(self) -> int:
         return sum(col.missing_count() for col in self._columns.values())
 
-    def drop_missing_rows(self, subset: Sequence[str] | None = None) -> "DataFrame":
-        names = list(subset) if subset is not None else self.column_names
-        keep = np.ones(self.num_rows, dtype=bool)
-        for name in names:
-            keep &= ~self.column(name).mask()
-        return self.select(keep)
-
     # ------------------------------------------------------------------
     # Numpy export
     # ------------------------------------------------------------------
@@ -402,13 +347,3 @@ class DataFrame:
         is_first = np.zeros(self.num_rows, dtype=bool)
         is_first[first_index] = True
         return np.flatnonzero(~is_first).tolist()
-
-    def concat_rows(self, other: "DataFrame") -> "DataFrame":
-        """Stack another frame with identical columns underneath this one."""
-        if self.column_names != other.column_names:
-            raise ValueError("frames must share identical column names")
-        data = {
-            name: self.column(name).values() + other.column(name).values()
-            for name in self.column_names
-        }
-        return DataFrame.from_dict(data)

@@ -1,7 +1,7 @@
-"""CSV / JSON serialization for DataFrames.
+"""CSV serialization for DataFrames.
 
 CSV is the interchange format the paper's dashboard uses for uploads and for
-persisting repaired datasets; JSON is used by DataSheets and the REST API.
+persisting repaired datasets.
 
 Every CSV reader and writer runs one block kernel per direction, so no
 cell makes its own trip through Python.
@@ -85,14 +85,13 @@ only when some cell holds the delimiter, a quote or a line break, or the
 frame has a single column, whose empty fields ``csv.writer`` writes as
 ``""`` so they do not read back as blank lines. Without those cells
 ``csv.writer`` quotes nothing, so the bytes equal formatting every
-``row_tuple`` through it, as the reference does.
+row through it, as the reference does.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
 from itertools import compress, islice
 from pathlib import Path
@@ -591,19 +590,6 @@ def read_csv_chunked(
         return _read_csv_stream(handle, delimiter, dtypes, chunk_size, spill)
 
 
-def read_csv_text_chunked(
-    text: str,
-    delimiter: str = ",",
-    dtypes: Mapping[str, str] | None = None,
-    chunk_size: int | None = None,
-    spill=None,
-):
-    """Chunked variant of :func:`read_csv_text`."""
-    return _read_csv_stream(
-        io.StringIO(text), delimiter, dtypes, chunk_size, spill
-    )
-
-
 def read_csv_stream(
     lines: Iterable[str],
     delimiter: str = ",",
@@ -728,18 +714,3 @@ def _needs_quoting(texts: list[str], delimiter: str) -> bool:
     """Whether ``csv.writer`` could quote any of these cells."""
     joined = "".join(texts)
     return any(mark in joined for mark in (delimiter, '"', "\r", "\n"))
-
-
-def to_json_records(frame: DataFrame) -> str:
-    """Serialize a DataFrame as a JSON list of row objects."""
-    return json.dumps(frame.to_records(), default=_json_default)
-
-
-def from_json_records(text: str) -> DataFrame:
-    """Deserialize a frame from :func:`to_json_records` output."""
-    records = json.loads(text)
-    return DataFrame.from_records(records)
-
-
-def _json_default(value: Any) -> Any:
-    raise TypeError(f"cannot serialize {type(value).__name__}")

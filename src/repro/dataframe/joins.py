@@ -1,7 +1,7 @@
-"""Chunk-native physical join and aggregation operators.
+"""Chunk-native physical join operators.
 
 This module turns the dataframe layer into an out-of-core query engine:
-joins and grouped aggregation run chunk by chunk over
+joins run chunk by chunk over
 :class:`~repro.dataframe.chunked.ChunkedFrame` inputs (spilled shards
 stream through the owning :class:`~repro.dataframe.spill.SpillStore`'s
 LRU) and only the *result* is densified — query output is monolithic per
@@ -61,16 +61,11 @@ null key appears in the outer result as a right-only row.
 
 Grouped aggregation
 -------------------
-:func:`grouped_aggregate` folds each chunk into per-group partial
-states and merges them exactly, preserving the monolithic ``group_by``
-contract bit for bit: float sums re-enter each chunk's ``bincount``
-as a carry (a fold starting at ``+0.0`` can never produce ``-0.0``,
-so the carry re-add is a bitwise no-op), int sums merge as
-arbitrary-precision Python ints, min/max merge per group keeping the
-first-seen value on ties, and everything else (object-backed columns,
-custom callables) buffers per-group Python value lists in row order and
-applies the callback at the end — the exact fallback the monolithic
-path uses, including its exception behaviour.
+Grouped aggregation is not a join and lives in
+:func:`repro.dataframe.ops.group_by`, which streams the same chunks
+through per-group partial states. The joint-codes kernels below
+(:func:`_joint_codes`, :func:`_combine_codes`) are join-only: they code
+*two* frames' keys together, where ``group_by`` codes one frame's.
 """
 
 from __future__ import annotations
@@ -78,7 +73,7 @@ from __future__ import annotations
 import math
 import struct
 import zlib
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -87,13 +82,6 @@ from . import types as _types
 from .chunked import _concat_payload
 from .column import Column
 from .frame import DataFrame
-from .ops import (
-    _MISSING_KEY,
-    _combine_codes,
-    _group_layout,
-    _joint_codes,
-    _resolve_aggregator,
-)
 from .spill import SpillStore, spill_store_of
 
 _JOIN_HOWS = ("inner", "left", "outer")
@@ -206,6 +194,81 @@ def _partition_ids(
 # ----------------------------------------------------------------------
 # Joint-codes probe (shared by both plans, for join and membership)
 # ----------------------------------------------------------------------
+def _lossy_promotion(l_data: np.ndarray, r_data: np.ndarray) -> bool:
+    """True when concatenating would promote int64 values lossily.
+
+    Mixing an int64 key column with a float64 one promotes the ints to
+    float64; ints beyond 2**53 would then collide with neighbours they
+    are not Python-equal to, so such pairs take the exact dict path.
+    """
+    kinds = {l_data.dtype.kind, r_data.dtype.kind}
+    if kinds != {"i", "f"}:
+        return False
+    int_side = l_data if l_data.dtype.kind == "i" else r_data
+    if not int_side.size:
+        return False
+    limit = 2**53
+    return bool(int_side.max() > limit or int_side.min() < -limit)
+
+
+def _joint_codes(
+    left_column: Column, right_column: Column
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Factorize two columns jointly so equal values share codes.
+
+    Equality follows Python ``==`` semantics (so ``2 == 2.0 == True``
+    matches across int/float/bool columns, and strings never equal
+    numbers). Missing cells receive side-specific codes above the value
+    range so a missing left key can never match a missing right key.
+    """
+    l_data, l_mask = left_column.values_array(), left_column.mask()
+    r_data, r_mask = right_column.values_array(), right_column.mask()
+    n_left = len(l_data)
+    if l_data.dtype != object and r_data.dtype != object and not _lossy_promotion(
+        l_data, r_data
+    ):
+        combined = np.concatenate([l_data, r_data])
+        if combined.size:
+            _, inverse = np.unique(combined, return_inverse=True)
+            span = int(inverse.max()) + 1
+        else:
+            inverse = np.zeros(0, dtype=np.int64)
+            span = 0
+        inverse = inverse.astype(np.int64, copy=False)
+    else:
+        inverse, span = _types.factorize_objects(
+            l_data.tolist() + r_data.tolist()
+        )
+    left_codes = inverse[:n_left].copy()
+    right_codes = inverse[n_left:].copy()
+    left_codes[l_mask] = span
+    right_codes[r_mask] = span + 1
+    return left_codes, right_codes, span + 2
+
+
+def _combine_codes(
+    left_codes: np.ndarray,
+    right_codes: np.ndarray,
+    span: int,
+    extra_left: np.ndarray,
+    extra_right: np.ndarray,
+    extra_span: int,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Merge one more key column into composite codes (overflow safe)."""
+    if extra_span and span > (2**62) // max(extra_span, 1):
+        combined = np.concatenate([left_codes, right_codes])
+        _, inverse = np.unique(combined, return_inverse=True)
+        inverse = inverse.astype(np.int64, copy=False)
+        left_codes = inverse[: len(left_codes)]
+        right_codes = inverse[len(left_codes) :]
+        span = int(inverse.max()) + 1 if inverse.size else 0
+    return (
+        left_codes * extra_span + extra_left,
+        right_codes * extra_span + extra_right,
+        span * extra_span,
+    )
+
+
 def _key_codes(
     left_cols: Sequence[Column],
     right_cols: Sequence[Column],
@@ -806,366 +869,3 @@ def semi_join_mask(
         member = _membership(l_cols, r_cols, len(l_rows), len(r_rows))
         out[l_rows[member]] = True
     return out
-
-
-# ----------------------------------------------------------------------
-# Chunk-native grouped aggregation
-# ----------------------------------------------------------------------
-class _ListState:
-    """Fallback state: per-group Python value lists, callback at the end.
-
-    Byte-for-byte the monolithic fallback — values accumulate in global
-    row order, the callback runs per group in first-occurrence order at
-    finalize (so a raising callback, e.g. ``sum`` over strings, raises
-    at exactly the group the monolithic path raises at).
-    """
-
-    def __init__(self, callback: Callable[[list[Any]], Any]) -> None:
-        self.callback = callback
-        self.lists: list[list[Any]] = []
-
-    def _grow(self, n_total: int) -> None:
-        while len(self.lists) < n_total:
-            self.lists.append([])
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        self._grow(n_total)
-        values = column.values()
-        for i, gid in enumerate(row_gid.tolist()):
-            value = values[i]
-            if value is not None:
-                self.lists[gid].append(value)
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        self._grow(n_groups)
-        return [
-            self.callback(values) if values else None
-            for values in self.lists[:n_groups]
-        ]
-
-
-class _CountState:
-    def __init__(self) -> None:
-        self.counts = np.zeros(0, dtype=np.int64)
-
-    def _grow(self, n_total: int) -> None:
-        if len(self.counts) < n_total:
-            grown = np.zeros(n_total, dtype=np.int64)
-            grown[: len(self.counts)] = self.counts
-            self.counts = grown
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        self._grow(n_total)
-        valid = ~np.asarray(column.mask())
-        self.counts[:n_total] += np.bincount(
-            row_gid[valid], minlength=n_total
-        )
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        self._grow(n_groups)
-        return [
-            int(count) if count else None
-            for count in self.counts[:n_groups].tolist()
-        ]
-
-
-class _FirstState:
-    def __init__(self) -> None:
-        self.values: dict[int, Any] = {}
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        valid_rows = np.flatnonzero(~np.asarray(column.mask()))
-        if not len(valid_rows):
-            return
-        gids = row_gid[valid_rows]
-        unique_gids, first_index = np.unique(gids, return_index=True)
-        for gid, index in zip(unique_gids.tolist(), first_index.tolist()):
-            if gid not in self.values:
-                self.values[gid] = column[int(valid_rows[index])]
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        return [self.values.get(g) for g in range(n_groups)]
-
-
-class _FloatSumState:
-    """Carry-bincount float sums — bit-identical to the monolithic fold.
-
-    Each chunk's ``bincount`` re-adds the running per-group sums as
-    leading carry weights: carries precede the chunk's elements per bin,
-    and ``0.0 + carry == carry`` bitwise because a fold that starts at
-    ``+0.0`` can never produce ``-0.0`` — so the addition sequence per
-    group equals the monolithic left-to-right fold exactly.
-    """
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self.running = np.zeros(0, dtype=np.float64)
-        self.counts = np.zeros(0, dtype=np.int64)
-
-    def _grow(self, n_total: int) -> None:
-        if len(self.counts) < n_total:
-            grown = np.zeros(n_total, dtype=np.int64)
-            grown[: len(self.counts)] = self.counts
-            self.counts = grown
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        self._grow(n_total)
-        valid = ~np.asarray(column.mask())
-        gids = row_gid[valid]
-        self.counts[:n_total] += np.bincount(gids, minlength=n_total)
-        values = np.asarray(column.values_array())[valid].astype(
-            np.float64, copy=False
-        )
-        carry_ids = np.arange(len(self.running), dtype=np.int64)
-        self.running = np.bincount(
-            np.concatenate([carry_ids, gids]),
-            weights=np.concatenate([self.running, values]),
-            minlength=n_total,
-        )
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        self._grow(n_groups)
-        sums = self.running.tolist() + [0.0] * (
-            n_groups - len(self.running)
-        )
-        counts = self.counts[:n_groups].tolist()
-        if self.kind == "sum":
-            return [
-                sums[g] if counts[g] else None for g in range(n_groups)
-            ]
-        return [
-            sums[g] / counts[g] if counts[g] else None
-            for g in range(n_groups)
-        ]
-
-
-class _IntSumState:
-    """Exact int/bool sums merged as arbitrary-precision Python ints.
-
-    Per-chunk int64 accumulation is exact whenever the chunk's true
-    per-group totals fit (intermediate wraparound is modular and
-    self-correcting); a float shadow sum flags chunks that might not,
-    which then fold in pure Python. Cross-chunk merge is Python-int
-    addition, so the final totals equal the monolithic exact sums for
-    any magnitude.
-    """
-
-    def __init__(self, kind: str) -> None:
-        self.kind = kind
-        self.totals: list[int] = []
-        self.counts = np.zeros(0, dtype=np.int64)
-
-    def _grow(self, n_total: int) -> None:
-        while len(self.totals) < n_total:
-            self.totals.append(0)
-        if len(self.counts) < n_total:
-            grown = np.zeros(n_total, dtype=np.int64)
-            grown[: len(self.counts)] = self.counts
-            self.counts = grown
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        self._grow(n_total)
-        valid = ~np.asarray(column.mask())
-        gids = row_gid[valid]
-        chunk_counts = np.bincount(gids, minlength=n_total)
-        self.counts[:n_total] += chunk_counts
-        values = np.asarray(column.values_array())[valid]
-        if not len(values):
-            return
-        if values.dtype == np.bool_:
-            values = values.astype(np.int64)
-        if values.dtype == object:
-            for gid, value in zip(gids.tolist(), values.tolist()):
-                self.totals[gid] += value
-            return
-        shadow = np.bincount(
-            gids, weights=values.astype(np.float64), minlength=1
-        )
-        if shadow.size and np.abs(shadow).max() > float(2**62):
-            for gid, value in zip(gids.tolist(), values.tolist()):
-                self.totals[gid] += value
-            return
-        sums = np.zeros(n_total, dtype=np.int64)
-        np.add.at(sums, gids, values)
-        for gid in np.flatnonzero(chunk_counts).tolist():
-            self.totals[gid] += int(sums[gid])
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        self._grow(n_groups)
-        counts = self.counts[:n_groups].tolist()
-        if self.kind == "sum":
-            return [
-                self.totals[g] if counts[g] else None
-                for g in range(n_groups)
-            ]
-        return [
-            self.totals[g] / counts[g] if counts[g] else None
-            for g in range(n_groups)
-        ]
-
-
-class _MinMaxState:
-    """Per-chunk ``reduceat`` extrema merged with Python min/max.
-
-    Merging keeps the earlier chunk's value on ties, matching the
-    global left-to-right reduction; result types follow the column
-    dtype exactly like the monolithic ``_python_scalar`` cast.
-    """
-
-    def __init__(self, kind: str, dtype: str) -> None:
-        self.kind = kind
-        self.dtype = dtype
-        self.pick = min if kind == "min" else max
-        self.best: dict[int, Any] = {}
-
-    def _merge(self, gid: int, value: Any) -> None:
-        if gid in self.best:
-            self.best[gid] = self.pick(self.best[gid], value)
-        else:
-            self.best[gid] = value
-
-    def update(
-        self, column: Column, row_gid: np.ndarray, n_total: int
-    ) -> None:
-        valid = ~np.asarray(column.mask())
-        if not valid.any():
-            return
-        gids = row_gid[valid]
-        values = np.asarray(column.values_array())[valid]
-        if values.dtype == object:
-            for gid, value in zip(gids.tolist(), values.tolist()):
-                self._merge(gid, value)
-            return
-        if values.dtype == np.bool_:
-            values = values.astype(np.int64)
-        order = np.argsort(gids, kind="stable")
-        sorted_values = values[order]
-        sorted_gids = gids[order]
-        boundaries = np.flatnonzero(np.diff(sorted_gids)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ufunc = np.minimum if self.kind == "min" else np.maximum
-        reduced = ufunc.reduceat(sorted_values, starts)
-        for gid, value in zip(
-            sorted_gids[starts].tolist(), reduced.tolist()
-        ):
-            self._merge(gid, value)
-
-    def finalize(self, n_groups: int) -> list[Any]:
-        results: list[Any] = []
-        for g in range(n_groups):
-            if g in self.best:
-                value = self.best[g]
-                if self.dtype == _types.BOOL:
-                    value = bool(value)
-                results.append(value)
-            else:
-                results.append(None)
-        return results
-
-
-def _make_state(dtype: str, kind: str | None, callback: Callable | None):
-    if kind is None:
-        return _ListState(callback)
-    if kind == "count":
-        return _CountState()
-    if kind == "first":
-        return _FirstState()
-    if dtype in (_types.INT, _types.FLOAT, _types.BOOL):
-        if kind in ("sum", "mean"):
-            if dtype == _types.FLOAT:
-                return _FloatSumState(kind)
-            return _IntSumState(kind)
-        return _MinMaxState(kind, dtype)
-    return _ListState(callback)
-
-
-def grouped_aggregate(
-    frame: DataFrame,
-    columns: Sequence[str],
-    aggregations: Mapping[str, tuple[str, Any]],
-) -> DataFrame:
-    """Chunk-native ``group_by``: per-chunk partials with exact merge.
-
-    Bit-identical to :func:`repro.dataframe.ops.group_by` on the same
-    rows — same group order (global first occurrence), same value
-    types, same exceptions in the same order — but streams a
-    :class:`ChunkedFrame` chunk by chunk without densifying any column,
-    so spilled inputs stay spilled.
-    """
-    names = list(columns)
-    out: dict[str, list[Any]] = {name: [] for name in names}
-    out.update({name: [] for name in aggregations})
-    if frame.num_rows == 0:
-        for name in names:
-            frame.column(name)
-        for _, (in_name, func) in aggregations.items():
-            frame.column(in_name)
-            _resolve_aggregator(func)
-        return DataFrame.from_dict(out)
-    for name in names:
-        frame.column(name)
-    specs: list[tuple[str, str, Any, Any]] = []
-    for out_name, (in_name, func) in aggregations.items():
-        try:
-            column = frame.column(in_name)
-            kind, callback = _resolve_aggregator(func)
-        except (KeyError, ValueError):
-            # Deferred: re-raised in spec order at finalize, matching
-            # the monolithic path's exception order.
-            specs.append((out_name, in_name, func, None))
-            continue
-        specs.append(
-            (out_name, in_name, func, _make_state(column.dtype, kind, callback))
-        )
-    registry: dict[tuple, int] = {}
-    key_values: list[tuple] = []
-    for chunk in frame.iter_chunks():
-        n = chunk.num_rows
-        if n == 0:
-            continue
-        order, starts, ends, appearance, first_rows = _group_layout(
-            chunk, names
-        )
-        key_cols = [chunk.column(name) for name in names]
-        n_local = len(starts)
-        gid_of_local = np.empty(n_local, dtype=np.int64)
-        first_list = first_rows.tolist()
-        for g in appearance.tolist():
-            raw = tuple(col[first_list[g]] for col in key_cols)
-            key = tuple(
-                _MISSING_KEY if value is None else value for value in raw
-            )
-            gid = registry.get(key)
-            if gid is None:
-                gid = len(registry)
-                registry[key] = gid
-                key_values.append(raw)
-            gid_of_local[g] = gid
-        lengths = ends - starts
-        row_local = np.empty(n, dtype=np.int64)
-        row_local[order] = np.repeat(
-            np.arange(n_local, dtype=np.int64), lengths
-        )
-        row_gid = gid_of_local[row_local]
-        n_total = len(registry)
-        for _, in_name, _, state in specs:
-            if state is not None:
-                state.update(chunk.column(in_name), row_gid, n_total)
-    n_groups = len(registry)
-    for i, name in enumerate(names):
-        out[name] = [key_values[g][i] for g in range(n_groups)]
-    for out_name, in_name, func, state in specs:
-        frame.column(in_name)
-        kind, callback = _resolve_aggregator(func)
-        out[out_name] = state.finalize(n_groups)
-    return DataFrame.from_dict(out)

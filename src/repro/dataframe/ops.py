@@ -1,10 +1,9 @@
-"""Relational operations over DataFrames: sort, group-by, join.
+"""Sort and group-by over DataFrames, on integer codes.
 
-Vectorized contract (the codes-based relational kernels)
---------------------------------------------------------
-Every operation here runs on the integer group codes exposed by
-:meth:`repro.dataframe.Column.codes` / :meth:`repro.dataframe.DataFrame.column_codes`
-instead of per-cell ``frame.at`` loops:
+Both operations run on the integer group codes exposed by
+:meth:`repro.dataframe.Column.codes` /
+:meth:`repro.dataframe.DataFrame.column_codes` instead of per-cell
+``frame.at`` loops. Joins live in :mod:`repro.dataframe.joins`.
 
 * ``sort_by`` — lexicographic stable argsort over per-column *order
   codes* (codes remapped so their integer order matches the documented
@@ -15,38 +14,40 @@ instead of per-cell ``frame.at`` loops:
   routes spilled inputs through the external merge sort in
   :mod:`repro.dataframe.sort`, which reuses these exact order-code
   semantics per run so both plans are bit-identical.
-* ``group_indices`` / ``group_by`` — one stable argsort of the composite
-  key codes; group boundaries come from code changes in the sorted
-  array. Groups are emitted in first-occurrence order (matching the
-  historical dict-insertion order) and row lists are ascending. Missing
-  key cells group together (``None`` matches ``None``) and are
-  represented by the private :data:`_MISSING_KEY` singleton inside key
-  tuples — a sentinel no genuine cell value can equal.
-* ``inner_join`` — a hash join expressed as shared code arrays: both
-  frames' key columns are factorized jointly so equal values get equal
-  codes across frames, the right side is sorted once, and left rows are
-  matched via ``searchsorted`` + a vectorized slice expansion. Rows with
-  *any* missing key cell never match (SQL semantics), unlike group-by
-  where null keys form a group. Output rows keep the seed order (left
-  row order, then right row order within a key) and columns are gathered
-  with ``take`` so dtypes are preserved (an empty join result keeps the
-  input dtypes instead of decaying to ``string``).
-* ``group_by`` aggregation dispatch — the common aggregators may be
-  requested by name (``"sum"``, ``"mean"``, ``"min"``, ``"max"``,
-  ``"count"``, ``"first"``) or by the matching Python builtins
-  (``sum``/``min``/``max``/``len``); on numeric, bool, and int64-backed
-  columns they run as masked numpy reductions (``bincount`` /
-  ``reduceat``) whose accumulation order matches the pure-Python
-  per-group fold bit for bit. Arbitrary callables — and named
-  aggregators over object-backed columns — fall back to per-group Python
-  lists of the non-missing values in row order, exactly the historical
-  behaviour. Aggregating an all-missing group yields ``None`` for every
-  aggregator, including ``count``.
+* ``group_by`` — streams the frame chunk by chunk (a monolithic frame is
+  one chunk). Within a chunk one stable argsort of the composite key
+  codes finds the groups; a registry keyed by the group's key tuple
+  gives each group a global id in first-occurrence order. Missing key
+  cells group together (``None`` matches ``None``) and are represented
+  by the private :data:`_MISSING_KEY` singleton inside key tuples — a
+  sentinel no genuine cell value can equal.
+
+Grouped aggregation
+-------------------
+The common aggregators may be requested by name (``"sum"``, ``"mean"``,
+``"min"``, ``"max"``, ``"count"``, ``"first"``) or by the matching
+Python builtins (``sum``/``min``/``max``/``len``). Each aggregation
+keeps one partial state per group and folds every chunk into it, so the
+result is bit-identical however the frame is chunked or spilled:
+
+* float sums re-enter each chunk's ``bincount`` as a carry (a fold
+  starting at ``+0.0`` can never produce ``-0.0``, so the carry re-add is
+  a bitwise no-op and the addition sequence equals the left-to-right
+  Python fold);
+* int and bool sums merge as arbitrary-precision Python ints;
+* min/max reduce each chunk with ``reduceat`` and merge per group,
+  keeping the first-seen value on ties;
+* everything else (object-backed columns, arbitrary callables) buffers
+  per-group Python lists of the non-missing values in row order and
+  applies the callback at the end, including its exception behaviour.
+
+Aggregating an all-missing group yields ``None`` for every aggregator,
+including ``count``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Hashable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -167,7 +168,7 @@ def sort_by(
 def _group_layout(
     frame: DataFrame, columns: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Shared grouping machinery for ``group_indices``/``group_by``.
+    """Group layout of one chunk for ``group_by``.
 
     Returns ``(order, starts, ends, appearance, first_rows)`` where
     ``order`` is a stable argsort of the composite key codes (so each
@@ -187,36 +188,6 @@ def _group_layout(
     return order, starts, ends, appearance, first_rows
 
 
-def group_indices(
-    frame: DataFrame, columns: Sequence[str]
-) -> dict[tuple[Hashable, ...], list[int]]:
-    """Map each distinct key tuple to the row indices holding it.
-
-    Keys appear in first-occurrence order; row lists are ascending.
-    Missing key cells are represented by the private ``_MISSING_KEY``
-    singleton inside the tuple (``None`` groups with ``None``).
-    """
-    names = list(columns)
-    if frame.num_rows == 0:
-        for name in names:
-            frame.column(name)  # preserve KeyError on unknown columns
-        return {}
-    order, starts, ends, appearance, first_rows = _group_layout(frame, names)
-    key_lists = [frame.column(name).values() for name in names]
-    groups: dict[tuple[Hashable, ...], list[int]] = {}
-    starts_list = starts.tolist()
-    ends_list = ends.tolist()
-    first_list = first_rows.tolist()
-    for g in appearance.tolist():
-        first = first_list[g]
-        key = tuple(
-            _MISSING_KEY if values[first] is None else values[first]
-            for values in key_lists
-        )
-        groups[key] = order[starts_list[g] : ends_list[g]].tolist()
-    return groups
-
-
 # ----------------------------------------------------------------------
 # Aggregation dispatch
 # ----------------------------------------------------------------------
@@ -225,9 +196,9 @@ _FAST_AGG_NAMES = frozenset({"sum", "mean", "min", "max", "count", "first"})
 #: Builtin callables recognized as fast aggregators (matched by identity).
 _CALLABLE_AGGS: dict[Any, str] = {sum: "sum", len: "count", min: "min", max: "max"}
 
-#: Pure-Python equivalents used when a *named* aggregator cannot take the
-#: vectorized path (object-backed column) — each receives the non-missing
-#: values of one group in row order.
+#: Pure-Python equivalents used when a *named* aggregator cannot keep a
+#: numeric partial state (object-backed column) — each receives the
+#: non-missing values of one group in row order.
 _NAMED_FALLBACKS: dict[str, Callable[[list[Any]], Any]] = {
     "sum": sum,
     "count": len,
@@ -254,149 +225,281 @@ def _resolve_aggregator(func: Any) -> tuple[str | None, Callable | None]:
     return kind, func
 
 
-def _python_scalar(value: Any, dtype: str) -> Any:
-    """Cast a numpy reduction result to the Python type the fallback yields."""
-    if dtype == _types.BOOL:
-        return bool(value)
-    if dtype == _types.INT:
-        return int(value)
-    return float(value)
+class _ListState:
+    """Fallback state: per-group Python value lists, callback at the end.
 
-
-def _fast_aggregate(
-    column: Column,
-    kind: str,
-    order: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    appearance: np.ndarray,
-) -> list[Any] | None:
-    """Vectorized per-group aggregation; None when the fast path can't run.
-
-    The accumulation order of the reductions matches the per-group
-    Python fold over non-missing values in row order, so results are
-    bit-identical to the fallback (``bincount`` adds weights
-    sequentially; integer ``reduceat`` is exact in any order).
+    Values accumulate in global row order, and the callback runs per
+    group in first-occurrence order at finalize, so a raising callback
+    (e.g. ``sum`` over strings) raises at the first group it fails on
+    however the frame is chunked.
     """
-    data = column.values_array()
-    mask = column.mask()
-    numeric_like = column.is_numeric() or column.dtype == _types.BOOL
-    if kind not in ("count", "first") and (
-        not numeric_like or data.dtype == object
-    ):
-        return None
 
-    n_groups = len(starts)
-    valid_sorted = ~mask[order]
-    prefix = np.concatenate(([0], np.cumsum(valid_sorted)))
-    counts = prefix[ends] - prefix[starts]
+    def __init__(self, callback: Callable[[list[Any]], Any]) -> None:
+        self.callback = callback
+        self.lists: list[list[Any]] = []
 
-    if kind == "count":
-        return [int(c) if c else None for c in counts[appearance].tolist()]
+    def _grow(self, n_total: int) -> None:
+        while len(self.lists) < n_total:
+            self.lists.append([])
 
-    if kind == "first":
-        valid_positions = np.flatnonzero(valid_sorted)
-        slot = np.searchsorted(valid_positions, starts)
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        self._grow(n_total)
+        values = column.values()
+        for i, gid in enumerate(row_gid.tolist()):
+            value = values[i]
+            if value is not None:
+                self.lists[gid].append(value)
+
+    def finalize(self, n_groups: int) -> list[Any]:
+        self._grow(n_groups)
+        return [
+            self.callback(values) if values else None
+            for values in self.lists[:n_groups]
+        ]
+
+
+class _CountState:
+    def __init__(self) -> None:
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def _grow(self, n_total: int) -> None:
+        if len(self.counts) < n_total:
+            grown = np.zeros(n_total, dtype=np.int64)
+            grown[: len(self.counts)] = self.counts
+            self.counts = grown
+
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        self._grow(n_total)
+        valid = ~np.asarray(column.mask())
+        self.counts[:n_total] += np.bincount(
+            row_gid[valid], minlength=n_total
+        )
+
+    def finalize(self, n_groups: int) -> list[Any]:
+        self._grow(n_groups)
+        return [
+            int(count) if count else None
+            for count in self.counts[:n_groups].tolist()
+        ]
+
+
+class _FirstState:
+    def __init__(self) -> None:
+        self.values: dict[int, Any] = {}
+
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        valid_rows = np.flatnonzero(~np.asarray(column.mask()))
+        if not len(valid_rows):
+            return
+        gids = row_gid[valid_rows]
+        unique_gids, first_index = np.unique(gids, return_index=True)
+        for gid, index in zip(unique_gids.tolist(), first_index.tolist()):
+            if gid not in self.values:
+                self.values[gid] = column[int(valid_rows[index])]
+
+    def finalize(self, n_groups: int) -> list[Any]:
+        return [self.values.get(g) for g in range(n_groups)]
+
+
+class _FloatSumState:
+    """Carry-bincount float sums — bit-identical to the Python fold.
+
+    Each chunk's ``bincount`` re-adds the running per-group sums as
+    leading carry weights: carries precede the chunk's elements per bin,
+    and ``0.0 + carry == carry`` bitwise because a fold that starts at
+    ``+0.0`` can never produce ``-0.0`` — so the addition sequence per
+    group equals the left-to-right fold over all rows exactly.
+    """
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.running = np.zeros(0, dtype=np.float64)
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def _grow(self, n_total: int) -> None:
+        if len(self.counts) < n_total:
+            grown = np.zeros(n_total, dtype=np.int64)
+            grown[: len(self.counts)] = self.counts
+            self.counts = grown
+
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        self._grow(n_total)
+        valid = ~np.asarray(column.mask())
+        gids = row_gid[valid]
+        self.counts[:n_total] += np.bincount(gids, minlength=n_total)
+        values = np.asarray(column.values_array())[valid].astype(
+            np.float64, copy=False
+        )
+        carry_ids = np.arange(len(self.running), dtype=np.int64)
+        self.running = np.bincount(
+            np.concatenate([carry_ids, gids]),
+            weights=np.concatenate([self.running, values]),
+            minlength=n_total,
+        )
+
+    def finalize(self, n_groups: int) -> list[Any]:
+        self._grow(n_groups)
+        sums = self.running.tolist() + [0.0] * (
+            n_groups - len(self.running)
+        )
+        counts = self.counts[:n_groups].tolist()
+        if self.kind == "sum":
+            return [
+                sums[g] if counts[g] else None for g in range(n_groups)
+            ]
+        return [
+            sums[g] / counts[g] if counts[g] else None
+            for g in range(n_groups)
+        ]
+
+
+class _IntSumState:
+    """Exact int/bool sums merged as arbitrary-precision Python ints.
+
+    Per-chunk int64 accumulation is exact whenever the chunk's true
+    per-group totals fit (intermediate wraparound is modular and
+    self-correcting); a float shadow sum flags chunks that might not,
+    which then fold in pure Python. Cross-chunk merge is Python-int
+    addition, so the final totals are the exact sums for any magnitude.
+    """
+
+    def __init__(self, kind: str) -> None:
+        self.kind = kind
+        self.totals: list[int] = []
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def _grow(self, n_total: int) -> None:
+        while len(self.totals) < n_total:
+            self.totals.append(0)
+        if len(self.counts) < n_total:
+            grown = np.zeros(n_total, dtype=np.int64)
+            grown[: len(self.counts)] = self.counts
+            self.counts = grown
+
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        self._grow(n_total)
+        valid = ~np.asarray(column.mask())
+        gids = row_gid[valid]
+        chunk_counts = np.bincount(gids, minlength=n_total)
+        self.counts[:n_total] += chunk_counts
+        values = np.asarray(column.values_array())[valid]
+        if not len(values):
+            return
+        if values.dtype == np.bool_:
+            values = values.astype(np.int64)
+        if values.dtype == object:
+            for gid, value in zip(gids.tolist(), values.tolist()):
+                self.totals[gid] += value
+            return
+        shadow = np.bincount(
+            gids, weights=values.astype(np.float64), minlength=1
+        )
+        if shadow.size and np.abs(shadow).max() > float(2**62):
+            for gid, value in zip(gids.tolist(), values.tolist()):
+                self.totals[gid] += value
+            return
+        sums = np.zeros(n_total, dtype=np.int64)
+        np.add.at(sums, gids, values)
+        for gid in np.flatnonzero(chunk_counts).tolist():
+            self.totals[gid] += int(sums[gid])
+
+    def finalize(self, n_groups: int) -> list[Any]:
+        self._grow(n_groups)
+        counts = self.counts[:n_groups].tolist()
+        if self.kind == "sum":
+            return [
+                self.totals[g] if counts[g] else None
+                for g in range(n_groups)
+            ]
+        return [
+            self.totals[g] / counts[g] if counts[g] else None
+            for g in range(n_groups)
+        ]
+
+
+class _MinMaxState:
+    """Per-chunk ``reduceat`` extrema merged with Python min/max.
+
+    Merging keeps the earlier chunk's value on ties, matching the
+    global left-to-right reduction; bool columns yield bools and
+    numeric columns Python ints/floats, like Python's ``min``/``max``.
+    """
+
+    def __init__(self, kind: str, dtype: str) -> None:
+        self.kind = kind
+        self.dtype = dtype
+        self.pick = min if kind == "min" else max
+        self.best: dict[int, Any] = {}
+
+    def _merge(self, gid: int, value: Any) -> None:
+        if gid in self.best:
+            self.best[gid] = self.pick(self.best[gid], value)
+        else:
+            self.best[gid] = value
+
+    def update(
+        self, column: Column, row_gid: np.ndarray, n_total: int
+    ) -> None:
+        valid = ~np.asarray(column.mask())
+        if not valid.any():
+            return
+        gids = row_gid[valid]
+        values = np.asarray(column.values_array())[valid]
+        if values.dtype == object:
+            for gid, value in zip(gids.tolist(), values.tolist()):
+                self._merge(gid, value)
+            return
+        if values.dtype == np.bool_:
+            values = values.astype(np.int64)
+        order = np.argsort(gids, kind="stable")
+        sorted_values = values[order]
+        sorted_gids = gids[order]
+        boundaries = np.flatnonzero(np.diff(sorted_gids)) + 1
+        starts = np.concatenate(([0], boundaries))
+        ufunc = np.minimum if self.kind == "min" else np.maximum
+        reduced = ufunc.reduceat(sorted_values, starts)
+        for gid, value in zip(
+            sorted_gids[starts].tolist(), reduced.tolist()
+        ):
+            self._merge(gid, value)
+
+    def finalize(self, n_groups: int) -> list[Any]:
         results: list[Any] = []
-        for g in appearance.tolist():
-            s = slot[g]
-            if s < len(valid_positions) and valid_positions[s] < ends[g]:
-                results.append(column[int(order[valid_positions[s]])])
+        for g in range(n_groups):
+            if g in self.best:
+                value = self.best[g]
+                if self.dtype == _types.BOOL:
+                    value = bool(value)
+                results.append(value)
             else:
                 results.append(None)
         return results
 
-    present = counts > 0
-    compact = data[order][valid_sorted]
-    if compact.dtype == np.bool_:
-        compact = compact.astype(np.int64)
-    compact_starts = prefix[starts][present]
-    counts_list = counts.tolist()
-    appearance_list = appearance.tolist()
 
-    if kind in ("sum", "mean"):
-        if compact.dtype == np.int64:
-            # Exact integer sums (matches the arbitrary-precision Python
-            # fold for any total within int64); a float shadow sum flags
-            # groups whose true total would overflow int64, in which
-            # case the caller falls back to exact Python arithmetic.
-            group_ids = np.repeat(np.arange(n_groups), counts)
-            shadow = np.bincount(
-                group_ids, weights=compact.astype(float), minlength=n_groups
-            )
-            if shadow.size and np.abs(shadow).max() > float(2**62):
-                return None
-            sums = np.zeros(n_groups, dtype=np.int64)
-            if present.any():
-                sums[present] = np.add.reduceat(compact, compact_starts)
-            sums_list = sums.tolist()
-            if kind == "sum":
-                return [
-                    sums_list[g] if counts_list[g] else None
-                    for g in appearance_list
-                ]
-            # Python int/int division is correctly rounded, matching the
-            # reference ``sum(values) / len(values)`` exactly.
-            return [
-                sums_list[g] / counts_list[g] if counts_list[g] else None
-                for g in appearance_list
-            ]
-        # float64 input: bincount accumulates weights sequentially in row
-        # order — the same addition sequence as the Python per-group fold.
-        group_ids = np.repeat(np.arange(n_groups), counts)
-        sums = np.bincount(group_ids, weights=compact, minlength=n_groups)
-        sums_list = sums.tolist()
-        if kind == "sum":
-            return [
-                sums_list[g] if counts_list[g] else None for g in appearance_list
-            ]
-        return [
-            sums_list[g] / counts_list[g] if counts_list[g] else None
-            for g in appearance_list
-        ]
-
-    ufunc = np.minimum if kind == "min" else np.maximum
-    reduced_present = (
-        ufunc.reduceat(compact, compact_starts)
-        if present.any()
-        else np.zeros(0, dtype=compact.dtype)
-    )
-    out_dtype = column.dtype  # min/max of bools is a bool, like Python
-    slot_of_group = np.cumsum(present) - 1
-    results: list[Any] = []
-    for g in appearance_list:
-        if counts_list[g]:
-            results.append(
-                _python_scalar(reduced_present[slot_of_group[g]], out_dtype)
-            )
-        else:
-            results.append(None)
-    return results
-
-
-def _aggregate(
-    column: Column,
-    func: Any,
-    order: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    appearance: np.ndarray,
-) -> list[Any]:
-    kind, callback = _resolve_aggregator(func)
-    if kind is not None:
-        fast = _fast_aggregate(column, kind, order, starts, ends, appearance)
-        if fast is not None:
-            return fast
-        callback = callback if callback is not None else _NAMED_FALLBACKS[kind]
-    values = column.values()
-    results: list[Any] = []
-    starts_list = starts.tolist()
-    ends_list = ends.tolist()
-    for g in appearance.tolist():
-        rows = order[starts_list[g] : ends_list[g]].tolist()
-        group_values = [values[i] for i in rows if values[i] is not None]
-        results.append(callback(group_values) if group_values else None)
-    return results
+def _make_state(dtype: str, kind: str | None, callback: Callable | None):
+    if kind is None:
+        return _ListState(callback)
+    if kind == "count":
+        return _CountState()
+    if kind == "first":
+        return _FirstState()
+    if dtype in (_types.INT, _types.FLOAT, _types.BOOL):
+        if kind in ("sum", "mean"):
+            if dtype == _types.FLOAT:
+                return _FloatSumState(kind)
+            return _IntSumState(kind)
+        return _MinMaxState(kind, dtype)
+    return _ListState(callback)
 
 
 def group_by(
@@ -404,170 +507,83 @@ def group_by(
     columns: Sequence[str],
     aggregations: Mapping[str, tuple[str, Any]],
 ) -> DataFrame:
-    """Group rows and aggregate.
+    """Group rows and aggregate, one chunk at a time.
 
     ``aggregations`` maps output column name to ``(input_column, agg)``
     where ``agg`` is either a callable receiving the list of non-missing
-    input values per group (row order) or one of the named fast
-    aggregators ``"sum"``/``"mean"``/``"min"``/``"max"``/``"count"``/
-    ``"first"``. Groups appear in first-occurrence order; all-missing
-    groups aggregate to ``None``.
+    input values per group (row order) or one of the named aggregators
+    ``"sum"``/``"mean"``/``"min"``/``"max"``/``"count"``/``"first"``.
+    Groups appear in first-occurrence order; all-missing groups
+    aggregate to ``None``. An output name may not repeat a key column.
+
+    Each chunk folds into per-group partial states that merge exactly,
+    so the result does not depend on how the frame is chunked, and a
+    spilled frame streams through its store without densifying any
+    column. A monolithic frame is one chunk.
     """
-    from .chunked import ChunkedFrame
-
-    if isinstance(frame, ChunkedFrame):
-        from .spill import spill_store_of
-
-        if frame.n_chunks > 1 or spill_store_of(frame) is not None:
-            # Chunk-native pushdown: per-chunk partials with exact merge
-            # (bit-identical contract documented in repro.dataframe.joins).
-            from .joins import grouped_aggregate
-
-            return grouped_aggregate(frame, columns, aggregations)
     names = list(columns)
-    out: dict[str, list[Any]] = {name: [] for name in names}
-    out.update({name: [] for name in aggregations})
-    if frame.num_rows == 0:
-        for name in names:
-            frame.column(name)
-        for _, (in_name, func) in aggregations.items():
+    for out_name in aggregations:
+        if out_name in names:
+            raise ValueError(
+                f"aggregation output {out_name!r} repeats a group key column"
+            )
+    for name in names:
+        frame.column(name)
+    specs: list[tuple[str, str, Any, Any]] = []
+    for out_name, (in_name, func) in aggregations.items():
+        try:
+            column = frame.column(in_name)
+            kind, callback = _resolve_aggregator(func)
+        except (KeyError, ValueError):
+            # Deferred to finalize, so errors surface in spec order: a
+            # callback that raises there beats a later spec's bad column.
+            specs.append((out_name, in_name, func, None))
+            continue
+        specs.append(
+            (out_name, in_name, func, _make_state(column.dtype, kind, callback))
+        )
+    registry: dict[tuple, int] = {}
+    key_values: list[tuple] = []
+    for chunk in frame.iter_chunks():
+        n = chunk.num_rows
+        if n == 0:
+            continue
+        order, starts, ends, appearance, first_rows = _group_layout(
+            chunk, names
+        )
+        key_cols = [chunk.column(name) for name in names]
+        n_local = len(starts)
+        gid_of_local = np.empty(n_local, dtype=np.int64)
+        first_list = first_rows.tolist()
+        for g in appearance.tolist():
+            raw = tuple(col[first_list[g]] for col in key_cols)
+            key = tuple(
+                _MISSING_KEY if value is None else value for value in raw
+            )
+            gid = registry.get(key)
+            if gid is None:
+                gid = len(registry)
+                registry[key] = gid
+                key_values.append(raw)
+            gid_of_local[g] = gid
+        lengths = ends - starts
+        row_local = np.empty(n, dtype=np.int64)
+        row_local[order] = np.repeat(
+            np.arange(n_local, dtype=np.int64), lengths
+        )
+        row_gid = gid_of_local[row_local]
+        n_total = len(registry)
+        for _, in_name, _, state in specs:
+            if state is not None:
+                state.update(chunk.column(in_name), row_gid, n_total)
+    n_groups = len(registry)
+    out = {
+        name: [key_values[g][i] for g in range(n_groups)]
+        for i, name in enumerate(names)
+    }
+    for out_name, in_name, func, state in specs:
+        if state is None:
             frame.column(in_name)
             _resolve_aggregator(func)
-        return DataFrame.from_dict(out)
-    order, starts, ends, appearance, first_rows = _group_layout(frame, names)
-    appearance_list = appearance.tolist()
-    first_list = first_rows.tolist()
-    for name in names:
-        values = frame.column(name).values()
-        out[name] = [values[first_list[g]] for g in appearance_list]
-    for out_name, (in_name, func) in aggregations.items():
-        out[out_name] = _aggregate(
-            frame.column(in_name), func, order, starts, ends, appearance
-        )
+        out[out_name] = state.finalize(n_groups)
     return DataFrame.from_dict(out)
-
-
-# ----------------------------------------------------------------------
-# Join
-# ----------------------------------------------------------------------
-def _lossy_promotion(l_data: np.ndarray, r_data: np.ndarray) -> bool:
-    """True when concatenating would promote int64 values lossily.
-
-    Mixing an int64 key column with a float64 one promotes the ints to
-    float64; ints beyond 2**53 would then collide with neighbours they
-    are not Python-equal to, so such pairs take the exact dict path.
-    """
-    kinds = {l_data.dtype.kind, r_data.dtype.kind}
-    if kinds != {"i", "f"}:
-        return False
-    int_side = l_data if l_data.dtype.kind == "i" else r_data
-    if not int_side.size:
-        return False
-    limit = 2**53
-    return bool(int_side.max() > limit or int_side.min() < -limit)
-
-
-def _joint_codes(
-    left_column: Column, right_column: Column
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Factorize two columns jointly so equal values share codes.
-
-    Equality follows Python ``==`` semantics (so ``2 == 2.0 == True``
-    matches across int/float/bool columns, and strings never equal
-    numbers). Missing cells receive side-specific codes above the value
-    range so a missing left key can never match a missing right key.
-    """
-    l_data, l_mask = left_column.values_array(), left_column.mask()
-    r_data, r_mask = right_column.values_array(), right_column.mask()
-    n_left = len(l_data)
-    if l_data.dtype != object and r_data.dtype != object and not _lossy_promotion(
-        l_data, r_data
-    ):
-        combined = np.concatenate([l_data, r_data])
-        if combined.size:
-            _, inverse = np.unique(combined, return_inverse=True)
-            span = int(inverse.max()) + 1
-        else:
-            inverse = np.zeros(0, dtype=np.int64)
-            span = 0
-        inverse = inverse.astype(np.int64, copy=False)
-    else:
-        inverse, span = _types.factorize_objects(
-            l_data.tolist() + r_data.tolist()
-        )
-    left_codes = inverse[:n_left].copy()
-    right_codes = inverse[n_left:].copy()
-    left_codes[l_mask] = span
-    right_codes[r_mask] = span + 1
-    return left_codes, right_codes, span + 2
-
-
-def _combine_codes(
-    left_codes: np.ndarray,
-    right_codes: np.ndarray,
-    span: int,
-    extra_left: np.ndarray,
-    extra_right: np.ndarray,
-    extra_span: int,
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Merge one more key column into composite codes (overflow safe)."""
-    if extra_span and span > (2**62) // max(extra_span, 1):
-        combined = np.concatenate([left_codes, right_codes])
-        _, inverse = np.unique(combined, return_inverse=True)
-        inverse = inverse.astype(np.int64, copy=False)
-        left_codes = inverse[: len(left_codes)]
-        right_codes = inverse[len(left_codes) :]
-        span = int(inverse.max()) + 1 if inverse.size else 0
-    return (
-        left_codes * extra_span + extra_left,
-        right_codes * extra_span + extra_right,
-        span * extra_span,
-    )
-
-
-def inner_join(
-    left: DataFrame,
-    right: DataFrame,
-    on: Sequence[str],
-    suffix: str = "_right",
-) -> DataFrame:
-    """Hash inner join on equality of the ``on`` columns.
-
-    Overlapping non-key columns from the right side get ``suffix``
-    appended. Rows whose key contains a missing cell never match. The
-    output keeps left row order (then right row order within a key) and
-    preserves the input column dtypes.
-
-    The physical execution lives in :mod:`repro.dataframe.joins`: the
-    planner there picks the in-memory joint-codes probe for resident
-    inputs or the partitioned hash join (bucketing shards by key hash,
-    spilling buckets) when either input is spilled, both bit-identical;
-    ``DATALENS_JOIN_STRATEGY`` overrides the choice.
-    """
-    from .joins import join
-
-    return join(left, right, on, how="inner", suffix=suffix)
-
-
-def value_counts_frame(frame: DataFrame, column: str) -> DataFrame:
-    """Two-column frame of (value, count) sorted by descending count.
-
-    Ties keep first-occurrence order, matching ``Counter.most_common``.
-    """
-    col = frame.column(column)
-    codes, n_groups = col.codes()
-    mask = col.mask()
-    valid = ~mask
-    if not valid.any():
-        return DataFrame.from_dict({column: [], "count": []})
-    n_valid_groups = n_groups - 1 if mask.any() else n_groups
-    valid_rows = np.flatnonzero(valid)
-    valid_codes = codes[valid_rows]
-    counts = np.bincount(valid_codes, minlength=n_valid_groups)
-    _, first_index = np.unique(valid_codes, return_index=True)
-    first_rows = valid_rows[first_index]
-    order = np.lexsort((first_rows, -counts))
-    values = col.values_array()[first_rows][order].tolist()
-    return DataFrame.from_dict(
-        {column: values, "count": counts[order].tolist()}
-    )

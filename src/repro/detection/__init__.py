@@ -5,10 +5,9 @@ from .base import (
     DetectionResult,
     Detector,
     merge_results,
-    run_tools,
     summarize_by_column,
 )
-from .ensemble import IntersectionEnsemble, MinKEnsemble, UnionEnsemble
+from .ensemble import MinKEnsemble, UnionEnsemble
 from .fahes import FAHESDetector, pattern_signature
 from .holoclean import CooccurrenceModel, HoloCleanDetector
 from .isolation import IsolationForestDetector
@@ -27,7 +26,6 @@ __all__ = [
     "FAHESDetector",
     "HoloCleanDetector",
     "IQRDetector",
-    "IntersectionEnsemble",
     "IsolationForestDetector",
     "KATARADetector",
     "KnowledgeBase",
@@ -42,6 +40,5 @@ __all__ = [
     "featurize_column",
     "merge_results",
     "pattern_signature",
-    "run_tools",
     "summarize_by_column",
 ]

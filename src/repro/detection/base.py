@@ -61,9 +61,6 @@ class DetectionResult:
     def columns(self) -> set[str]:
         return {column for _, column in self.cells}
 
-    def cells_in_column(self, column: str) -> set[Cell]:
-        return {cell for cell in self.cells if cell[1] == column}
-
     def restricted_to(self, frame: DataFrame) -> "DetectionResult":
         """Drop cells that fall outside the frame (defensive consolidation)."""
         valid = {
@@ -140,16 +137,6 @@ def merge_results(results: list[DetectionResult]) -> set[Cell]:
 
 
 DetectorFactory = Callable[[], Detector]
-
-
-def run_tools(
-    frame: DataFrame,
-    detectors: list[Detector],
-    context: DetectionContext | None = None,
-) -> tuple[list[DetectionResult], set[Cell]]:
-    """Execute tools sequentially and return (results, deduplicated union)."""
-    results = [detector.detect(frame, context) for detector in detectors]
-    return results, merge_results(results)
 
 
 def summarize_by_column(

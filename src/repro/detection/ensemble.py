@@ -1,4 +1,4 @@
-"""Ensemble detectors: Min-K voting and union/intersection combinations.
+"""Ensemble detectors: Min-K voting and its union special case.
 
 The paper's Min-K "combines the detections of multiple methods" (§3): a
 cell counts as an error when at least ``k`` member tools flag it. ``k=1``
@@ -63,13 +63,3 @@ class UnionEnsemble(MinKEnsemble):
     def __init__(self, members: list[Detector]) -> None:
         super().__init__(members, k=1)
         self.name = "union"
-
-
-class IntersectionEnsemble(MinKEnsemble):
-    """Cells every member agrees on (Min-K with k = #members)."""
-
-    name = "intersection"
-
-    def __init__(self, members: list[Detector]) -> None:
-        super().__init__(members, k=len(members))
-        self.name = "intersection"

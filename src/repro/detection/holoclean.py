@@ -238,11 +238,6 @@ class CooccurrenceModel:
         return self
 
     # ------------------------------------------------------------------
-    def domain(self, column: str) -> set[Hashable]:
-        tcol = self._columns.get(column)
-        return set(tcol.tokens) if tcol is not None else set()
-
-    # ------------------------------------------------------------------
     def score_matrix(
         self,
         column: str,

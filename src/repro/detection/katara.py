@@ -54,9 +54,6 @@ class KnowledgeBase:
         return str(value).strip().lower()
 
     # ------------------------------------------------------------------
-    def type_names(self) -> list[str]:
-        return sorted(self._types)
-
     def values_of(self, type_name: str) -> set[str]:
         return self._types.get(type_name, set())
 

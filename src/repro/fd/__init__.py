@@ -12,7 +12,7 @@ from .rules import (
     RuleSet,
     ValueRule,
 )
-from .tane import TaneResult, brute_force_fds, discover_fds, tane
+from .tane import TaneResult, discover_fds, tane
 
 __all__ = [
     "CONFIRMED",
@@ -27,7 +27,6 @@ __all__ = [
     "StrippedPartition",
     "TaneResult",
     "ValueRule",
-    "brute_force_fds",
     "discover_fds",
     "discover_fds_hyfd",
     "hyfd",

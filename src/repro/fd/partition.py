@@ -218,9 +218,6 @@ class StrippedPartition:
         """e(pi) = ||pi|| - |pi| — zero iff the attribute set is a superkey."""
         return self.size - self.num_classes
 
-    def is_superkey(self) -> bool:
-        return self.error == 0
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StrippedPartition):
             return NotImplemented
@@ -293,20 +290,3 @@ class StrippedPartition:
             return None
         position = int(differing[0])
         return int(anchors[position]), int(self._rows[position])
-
-    def refines(self, other: "StrippedPartition") -> bool:
-        """True if every class of self is contained in a class of other.
-
-        Rows absent from a stripped partition form singleton classes, which
-        are contained in any class, so only self's explicit classes matter.
-        """
-        owner: dict[int, int] = {}
-        for class_id, group in enumerate(other.classes):
-            for row in group:
-                owner[row] = class_id
-        for group in self.classes:
-            first = owner.get(group[0], -1 - group[0])
-            for row in group[1:]:
-                if owner.get(row, -1 - row) != first:
-                    return False
-        return True

@@ -37,10 +37,6 @@ class FunctionalDependency:
     def attributes(self) -> set[str]:
         return set(self.determinants) | {self.dependent}
 
-    def holds_in(self, frame: DataFrame) -> bool:
-        """Exact validity check against a frame (missing = distinct value)."""
-        return not self.violations(frame)
-
     def violating_groups(self, frame: DataFrame) -> list[list[int]]:
         """Row groups that agree on the determinants but not the dependent."""
         groups: dict[tuple, list[int]] = {}

@@ -7,8 +7,6 @@ the attribute-set lattice with stripped partitions, rhs-candidate sets
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from ..dataframe import DataFrame
 from .partition import StrippedPartition, error_from_columns
 from .rules import FunctionalDependency
@@ -228,28 +226,3 @@ def _generate_next_level(
                     )
                 result.partitions_computed += 1
     return next_level
-
-
-def brute_force_fds(
-    frame: DataFrame, max_lhs_size: int | None = None
-) -> list[FunctionalDependency]:
-    """Reference oracle: enumerate and check every candidate FD.
-
-    Exponential — only for tests on small schemas. Returns minimal FDs.
-    """
-    attributes = frame.column_names
-    limit = len(attributes) - 1 if max_lhs_size is None else max_lhs_size
-    valid: list[FunctionalDependency] = []
-    for dependent in attributes:
-        others = [a for a in attributes if a != dependent]
-        minimal: list[frozenset[str]] = []
-        for size in range(0, limit + 1):
-            for combo in combinations(others, size):
-                lhs = frozenset(combo)
-                if any(m <= lhs for m in minimal):
-                    continue
-                fd = FunctionalDependency(tuple(combo), dependent)
-                if fd.holds_in(frame):
-                    minimal.append(lhs)
-                    valid.append(fd)
-    return valid

@@ -61,21 +61,6 @@ class DirtyDataset:
         total = self.dirty.num_rows * self.dirty.num_columns
         return len(self.mask) / total if total else 0.0
 
-    def error_type_of(self, cell: Cell) -> str | None:
-        for error_type, cells in self.cells_by_type.items():
-            if cell in cells:
-                return error_type
-        return None
-
-    def column_error_rates(self) -> dict[str, float]:
-        """Fraction of corrupted cells per column (Figure 4's y-axis)."""
-        rates = {}
-        mask = self.mask
-        for name in self.dirty.column_names:
-            hits = sum(1 for row, col in mask if col == name)
-            rates[name] = hits / self.dirty.num_rows if self.dirty.num_rows else 0.0
-        return rates
-
 
 class ErrorInjector:
     """Deterministically corrupt a frame with configurable per-type rates.
@@ -242,32 +227,6 @@ def _make_typo(text: str, rng: np.random.Generator) -> str:
     if op == 1:
         return text[:index] + text[index + 1 :]
     return text[: index + 1] + text[index] + text[index + 1 :]
-
-
-def inject_fd_violations(
-    dirty: DataFrame,
-    determinant: str,
-    dependent: str,
-    rate: float,
-    seed: int = 0,
-) -> set[Cell]:
-    """Break ``determinant -> dependent`` by rewriting dependent cells.
-
-    Mutates ``dirty`` in place and returns the corrupted cells.
-    """
-    rng = np.random.default_rng(seed)
-    values = dirty.column(dependent).unique()
-    count = int(round(rate * dirty.num_rows))
-    cells: set[Cell] = set()
-    if len(values) < 2 or count == 0:
-        return cells
-    rows = rng.choice(dirty.num_rows, size=min(count, dirty.num_rows), replace=False)
-    for row in rows:
-        current = dirty.at(int(row), dependent)
-        others = [v for v in values if v != current]
-        dirty.set_at(int(row), dependent, others[int(rng.integers(len(others)))])
-        cells.add((int(row), dependent))
-    return cells
 
 
 #: Default corruption profile per preloaded dataset, tuned so that overall

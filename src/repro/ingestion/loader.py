@@ -206,19 +206,3 @@ class DataLoader:
         path = workspace.repaired_path(tag)
         write_csv(frame, path)
         return path
-
-
-def frame_to_sqlite(frame: DataFrame, database: str | Path, table: str) -> None:
-    """Write a frame into a SQLite table (test/demo helper)."""
-    if not table.replace("_", "").isalnum():
-        raise ValueError(f"suspicious table name {table!r}")
-    quoted = ", ".join(f'"{name}"' for name in frame.column_names)
-    placeholders = ", ".join("?" for _ in frame.column_names)
-    with sqlite3.connect(str(database)) as connection:
-        connection.execute(f"DROP TABLE IF EXISTS {table}")
-        connection.execute(f"CREATE TABLE {table} ({quoted})")
-        connection.executemany(
-            f"INSERT INTO {table} VALUES ({placeholders})",
-            [frame.row_tuple(i) for i in range(frame.num_rows)],
-        )
-        connection.commit()

@@ -47,13 +47,6 @@ class _BaseKNN:
         self._label_cache: Any = None
         return self
 
-    def _neighbor_labels(self, row: np.ndarray) -> list[Any]:
-        assert self._train is not None
-        distances = np.sqrt(np.sum((self._train - row) ** 2, axis=1))
-        k = min(self.n_neighbors, len(self._target))
-        nearest = np.argsort(distances, kind="stable")[:k]
-        return [self._target[int(i)] for i in nearest]
-
     def predict(self, features: np.ndarray) -> list[Any]:
         """Aggregate the k nearest neighbours' targets per query row."""
         if self._train is None:

@@ -80,7 +80,8 @@ class _BaseDecisionTree:
         one vectorized threshold comparison per node over the rows that
         reach it — instead of one Python descent per row. Comparison
         semantics (``<=`` goes left, NaN goes right) and outputs are
-        identical to :meth:`_predict_row`.
+        identical to the per-row descent kept as the oracle in
+        ``benchmarks/repair_reference.py``.
         """
         if self._root is None:
             raise RuntimeError("tree is not fitted")
@@ -107,15 +108,6 @@ class _BaseDecisionTree:
             frontier.append((node.left, indices[left]))
             frontier.append((node.right, indices[~left]))
         return out.tolist()
-
-    def _predict_row(self, row: np.ndarray) -> Any:
-        node = self._root
-        while node is not None and not node.is_leaf():
-            if row[node.feature] <= node.threshold:
-                node = node.left
-            else:
-                node = node.right
-        return node.prediction if node is not None else None
 
     def depth(self) -> int:
         """Actual depth of the fitted tree (leaf-only tree has depth 0)."""

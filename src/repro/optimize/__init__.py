@@ -9,7 +9,7 @@ from .distributions import (
     grid_points,
 )
 from .samplers import GridSampler, RandomSampler, Sampler, TPESampler
-from .study import MAXIMIZE, MINIMIZE, Study, create_study
+from .study import MAXIMIZE, MINIMIZE, Study
 from .trial import (
     COMPLETE,
     FAILED,
@@ -40,6 +40,5 @@ __all__ = [
     "TPESampler",
     "Trial",
     "TrialPruned",
-    "create_study",
     "grid_points",
 ]

@@ -108,12 +108,3 @@ class Study:
             if best is not None:
                 history.append(best)
         return history
-
-
-def create_study(
-    direction: str = MINIMIZE,
-    sampler: Sampler | None = None,
-    seed: int = 0,
-) -> Study:
-    """Optuna-style factory."""
-    return Study(direction=direction, sampler=sampler, seed=seed)

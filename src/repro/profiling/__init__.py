@@ -24,13 +24,10 @@ from .compare import (
 from .correlations import (
     categorical_association_matrix,
     correlation_matrix,
-    cramers_v,
     highly_correlated_pairs,
-    pearson,
-    spearman,
 )
 from .histogram import categorical_histogram, histogram, numeric_histogram
-from .missing import co_missingness, missing_patterns, missing_summary
+from .missing import missing_patterns, missing_summary
 from .report import ProfileReport, profile
 from .stats import categorical_summary, column_summary, numeric_summary
 
@@ -52,13 +49,11 @@ __all__ = [
     "categorical_histogram",
     "categorical_shift",
     "categorical_summary",
-    "co_missingness",
     "compare_frames",
     "drift_report",
     "population_stability_index",
     "column_summary",
     "correlation_matrix",
-    "cramers_v",
     "generate_alerts",
     "highly_correlated_pairs",
     "histogram",
@@ -66,7 +61,5 @@ __all__ = [
     "missing_summary",
     "numeric_histogram",
     "numeric_summary",
-    "pearson",
     "profile",
-    "spearman",
 ]

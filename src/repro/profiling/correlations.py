@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..dataframe import DataFrame
-from ..dataframe.types import factorize_objects
 
 
 class _SerialExecutor:
@@ -38,20 +37,6 @@ class _SerialExecutor:
 def _ordered_map(executor, fn: Callable, items: Sequence) -> list:
     """Run ``fn`` over ``items`` (possibly in parallel), preserving order."""
     return list((executor or _SerialExecutor()).map(fn, items))
-
-
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation over pairwise-complete observations."""
-    mask = ~(np.isnan(x) | np.isnan(y))
-    if mask.sum() < 2:
-        return 0.0
-    xs = x[mask]
-    ys = y[mask]
-    std_x = np.std(xs)
-    std_y = np.std(ys)
-    if std_x == 0.0 or std_y == 0.0:
-        return 0.0
-    return float(np.mean((xs - xs.mean()) * (ys - ys.mean())) / (std_x * std_y))
 
 
 def _rank(values: np.ndarray) -> np.ndarray:
@@ -72,35 +57,6 @@ def _rank(values: np.ndarray) -> np.ndarray:
     ranks = np.empty(n, dtype=float)
     ranks[order] = block_rank[group_ids]
     return ranks
-
-
-def spearman(x: np.ndarray, y: np.ndarray) -> float:
-    """Spearman rank correlation over pairwise-complete observations."""
-    mask = ~(np.isnan(x) | np.isnan(y))
-    if mask.sum() < 2:
-        return 0.0
-    return pearson(_rank(x[mask]), _rank(y[mask]))
-
-
-def cramers_v(left: list, right: list) -> float:
-    """Cramér's V between two categorical columns (bias-corrected).
-
-    The contingency table is built with one factorization per side and a
-    single ``bincount`` over composite codes; chi-square is permutation
-    invariant, so level order does not matter.
-    """
-    left_arr = np.asarray(left, dtype=object)
-    right_arr = np.asarray(right, dtype=object)
-    keep = np.fromiter(
-        (l is not None and r is not None for l, r in zip(left, right)),
-        dtype=bool,
-        count=len(left_arr),
-    )
-    if int(keep.sum()) < 2:
-        return 0.0
-    left_codes, n_left = factorize_objects(left_arr[keep])
-    right_codes, n_right = factorize_objects(right_arr[keep])
-    return _cramers_from_codes(left_codes, n_left, right_codes, n_right)
 
 
 def _cramers_from_codes(

@@ -129,18 +129,3 @@ def _missing_patterns_packed(
             {"missing_columns": list(names[pattern]), "rows": int(count)}
         )
     return results
-
-
-def co_missingness(frame: DataFrame) -> tuple[list[str], np.ndarray]:
-    """Matrix of co-occurring missingness between column pairs.
-
-    Entry (i, j) counts rows where both columns are missing; the diagonal
-    holds each column's missing count. Per-chunk Gram matrices are
-    integer sums, so the chunked merge is exact.
-    """
-    names = frame.column_names
-    total = np.zeros((len(names), len(names)), dtype=np.int64)
-    for chunk in frame.iter_chunks():
-        matrix = _mask_matrix(chunk).astype(np.int64)
-        total += matrix.T @ matrix
-    return names, total

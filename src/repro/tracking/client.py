@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -15,23 +16,25 @@ REPAIR_EXPERIMENT = "Repair"
 
 
 class TrackingClient:
-    """Log params/metrics/artifacts into a :class:`TrackingStore`."""
+    """Log params/metrics/artifacts into a :class:`TrackingStore`.
+
+    The active run is per thread: one client serves every session of a
+    :class:`~repro.core.controller.DataLens`, and jobs on different
+    datasets run their stages on different worker threads at once.
+    """
 
     def __init__(self, root: str | Path) -> None:
         self.store = TrackingStore(root)
-        self._active: RunRecord | None = None
+        self._local = threading.local()
 
     # ------------------------------------------------------------------
-    def set_experiment(self, name: str) -> str:
-        return self.store.create_experiment(name)
-
     @contextmanager
     def start_run(self, experiment: str, name: str) -> Iterator[RunRecord]:
         """Context manager around one run; marks failure on exception."""
         experiment_id = self.store.create_experiment(experiment)
         run = self.store.create_run(experiment_id, name)
-        previous = self._active
-        self._active = run
+        previous = getattr(self._local, "run", None)
+        self._local.run = run
         try:
             yield run
         except Exception:
@@ -42,12 +45,13 @@ class TrackingClient:
         finally:
             run.end_time = time.time()
             self.store.save_run(run)
-            self._active = previous
+            self._local.run = previous
 
     def _require_active(self) -> RunRecord:
-        if self._active is None or self._active.status != ACTIVE:
+        run = getattr(self._local, "run", None)
+        if run is None or run.status != ACTIVE:
             raise RuntimeError("no active run; use start_run()")
-        return self._active
+        return run
 
     # ------------------------------------------------------------------
     def log_param(self, key: str, value: Any) -> None:
@@ -64,17 +68,9 @@ class TrackingClient:
         next_step = step if step is not None else len(history)
         history.append((int(next_step), float(value)))
 
-    def set_tag(self, key: str, value: str) -> None:
-        run = self._require_active()
-        run.tags[key] = str(value)
-
     def log_text_artifact(self, file_name: str, content: str) -> Path:
         run = self._require_active()
         return self.store.log_artifact_text(run, file_name, content)
-
-    def log_file_artifact(self, source: str | Path) -> Path:
-        run = self._require_active()
-        return self.store.log_artifact_file(run, source)
 
     # ------------------------------------------------------------------
     def search_runs(

@@ -9,17 +9,24 @@ artifacts under a directory tree:
     <root>/<experiment_id>/<run_id>/params.json
     <root>/<experiment_id>/<run_id>/metrics.json
     <root>/<experiment_id>/<run_id>/artifacts/...
+
+Every file is written to a tmp sibling and renamed into place, so a
+concurrent reader sees the previous content or the new one, never a
+torn file. A run's ``meta.json`` is written last, because readers list
+runs by it.
 """
 
 from __future__ import annotations
 
 import json
-import shutil
+import threading
 import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
+
+from ..dataframe.spill import _atomic_write
 
 ACTIVE = "active"
 FINISHED = "finished"
@@ -46,28 +53,34 @@ class RunRecord:
         }
 
 
+def _write_text(path: Path, text: str) -> None:
+    _atomic_write(path, text.encode("utf-8"))
+
+
 class TrackingStore:
     """Persistence layer for experiments and runs."""
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._experiments_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Experiments
     # ------------------------------------------------------------------
     def create_experiment(self, name: str) -> str:
-        existing = self.experiment_id_by_name(name)
-        if existing is not None:
-            return existing
-        experiment_id = f"exp_{len(self.list_experiments()):04d}"
-        path = self.root / experiment_id
-        path.mkdir(parents=True, exist_ok=True)
-        (path / "meta.json").write_text(
-            json.dumps({"experiment_id": experiment_id, "name": name}),
-            encoding="utf-8",
-        )
-        return experiment_id
+        with self._experiments_lock:
+            existing = self.experiment_id_by_name(name)
+            if existing is not None:
+                return existing
+            experiment_id = f"exp_{len(self.list_experiments()):04d}"
+            path = self.root / experiment_id
+            path.mkdir(parents=True, exist_ok=True)
+            _write_text(
+                path / "meta.json",
+                json.dumps({"experiment_id": experiment_id, "name": name}),
+            )
+            return experiment_id
 
     def experiment_id_by_name(self, name: str) -> str | None:
         for experiment in self.list_experiments():
@@ -101,7 +114,10 @@ class TrackingStore:
     def save_run(self, run: RunRecord) -> None:
         path = self.run_dir(run)
         path.mkdir(parents=True, exist_ok=True)
-        (path / "meta.json").write_text(
+        _write_text(path / "params.json", json.dumps(run.params, default=str))
+        _write_text(path / "metrics.json", json.dumps(run.metrics))
+        _write_text(
+            path / "meta.json",
             json.dumps(
                 {
                     "run_id": run.run_id,
@@ -113,13 +129,6 @@ class TrackingStore:
                     "tags": run.tags,
                 }
             ),
-            encoding="utf-8",
-        )
-        (path / "params.json").write_text(
-            json.dumps(run.params, default=str), encoding="utf-8"
-        )
-        (path / "metrics.json").write_text(
-            json.dumps(run.metrics), encoding="utf-8"
         )
 
     def load_run(self, experiment_id: str, run_id: str) -> RunRecord:
@@ -164,18 +173,5 @@ class TrackingStore:
         artifact_dir = self.run_dir(run) / "artifacts"
         artifact_dir.mkdir(parents=True, exist_ok=True)
         path = artifact_dir / file_name
-        path.write_text(content, encoding="utf-8")
+        _write_text(path, content)
         return path
-
-    def log_artifact_file(self, run: RunRecord, source: str | Path) -> Path:
-        artifact_dir = self.run_dir(run) / "artifacts"
-        artifact_dir.mkdir(parents=True, exist_ok=True)
-        destination = artifact_dir / Path(source).name
-        shutil.copyfile(source, destination)
-        return destination
-
-    def list_artifacts(self, run: RunRecord) -> list[str]:
-        artifact_dir = self.run_dir(run) / "artifacts"
-        if not artifact_dir.exists():
-            return []
-        return sorted(p.name for p in artifact_dir.iterdir() if p.is_file())

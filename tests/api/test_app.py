@@ -157,6 +157,24 @@ class TestRulesAndLabels:
         assert response.status == 200
         assert response.body["status"] == "confirmed"
 
+    @pytest.mark.parametrize("status", ["confirmed", "rejected"])
+    def test_put_status_reviews_discovered_rule(self, client, status):
+        records = [
+            {"zip": z, "city": c}
+            for z, c in [(1, "x"), (2, "y"), (1, "x"), (3, "y"), (2, "y")]
+        ]
+        client.post("/datasets", {"name": "zips", "records": records})
+        discovered = client.post(
+            "/datasets/zips/rules/discover", {"algorithm": "approximate"}
+        )
+        rule = {"determinants": ["zip"], "dependent": "city"}
+        assert rule in discovered.body["rules"]
+        response = client.put("/datasets/zips/rules", {**rule, "status": status})
+        assert response.status == 200
+        assert response.body == {"rule": rule, "status": status}
+        listing = client.get("/datasets/zips/rules").body["rules"]
+        assert [m["status"] for m in listing if m["rule"] == rule] == [status]
+
     def test_label_endpoint(self, client):
         response = client.put(
             "/datasets/nasa/labels",

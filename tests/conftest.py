@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sqlite3
 from typing import Any
 
 import numpy as np
@@ -60,6 +61,24 @@ def make_random_values(
 def random_values():
     """The shared seeded random-value generator (see make_random_values)."""
     return make_random_values
+
+
+@pytest.fixture(scope="session")
+def frame_to_sqlite():
+    """Writer of a frame into a fresh SQLite table, for ``ingest_sql``."""
+
+    def write(frame: DataFrame, database, table: str) -> None:
+        quoted = ", ".join(f'"{name}"' for name in frame.column_names)
+        placeholders = ", ".join("?" for _ in frame.column_names)
+        with sqlite3.connect(str(database)) as connection:
+            connection.execute(f"DROP TABLE IF EXISTS {table}")
+            connection.execute(f"CREATE TABLE {table} ({quoted})")
+            connection.executemany(
+                f"INSERT INTO {table} VALUES ({placeholders})",
+                [tuple(row.values()) for row in frame.iter_rows()],
+            )
+
+    return write
 
 
 @pytest.fixture

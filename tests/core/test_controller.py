@@ -1,10 +1,13 @@
 """DataLens controller integration tests (the Figure-1 pipeline)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core import DataLens
 from repro.dataframe import write_csv
-from repro.ingestion import frame_to_sqlite, hospital, nasa
+from repro.ingestion import hospital, nasa
 
 
 @pytest.fixture
@@ -33,7 +36,7 @@ class TestIngestion:
         session = lens.ingest_preloaded("hospital")
         assert session.frame.num_rows == 1000
 
-    def test_ingest_sql(self, lens, tmp_path):
+    def test_ingest_sql(self, lens, tmp_path, frame_to_sqlite):
         database = tmp_path / "db.sqlite"
         frame_to_sqlite(hospital(50), database, "hospital_table")
         session = lens.ingest_sql(database, "hospital_table")
@@ -120,6 +123,41 @@ class TestDetectionRepair:
         session.run_detection(["iqr"])
         runs = lens.tracking.search_runs("Detection")
         assert any(run.name == "nasa:iqr" for run in runs)
+
+    def test_parallel_sessions_track_their_own_runs(self, lens):
+        """Two datasets' detections run at once on one tracking client."""
+        sessions = [
+            lens.ingest_frame(f"d{i}", nasa(40, seed=i)) for i in range(2)
+        ]
+        errors = []
+
+        def detect(session):
+            try:
+                for _ in range(5):
+                    session.run_detection(["mv_detector", "iqr"])
+            except BaseException as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=detect, args=(s,)) for s in sessions
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        runs = lens.tracking.search_runs("Detection")
+        assert len(runs) == 20
+        for run in runs:
+            dataset, tool = run.name.split(":")
+            assert run.status == "finished"
+            assert (run.params["dataset"], run.params["tool"]) == (dataset, tool)
 
     def test_repair_requires_detection(self, nasa_session):
         fresh = nasa_session.controller.ingest_frame(

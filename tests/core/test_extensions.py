@@ -8,7 +8,6 @@ from repro.core import (
     RuleParseError,
     explain_cell,
     parse_rule,
-    parse_rules,
 )
 from repro.dataframe import DataFrame
 from repro.fd import FunctionalDependency
@@ -87,12 +86,6 @@ class TestNLRuleParsing:
     def test_inverted_range_rejected(self, frame):
         with pytest.raises(RuleParseError):
             parse_rule("age between 120 and 0", frame)
-
-    def test_batch_parsing(self, frame):
-        parsed = parse_rules(
-            ["ZipCode determines City", "abv is positive"], frame
-        )
-        assert [p.kind for p in parsed] == ["fd", "sign"]
 
     def test_missing_values_do_not_violate_constraints(self):
         data = DataFrame.from_dict({"age": [None, 50]})
@@ -180,9 +173,9 @@ class TestExplainability:
 
 class TestBanditSampler:
     def test_bandit_concentrates_on_best_arm(self):
-        from repro.optimize import BanditSampler, MINIMIZE, create_study
+        from repro.optimize import BanditSampler, MINIMIZE, Study
 
-        study = create_study(
+        study = Study(
             MINIMIZE, sampler=BanditSampler(epsilon=0.2), seed=0
         )
 

@@ -76,7 +76,11 @@ class TestQualityMonitor:
         table.write(_base_frame(), operation="upload")
         table.write(_base_frame(), operation="repair")
         report = QualityMonitor().run(table)
-        series = report.metric_series("overall")
+        series = [
+            (entry.version, entry.metrics["overall"])
+            for entry in report.timeline
+            if "overall" in entry.metrics
+        ]
         assert [version for version, _ in series] == [0, 1]
 
     def test_report_serializable(self, tmp_path):

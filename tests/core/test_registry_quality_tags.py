@@ -134,20 +134,9 @@ class TestTagRegistry:
         tags = TagRegistry(["N/A"])
         assert tags.search(frame).cells == {(1, "c"), (2, "c")}
 
-    def test_untag(self):
-        tags = TagRegistry([99999])
-        tags.untag(99999)
-        assert len(tags) == 0
-
     def test_numeric_cross_type_match(self):
         tags = TagRegistry([99999])
         assert 99999.0 in tags
-
-    def test_as_labels(self):
-        frame = DataFrame.from_dict({"x": [0.0, 99999.0]})
-        tags = TagRegistry([99999])
-        labels = tags.as_labels(frame)
-        assert labels == {(1, "x"): True}
 
     def test_none_never_matches(self):
         frame = DataFrame.from_dict({"x": [None, 1.0]})

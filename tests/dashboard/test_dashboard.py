@@ -5,7 +5,6 @@ import pytest
 from repro.core import DataLens
 from repro.dashboard import (
     bar_chart,
-    line_chart,
     render_dashboard,
     render_detection_tab,
     render_overview_tab,
@@ -33,14 +32,6 @@ class TestCharts:
         )
         # 2 legend swatches + 4 stack segments.
         assert svg.count("<rect") == 6
-
-    def test_line_chart_series(self):
-        svg = line_chart(
-            [5, 10, 15, 20],
-            {"f1": [0.3, 0.35, 0.38, 0.4], "reviewed": [12, 20, 28, 45]},
-        )
-        assert svg.count("<polyline") == 2
-        assert svg.count("<circle") == 8
 
     def test_values_escaped(self):
         svg = bar_chart(["<script>"], [1.0])

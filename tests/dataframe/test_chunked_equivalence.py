@@ -12,6 +12,7 @@ is differentially tested against ``read_csv_text`` the same way.
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
@@ -23,8 +24,8 @@ from repro.dataframe import (
     ChunkedFrame,
     DataFrame,
     SpillStore,
+    read_csv_stream,
     read_csv_text,
-    read_csv_text_chunked,
     to_csv_text,
 )
 from repro.dataframe import io as csv_io
@@ -223,7 +224,7 @@ class TestChunkedCsvEquivalence:
         text = to_csv_text(frame)
         reference = read_csv_text(text)
         for size in chunk_sizes_for(n):
-            streamed = read_csv_text_chunked(text, chunk_size=size)
+            streamed = read_csv_stream(io.StringIO(text), chunk_size=size)
             assert isinstance(streamed, ChunkedFrame)
             assert streamed.dtypes() == reference.dtypes()
             assert streamed == reference
@@ -265,7 +266,7 @@ class TestStreamingWidening:
         reference = read_csv_text(text)
         assert reference.dtypes()["col"] == expected_dtype
         for size in (1, 2, 3, 50):
-            streamed = read_csv_text_chunked(text, chunk_size=size)
+            streamed = read_csv_stream(io.StringIO(text), chunk_size=size)
             assert streamed.dtypes() == reference.dtypes()
             assert_deep_identical(
                 streamed.column("col").values(),
@@ -294,7 +295,7 @@ class TestStreamingWidening:
         cells = list(pair) * 40 + [last]
         text = "col\n" + "\n".join(cells) + "\n"
         store = SpillStore(budget_bytes=512)
-        streamed = read_csv_text_chunked(text, chunk_size=8, spill=store)
+        streamed = read_csv_stream(io.StringIO(text), chunk_size=8, spill=store)
         assert len(held) == 10
         assert all(isinstance(record, ShardHandle) for record in held)
         # The column's 11 shards: one pickle file per string shard, two
@@ -310,7 +311,9 @@ class TestStreamingWidening:
     def test_declared_dtypes_respected(self):
         text = "a,b\n1,x\n2,y\n3,z\n"
         reference = read_csv_text(text, dtypes={"a": "float"})
-        streamed = read_csv_text_chunked(text, dtypes={"a": "float"}, chunk_size=2)
+        streamed = read_csv_stream(
+            io.StringIO(text), dtypes={"a": "float"}, chunk_size=2
+        )
         assert streamed.dtypes() == reference.dtypes() == {
             "a": "float",
             "b": "string",
@@ -322,18 +325,18 @@ class TestStreamingWidening:
         with pytest.raises(ValueError, match="expected 2"):
             read_csv_text(text)
         with pytest.raises(ValueError, match="expected 2"):
-            read_csv_text_chunked(text, chunk_size=1)
+            read_csv_stream(io.StringIO(text), chunk_size=1)
 
     def test_empty_input_raises_like_monolithic(self):
         with pytest.raises(ValueError, match="no header row"):
-            read_csv_text_chunked("", chunk_size=3)
+            read_csv_stream(io.StringIO(""), chunk_size=3)
 
     def test_huge_int_overflow_in_late_chunk(self):
         """int64 shards followed by an object shard stay one int column."""
         text = "x,k\n" + "\n".join(
             f"{cell},0" for cell in ["1", "2", "3", str(10**30), ""]
         ) + "\n"
-        streamed = read_csv_text_chunked(text, chunk_size=2)
+        streamed = read_csv_stream(io.StringIO(text), chunk_size=2)
         reference = read_csv_text(text)
         assert streamed.dtypes()["x"] == "int"
         assert streamed.column("x").values_array().dtype == object
@@ -427,8 +430,8 @@ class TestSpilledPipelineEquivalence:
         text = to_csv_text(frame)
         reference = read_csv_text(text)
         for size in self.SIZES:
-            streamed = read_csv_text_chunked(
-                text, chunk_size=size, spill=SpillStore(budget_bytes=512)
+            streamed = read_csv_stream(
+                io.StringIO(text), chunk_size=size, spill=SpillStore(budget_bytes=512)
             )
             assert streamed.dtypes() == reference.dtypes()
             for name in reference.column_names:

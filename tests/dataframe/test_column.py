@@ -33,10 +33,6 @@ class TestMissing:
     def test_non_missing(self):
         assert Column("x", [None, 5, None]).non_missing() == [5]
 
-    def test_fill_missing(self):
-        filled = Column("x", [1, None]).fill_missing(9)
-        assert filled.values() == [1, 9]
-
 
 class TestMutation:
     def test_set_within_dtype(self):

@@ -33,7 +33,6 @@ from repro.dataframe import (
     read_csv_chunked,
     read_csv_stream,
     read_csv_text,
-    read_csv_text_chunked,
     to_csv_text,
     write_csv,
 )
@@ -157,11 +156,6 @@ def assert_readers_match(
             ckw = dict(kw, chunk_size=size)
             chunked[("read_csv_chunked", size, spill)] = (
                 lambda ckw=ckw, store=store: read_csv_chunked(path, spill=store(), **ckw)
-            )
-            chunked[("read_csv_text_chunked", size, spill)] = (
-                lambda ckw=ckw, store=store: read_csv_text_chunked(
-                    text, spill=store(), **ckw
-                )
             )
             chunked[("read_csv_stream", size, spill)] = (
                 lambda ckw=ckw, store=store: read_csv_stream(

@@ -61,27 +61,6 @@ class TestAccess:
         assert mixed_frame.categorical_column_names() == ["city", "flag"]
 
 
-class TestColumnOps:
-    def test_with_column_replaces(self, mixed_frame):
-        updated = mixed_frame.with_column(Column("id", [0] * 6))
-        assert updated.column("id").values() == [0] * 6
-        assert mixed_frame.column("id").values() != [0] * 6
-
-    def test_drop_columns(self, mixed_frame):
-        dropped = mixed_frame.drop_columns(["flag"])
-        assert "flag" not in dropped
-        with pytest.raises(KeyError):
-            mixed_frame.drop_columns(["ghost"])
-
-    def test_select_columns_order(self, mixed_frame):
-        selected = mixed_frame.select_columns(["city", "id"])
-        assert selected.column_names == ["city", "id"]
-
-    def test_rename(self, mixed_frame):
-        renamed = mixed_frame.rename_columns({"id": "identifier"})
-        assert "identifier" in renamed
-
-
 class TestSelection:
     def test_take_order(self, mixed_frame):
         taken = mixed_frame.take([5, 0])
@@ -92,25 +71,15 @@ class TestSelection:
             mixed_frame.take([99])
 
     def test_filter_mask(self, mixed_frame):
-        kept = mixed_frame.filter([True, False, True, False, False, False])
+        kept = mixed_frame.select([True, False, True, False, False, False])
         assert kept.num_rows == 2
 
     def test_filter_mask_wrong_length(self, mixed_frame):
         with pytest.raises(ValueError):
-            mixed_frame.filter([True])
-
-    def test_filter_rows_predicate(self, mixed_frame):
-        kept = mixed_frame.filter_rows(lambda r: r["city"] == "a")
-        assert kept.num_rows == 3
+            mixed_frame.select([True])
 
     def test_head(self, mixed_frame):
         assert mixed_frame.head(2).num_rows == 2
-
-    def test_sample_indices_deterministic(self, mixed_frame):
-        first = mixed_frame.sample_indices(3, seed=5)
-        second = mixed_frame.sample_indices(3, seed=5)
-        assert first == second
-        assert len(set(first)) == 3
 
 
 class TestMissing:
@@ -123,14 +92,6 @@ class TestMissing:
 
     def test_missing_count(self, mixed_frame):
         assert mixed_frame.missing_count() == 3
-
-    def test_drop_missing_rows(self, mixed_frame):
-        complete = mixed_frame.drop_missing_rows()
-        assert complete.num_rows == 3
-
-    def test_drop_missing_rows_subset(self, mixed_frame):
-        kept = mixed_frame.drop_missing_rows(subset=["score"])
-        assert kept.num_rows == 5
 
 
 class TestMisc:
@@ -146,14 +107,6 @@ class TestMisc:
     def test_duplicate_row_indices(self):
         frame = DataFrame.from_dict({"a": [1, 2, 1, 1], "b": ["x", "y", "x", "z"]})
         assert frame.duplicate_row_indices() == [2]
-
-    def test_concat_rows(self, mixed_frame):
-        doubled = mixed_frame.concat_rows(mixed_frame)
-        assert doubled.num_rows == 12
-
-    def test_concat_rows_mismatch(self, mixed_frame):
-        with pytest.raises(ValueError):
-            mixed_frame.concat_rows(mixed_frame.drop_columns(["id"]))
 
     def test_to_numpy_shape(self, mixed_frame):
         matrix = mixed_frame.to_numpy()

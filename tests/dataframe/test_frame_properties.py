@@ -1,9 +1,12 @@
 """Property-based tests for the DataFrame substrate (hypothesis)."""
 
+import json
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dataframe import DataFrame, from_json_records, read_csv_text, to_csv_text, to_json_records
+from repro.api.http import Response
+from repro.dataframe import DataFrame, read_csv_text, to_csv_text
 
 cell_values = st.one_of(
     st.none(),
@@ -72,7 +75,9 @@ def test_csv_roundtrip_preserves_numbers_and_missing(frame):
 @settings(max_examples=40, deadline=None)
 @given(frames())
 def test_json_roundtrip(frame):
-    again = from_json_records(to_json_records(frame))
+    """Rows sent as a REST response body read back as records."""
+    wire = Response(body=frame.to_records()).to_bytes()
+    again = DataFrame.from_records(json.loads(wire))
     assert again.shape == frame.shape
 
 

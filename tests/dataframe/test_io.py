@@ -1,15 +1,17 @@
-"""CSV/JSON serialization tests."""
+"""CSV and JSON-records serialization tests."""
+
+import io
+import json
 
 import pytest
 
+from repro.api.http import Response
 from repro.dataframe import (
     DataFrame,
-    from_json_records,
     read_csv,
+    read_csv_stream,
     read_csv_text,
-    read_csv_text_chunked,
     to_csv_text,
-    to_json_records,
     write_csv,
 )
 
@@ -36,7 +38,10 @@ class TestCSV:
     def test_duplicate_header_raises_like_chunked_reader(self):
         # Every reader runs one kernel, so none keeps only the last
         # of two same-named columns.
-        for read in (read_csv_text, read_csv_text_chunked):
+        def read_stream(text):
+            return read_csv_stream(io.StringIO(text))
+
+        for read in (read_csv_text, read_stream):
             with pytest.raises(ValueError, match="duplicate column 'a'"):
                 read("a,a\n1,2\n")
 
@@ -60,12 +65,18 @@ class TestCSV:
         assert frame.column("zip").dtype == "string"
 
 
+def json_roundtrip(frame):
+    """Rows out as the REST app sends them, back in as it ingests them."""
+    wire = Response(body=frame.to_records()).to_bytes()
+    return DataFrame.from_records(json.loads(wire))
+
+
 class TestJSON:
     def test_roundtrip(self, mixed_frame):
-        again = from_json_records(to_json_records(mixed_frame))
+        again = json_roundtrip(mixed_frame)
         assert again.to_dict() == mixed_frame.to_dict()
 
     def test_none_survives(self):
         frame = DataFrame.from_dict({"a": [None, 2]})
-        again = from_json_records(to_json_records(frame))
+        again = json_roundtrip(frame)
         assert again.at(0, "a") is None

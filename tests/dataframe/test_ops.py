@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.dataframe import (
-    DataFrame,
-    group_by,
-    group_indices,
-    inner_join,
-    sort_by,
-    value_counts_frame,
-)
+from repro.dataframe import DataFrame, group_by, join, sort_by
 
 
 class TestSort:
@@ -71,10 +64,15 @@ class TestSort:
 
 class TestGroupBy:
     def test_group_indices(self):
-        frame = DataFrame.from_dict({"k": ["a", "b", "a"]})
-        groups = group_indices(frame, ["k"])
-        assert groups[("a",)] == [0, 2]
-        assert groups[("b",)] == [1]
+        frame = DataFrame.from_dict({"k": ["a", "b", "a"], "row": [0, 1, 2]})
+        groups = group_by(
+            frame,
+            ["k"],
+            {"n": ("row", "count"), "lo": ("row", "min"), "hi": ("row", "max")},
+        )
+        assert groups.column("k").values() == ["a", "b"]
+        assert groups.row(0) == {"k": "a", "n": 2, "lo": 0, "hi": 2}
+        assert groups.row(1) == {"k": "b", "n": 1, "lo": 1, "hi": 1}
 
     def test_group_by_aggregation(self):
         frame = DataFrame.from_dict({"k": ["a", "b", "a"], "v": [1, 2, 3]})
@@ -138,6 +136,24 @@ class TestGroupBy:
         with pytest.raises(ValueError):
             group_by(frame, ["k"], {"x": ("v", "median")})
 
+    def test_output_name_repeating_a_key_raises(self):
+        frame = DataFrame.from_dict(
+            {"k": ["a", "b", "a"], "j": [1, 1, 2], "v": [1.0, 2.0, 3.0]}
+        )
+        with pytest.raises(ValueError, match="'j' repeats a group key column"):
+            group_by(frame, ["k", "j"], {"j": ("v", "sum")})
+        # A key column may still be aggregated under another name.
+        result = group_by(frame, ["k"], {"n": ("k", "count")})
+        assert result.to_dict() == {"k": ["a", "b"], "n": [2, 1]}
+
+    def test_no_aggregations_lists_distinct_keys(self):
+        frame = DataFrame.from_dict(
+            {"k": ["b", None, "b", "a", None], "v": [1, 2, 3, 4, 5]}
+        )
+        for leg in (frame, frame.to_chunked(2)):
+            result = group_by(leg, ["k"], {})
+            assert result.to_dict() == {"k": ["b", None, "a"]}
+
     def test_groups_emitted_in_first_occurrence_order(self):
         frame = DataFrame.from_dict({"k": ["z", "a", "z", "m"], "v": [1, 2, 3, 4]})
         result = group_by(frame, ["k"], {"n": ("v", "count")})
@@ -148,30 +164,34 @@ class TestJoin:
     def test_inner_join_basic(self):
         left = DataFrame.from_dict({"k": [1, 2, 3], "l": ["a", "b", "c"]})
         right = DataFrame.from_dict({"k": [2, 3, 4], "r": ["x", "y", "z"]})
-        joined = inner_join(left, right, on=["k"])
+        joined = join(left, right, ["k"], how="inner")
         assert joined.num_rows == 2
         assert joined.column("r").values() == ["x", "y"]
 
     def test_join_suffixes_overlapping(self):
         left = DataFrame.from_dict({"k": [1], "v": ["l"]})
         right = DataFrame.from_dict({"k": [1], "v": ["r"]})
-        joined = inner_join(left, right, on=["k"])
+        joined = join(left, right, ["k"], how="inner")
         assert joined.column("v_right").values() == ["r"]
 
     def test_join_multiplies_matches(self):
         left = DataFrame.from_dict({"k": [1, 1]})
         right = DataFrame.from_dict({"k": [1, 1], "r": ["x", "y"]})
-        assert inner_join(left, right, on=["k"]).num_rows == 4
+        assert join(left, right, ["k"], how="inner").num_rows == 4
 
     def test_missing_keys_never_match(self):
         left = DataFrame.from_dict({"k": [None, 1]})
         right = DataFrame.from_dict({"k": [None, 1], "r": ["x", "y"]})
-        joined = inner_join(left, right, on=["k"])
+        joined = join(left, right, ["k"], how="inner")
         assert joined.num_rows == 1
 
 
 def test_value_counts_frame():
     frame = DataFrame.from_dict({"c": ["a", "b", "a", "a"]})
-    counts = value_counts_frame(frame, "c")
+    counts = sort_by(
+        group_by(frame, ["c"], {"count": ("c", "count")}),
+        ["count"],
+        descending=True,
+    )
     assert counts.at(0, "c") == "a"
     assert counts.at(0, "count") == 3

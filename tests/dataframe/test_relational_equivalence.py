@@ -2,14 +2,16 @@
 reference implementation.
 
 The reference below is the retained row-at-a-time implementation of
-``sort_by`` / ``group_indices`` / ``group_by`` / ``inner_join`` /
-``value_counts_frame`` (the pre-vectorization semantics, with the two
-documented contract updates: stable descending sort and dtype-preserving
-join output). Both implementations run side by side on seeded random
-frames across every dtype — including empty frames, all-None key
-columns, heterogeneous object-backed columns (huge ints), and
-suffix-colliding joins — and the outputs must be *identical*: same
-values, same Python types, same dtypes, same ordering.
+``sort_by`` / group membership / ``group_by`` / inner ``join`` / value
+counts (the pre-vectorization semantics, with the two documented
+contract updates: stable descending sort and dtype-preserving join
+output). Group membership and value counts are read off ``group_by``
+(and ``sort_by``), the kernels that produce them. Both implementations
+run side by side on seeded random frames across every dtype —
+including empty frames, all-None key columns, heterogeneous
+object-backed columns (huge ints), and suffix-colliding joins — and the
+outputs must be *identical*: same values, same Python types, same
+dtypes, same ordering.
 """
 
 from __future__ import annotations
@@ -24,11 +26,8 @@ from repro.dataframe import (
     DataFrame,
     common_dtype,
     group_by,
-    group_indices,
-    inner_join,
     join,
     sort_by,
-    value_counts_frame,
 )
 from repro.dataframe.ops import _MISSING_KEY
 
@@ -124,7 +123,8 @@ def reference_inner_join(left, right, on, suffix="_right"):
     right_taken = right.take(right_rows)
     columns = {c: left_taken.column(c) for c in left_names}
     for c in right_extra:
-        columns[renamed[c]] = right_taken.column(c).rename(renamed[c])
+        column = right_taken.column(c)
+        columns[renamed[c]] = Column(renamed[c], column.values(), column.dtype)
     return DataFrame(columns.values())
 
 
@@ -211,6 +211,38 @@ def reference_value_counts(frame, column):
     )
 
 
+def _joined_rows(rows):
+    return " ".join(map(str, rows))
+
+
+def group_rows(frame, columns):
+    """``{key tuple: row ids}`` in first-occurrence order, via ``group_by``.
+
+    A row-id column aggregated per group gives each group's rows in row
+    order; missing key cells read back as ``_MISSING_KEY`` as in the
+    reference.
+    """
+    row_ids = Column("_row", list(range(frame.num_rows)), "int")
+    indexed = DataFrame(
+        [frame.column(c) for c in frame.column_names] + [row_ids]
+    )
+    grouped = group_by(indexed, columns, {"_rows": ("_row", _joined_rows)})
+    keys = zip(*(grouped.column(c).values() for c in columns))
+    return {
+        tuple(_MISSING_KEY if v is None else v for v in key): rows
+        for key, rows in zip(keys, grouped.column("_rows").values())
+    }
+
+
+def value_counts(frame, column):
+    """Non-missing values with their counts, most common first."""
+    counts = group_by(frame, [column], {"count": (column, "count")})
+    present = np.array(
+        [v is not None for v in counts.column(column).values()], dtype=bool
+    )
+    return sort_by(counts.select(present), ["count"], descending=True)
+
+
 # ----------------------------------------------------------------------
 # Random inputs — the seeded generator lives in tests/conftest.py
 # (``random_values`` fixture); classes bind it via an autouse fixture.
@@ -273,8 +305,11 @@ class TestGroupEquivalence(_GeneratorBound):
     def test_group_indices_matches_reference(self, seed, n):
         frame = self._mixed_frame(seed, n)
         for keys in KEY_SETS:
-            mine = group_indices(frame, keys)
-            ref = reference_group_indices(frame, keys)
+            mine = group_rows(frame, keys)
+            ref = {
+                key: _joined_rows(rows)
+                for key, rows in reference_group_indices(frame, keys).items()
+            }
             assert mine == ref
             assert list(mine) == list(ref), "first-occurrence key order"
 
@@ -313,7 +348,7 @@ class TestGroupEquivalence(_GeneratorBound):
         frame = self._mixed_frame(seed, n)
         for name in frame.column_names:
             _assert_frames_identical(
-                value_counts_frame(frame, name),
+                value_counts(frame, name),
                 reference_value_counts(frame, name),
             )
 
@@ -338,7 +373,7 @@ class TestJoinEquivalence(_GeneratorBound):
         left, right = self._pair(seed)
         for keys in (["i"], ["s"], ["big"], ["i", "s"], ["s", "f"]):
             _assert_frames_identical(
-                inner_join(left, right, on=keys),
+                join(left, right, keys, how="inner"),
                 reference_inner_join(left, right, on=keys),
             )
 
@@ -382,12 +417,12 @@ class TestJoinEquivalence(_GeneratorBound):
     def test_join_with_empty_sides(self, seed):
         left, right = self._pair(seed, n_left=0, n_right=10)
         _assert_frames_identical(
-            inner_join(left, right, on=["i"]),
+            join(left, right, ["i"], how="inner"),
             reference_inner_join(left, right, on=["i"]),
         )
         left2, right2 = self._pair(seed, n_left=10, n_right=0)
         _assert_frames_identical(
-            inner_join(left2, right2, on=["i", "s"]),
+            join(left2, right2, ["i", "s"], how="inner"),
             reference_inner_join(left2, right2, on=["i", "s"]),
         )
 
@@ -405,7 +440,7 @@ class TestJoinEquivalence(_GeneratorBound):
                 "v": self._random_values(rng, "float", 15, 0.2),
             }
         )
-        joined = inner_join(left, right, on=["k"])
+        joined = join(left, right, ["k"], how="inner")
         assert joined.column_names == ["k", "v", "v_right"]
         _assert_frames_identical(
             joined, reference_inner_join(left, right, on=["k"])
@@ -418,13 +453,13 @@ class TestJoinEquivalence(_GeneratorBound):
             {"k": [0.0, 1.0, 2.5, None, 3.0], "r": ["a", "b", "c", "d", "e"]}
         )
         _assert_frames_identical(
-            inner_join(left, right, on=["k"]),
+            join(left, right, ["k"], how="inner"),
             reference_inner_join(left, right, on=["k"]),
         )
         left_bool = DataFrame.from_dict({"k": [True, False, None]})
         right_int = DataFrame.from_dict({"k": [1, 0, 2], "r": ["x", "y", "z"]})
         _assert_frames_identical(
-            inner_join(left_bool, right_int, on=["k"]),
+            join(left_bool, right_int, ["k"], how="inner"),
             reference_inner_join(left_bool, right_int, on=["k"]),
         )
 
@@ -434,40 +469,34 @@ class TestDegenerateRelationalInputs:
         frame = DataFrame.from_dict(
             {"k": [None, None, None], "v": [1, 2, 3]}, dtypes={"k": "string"}
         )
-        groups = group_indices(frame, ["k"])
-        assert list(groups.values()) == [[0, 1, 2]]
-        assert list(groups)[0][0] is _MISSING_KEY
+        grouped = group_by(frame, ["k"], {"rows": ("v", len)})
+        assert grouped.column("k").values() == [None]
+        assert grouped.column("rows").values() == [3]
         _assert_frames_identical(
             group_by(frame, ["k"], {"total": ("v", "sum")}),
             reference_group_by(frame, ["k"], {"total": ("v", sum)}),
         )
-        other = frame.rename_columns({"v": "w"})
-        assert inner_join(frame, other, on=["k"]).num_rows == 0
+        other = DataFrame([frame.column("k"), Column("w", [1, 2, 3])])
+        assert join(frame, other, ["k"], how="inner").num_rows == 0
 
     def test_empty_frame_everything(self):
         frame = DataFrame.from_dict({"k": [], "v": []})
-        assert group_indices(frame, ["k"]) == {}
         result = group_by(frame, ["k"], {"total": ("v", "sum")})
         assert result.num_rows == 0
         assert result.column_names == ["k", "total"]
         assert sort_by(frame, ["k"]).num_rows == 0
-        counts = value_counts_frame(frame, "k")
-        assert counts.num_rows == 0
-        assert counts.column_names == ["k", "count"]
 
     def test_missing_key_sentinel_never_collides_with_values(self):
         """A genuine cell value can never be conflated with missingness."""
         frame = DataFrame.from_dict(
             {"k": ["__missing__", None, "('__missing__',)"], "v": [1, 2, 3]}
         )
-        groups = group_indices(frame, ["k"])
-        assert len(groups) == 3
-        assert ("__missing__",) in groups
-        assert groups[("__missing__",)] == [0]
-        assert (_MISSING_KEY,) in groups
-        assert groups[(_MISSING_KEY,)] == [1]
+        grouped = group_by(frame, ["k"], {"v": ("v", "first")})
         # The historical tuple sentinel is just an ordinary value now.
-        assert ("('__missing__',)",) in groups
+        assert grouped.column("k").values() == [
+            "__missing__", None, "('__missing__',)"
+        ]
+        assert grouped.column("v").values() == [1, 2, 3]
 
     def test_int64_overflowing_sum_falls_back_to_exact_python(self):
         """Group sums beyond int64 use arbitrary-precision arithmetic."""
@@ -496,7 +525,7 @@ class TestDegenerateRelationalInputs:
             dict(data, other=[float(i) for i in range(n)])
         )
         keys = [f"k{j}" for j in range(8)]
-        joined = inner_join(left, right, on=keys)
+        joined = join(left, right, keys, how="inner")
         _assert_frames_identical(
             joined, reference_inner_join(left, right, on=keys)
         )
@@ -508,7 +537,7 @@ class TestDegenerateRelationalInputs:
         right = DataFrame.from_dict(
             {"k": [float(2**53)], "r": ["hit"]}, dtypes={"k": "float"}
         )
-        joined = inner_join(left, right, on=["k"])
+        joined = join(left, right, ["k"], how="inner")
         _assert_frames_identical(
             joined, reference_inner_join(left, right, on=["k"])
         )
@@ -520,7 +549,7 @@ class TestDegenerateRelationalInputs:
         left = DataFrame.from_dict({"k": [1], "a": [1]})
         right = DataFrame.from_dict({"k": [1], "a": [2], "a_right": [3]})
         with pytest.raises(ValueError):
-            inner_join(left, right, on=["k"])
+            join(left, right, ["k"], how="inner")
 
     def test_unhashable_callable_uses_fallback_path(self):
         class UnhashableAgg:
@@ -536,7 +565,7 @@ class TestDegenerateRelationalInputs:
     def test_unknown_columns_raise(self):
         frame = DataFrame.from_dict({"k": [1]})
         with pytest.raises(KeyError):
-            group_indices(frame, ["ghost"])
+            group_by(frame, ["ghost"], {})
         with pytest.raises(KeyError):
             group_by(frame, ["k"], {"x": ("ghost", "sum")})
         with pytest.raises(ValueError):

@@ -30,7 +30,6 @@ from repro.dataframe import (
     SpillStore,
     external_sort_by,
     group_by,
-    inner_join,
     join,
     resolve_join_strategy,
     semi_join_mask,
@@ -232,7 +231,11 @@ class TestJoinFuzz:
         right_keys = [f"r_{name}" for name in keys]
         right = DataFrame(
             [
-                right.column(name).rename(f"r_{name}")
+                Column(
+                    f"r_{name}",
+                    right.column(name).values(),
+                    right.column(name).dtype,
+                )
                 if name in keys
                 else right.column(name)
                 for name in right.column_names
@@ -546,6 +549,8 @@ class TestSameExceptionOutcomes:
                 group_by(leg, ["k"], {"x": ("ghost", "sum")})
             with pytest.raises(ValueError):
                 group_by(leg, ["k"], {"x": ("v", "median")})
+            with pytest.raises(ValueError, match="'k' repeats a group key"):
+                group_by(leg, ["k"], {"k": ("v", "sum")})
 
     def test_callable_exception_surfaces_everywhere(self):
         def explode(values):
@@ -586,7 +591,7 @@ class TestJoinPlanner:
         monkeypatch.setenv("DATALENS_JOIN_STRATEGY", "sortmerge")
         left, right = self._pair()
         with self._rejects("sortmerge"):
-            inner_join(left, right, on=["k"])
+            join(left, right, ["k"], how="inner")
 
     def test_auto_routes_by_residency(self, monkeypatch):
         monkeypatch.delenv("DATALENS_JOIN_STRATEGY", raising=False)
@@ -731,7 +736,7 @@ class TestEnvStrategyOverride:
         left = DataFrame.from_dict({"k": [1, 2, 2], "a": ["x", "y", "z"]})
         right = DataFrame.from_dict({"k": [2, 5], "b": [1.0, 2.0]})
         ref._assert_frames_identical(
-            inner_join(left, right, on=["k"]),
+            join(left, right, ["k"], how="inner"),
             ref.reference_inner_join(left, right, on=["k"]),
         )
 
@@ -740,7 +745,7 @@ class TestEnvStrategyOverride:
         left = DataFrame.from_dict({"k": [1]})
         right = DataFrame.from_dict({"k": [1], "b": [2]})
         with pytest.raises(ValueError, match="join strategy"):
-            inner_join(left, right, on=["k"])
+            join(left, right, ["k"], how="inner")
 
     def test_explicit_strategy_beats_env(self, monkeypatch):
         monkeypatch.setenv("DATALENS_JOIN_STRATEGY", "bogus")

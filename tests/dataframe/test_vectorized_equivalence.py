@@ -270,7 +270,7 @@ class TestDataFrameEquivalence:
         frame = self._frame(seed)
         rng = np.random.default_rng(seed + 2)
         mask = (rng.random(frame.num_rows) < 0.5).tolist()
-        assert frame.filter(mask) == frame.select(np.asarray(mask))
+        assert frame.select(mask) == frame.select(np.asarray(mask))
 
     @pytest.mark.parametrize("seed", [0, 3, 9])
     def test_column_codes_group_like_row_tuples(self, seed):
@@ -300,7 +300,7 @@ class TestDataFrameEquivalence:
         seen: set = set()
         expected = []
         for i in range(frame.num_rows):
-            key = frame.row_tuple(i)
+            key = tuple(frame.row(i).values())
             if key in seen:
                 expected.append(i)
             else:

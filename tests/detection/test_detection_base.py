@@ -1,14 +1,13 @@
 """Detector interface and consolidation tests."""
 
+from repro.core import DataLens
 from repro.dataframe import DataFrame
 from repro.detection import (
-    DetectionContext,
     DetectionResult,
     Detector,
     IQRDetector,
     MVDetector,
     merge_results,
-    run_tools,
     summarize_by_column,
 )
 
@@ -29,7 +28,6 @@ class TestDetectionResult:
         result = DetectionResult("t", {(0, "a"), (3, "b"), (0, "b")})
         assert result.rows() == {0, 3}
         assert result.columns() == {"a", "b"}
-        assert result.cells_in_column("b") == {(3, "b"), (0, "b")}
 
     def test_restricted_to_drops_out_of_bounds(self):
         frame = DataFrame.from_dict({"a": [1, 2]})
@@ -71,12 +69,12 @@ class TestConsolidation:
         merged = merge_results([a, b])
         assert merged == {(0, "x"), (1, "x"), (2, "x")}
 
-    def test_run_tools_sequential(self, mixed_frame):
-        results, merged = run_tools(
-            mixed_frame, [MVDetector(), IQRDetector()], DetectionContext()
-        )
-        assert len(results) == 2
-        assert merged == results[0].cells | results[1].cells
+    def test_run_tools_sequential(self, mixed_frame, tmp_path):
+        session = DataLens(tmp_path, seed=0).ingest_frame("mixed", mixed_frame)
+        merged = session.run_detection([MVDetector(), IQRDetector()])
+        results = session.detection_results
+        assert list(results) == ["mv_detector", "iqr"]
+        assert merged == results["mv_detector"].cells | results["iqr"].cells
 
     def test_summarize_by_column(self, mixed_frame):
         result = MVDetector().detect(mixed_frame)

@@ -7,7 +7,6 @@ from repro.detection import (
     DetectionContext,
     Detector,
     IQRDetector,
-    IntersectionEnsemble,
     MinKEnsemble,
     MVDetector,
     SDDetector,
@@ -51,8 +50,7 @@ class TestMinK:
 
     def test_k_equals_members_is_intersection(self, members, frame):
         min_k = MinKEnsemble(members, k=3).detect(frame).cells
-        intersection = IntersectionEnsemble(members).detect(frame).cells
-        assert min_k == intersection == {(1, "a")}
+        assert min_k == {(1, "a")}
 
     def test_k_bounds_validated(self, members):
         with pytest.raises(ValueError):

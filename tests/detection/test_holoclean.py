@@ -16,9 +16,10 @@ def _fitted(columns: dict):
 
 class TestCooccurrenceModel:
     def test_domain_collection(self):
-        _, model = _fitted({"a": ["x", "y", None], "b": ["1", "1", "2"]})
-        assert model.domain("a") == {"x", "y"}
-        assert model.domain("b") == {"1", "2"}
+        tokens, _ = _fitted({"a": ["x", "y", None], "b": ["1", "1", "2"]})
+        assert set(tokens["a"].tokens) == {"x", "y"}
+        assert set(tokens["b"].tokens) == {"1", "2"}
+        assert tokens["a"].codes.tolist()[2] == tokens["a"].missing_code
 
     def test_cooccurring_value_scores_higher(self):
         tokens, model = _fitted(

@@ -100,7 +100,10 @@ class TestSessionWiring:
         orders, customers = orders_and_customers
         lens = DataLens(tmp_path / "workspace", seed=0)
         session = lens.ingest_frame("orders", orders)
-        result = session.check_referential_integrity(customers, on=["cust"])
+        session.run_detection(
+            [ReferentialIntegrityDetector(on=["cust"], parent=customers)]
+        )
+        result = session.detection_results["referential_integrity"]
         assert result.metadata["violating_rows"] == 2
         assert "referential_integrity" in session.detection_results
         assert {(2, "cust"), (5, "cust")} <= session.detected_cells

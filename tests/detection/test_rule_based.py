@@ -73,7 +73,7 @@ class TestKnowledgeBase:
 
     def test_default_kb_has_geography(self):
         kb = default_knowledge_base()
-        assert "us_state" in kb.type_names()
+        assert kb.values_of("us_state")
         assert kb.relation_for("us_city", "us_state") is not None
 
 

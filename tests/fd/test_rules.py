@@ -28,8 +28,8 @@ class TestFunctionalDependency:
             FunctionalDependency(("a",), "a")
 
     def test_holds_in(self, fd_frame):
-        assert FunctionalDependency(("A",), "B").holds_in(fd_frame)
-        assert not FunctionalDependency(("C",), "B").holds_in(fd_frame)
+        assert not FunctionalDependency(("A",), "B").violations(fd_frame)
+        assert FunctionalDependency(("C",), "B").violations(fd_frame)
 
     def test_violations_flag_minority_cells(self):
         frame = DataFrame.from_dict(
@@ -44,7 +44,7 @@ class TestFunctionalDependency:
 
     def test_missing_values_distinct(self):
         frame = DataFrame.from_dict({"a": [1, 1], "b": [None, "x"]})
-        assert not FunctionalDependency(("a",), "b").holds_in(frame)
+        assert FunctionalDependency(("a",), "b").violations(frame)
 
 
 class TestValueRule:

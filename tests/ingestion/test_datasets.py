@@ -79,9 +79,9 @@ class TestHospital:
         from repro.fd import FunctionalDependency
 
         frame = hospital(400)
-        assert FunctionalDependency(("ZipCode",), "City").holds_in(frame)
-        assert FunctionalDependency(("ZipCode",), "State").holds_in(frame)
-        assert FunctionalDependency(("ProviderNumber",), "HospitalName").holds_in(
+        assert not FunctionalDependency(("ZipCode",), "City").violations(frame)
+        assert not FunctionalDependency(("ZipCode",), "State").violations(frame)
+        assert not FunctionalDependency(("ProviderNumber",), "HospitalName").violations(
             frame
         )
 
@@ -97,7 +97,7 @@ class TestAdult:
     def test_education_consistency(self):
         from repro.fd import FunctionalDependency
 
-        assert FunctionalDependency(("education",), "education_num").holds_in(
+        assert not FunctionalDependency(("education",), "education_num").violations(
             adult()
         )
 

@@ -1,8 +1,10 @@
 """Error-injection tests: masks must exactly describe the corruption."""
 
+import numpy as np
 import pytest
 
-from repro.dataframe import DataFrame
+from repro.dataframe import Cell, DataFrame
+from repro.detection import DetectionResult, summarize_by_column
 from repro.ingestion import (
     DISGUISED,
     MISSING,
@@ -12,10 +14,35 @@ from repro.ingestion import (
     SWAP,
     TYPO,
     ErrorInjector,
-    inject_fd_violations,
     make_dirty,
     nasa,
 )
+
+
+def inject_fd_violations(
+    dirty: DataFrame,
+    determinant: str,
+    dependent: str,
+    rate: float,
+    seed: int = 0,
+) -> set[Cell]:
+    """Break ``determinant -> dependent`` by rewriting dependent cells.
+
+    Mutates ``dirty`` in place and returns the corrupted cells.
+    """
+    rng = np.random.default_rng(seed)
+    values = dirty.column(dependent).unique()
+    count = int(round(rate * dirty.num_rows))
+    cells: set[Cell] = set()
+    if len(values) < 2 or count == 0:
+        return cells
+    rows = rng.choice(dirty.num_rows, size=min(count, dirty.num_rows), replace=False)
+    for row in rows:
+        current = dirty.at(int(row), dependent)
+        others = [v for v in values if v != current]
+        dirty.set_at(int(row), dependent, others[int(rng.integers(len(others)))])
+        cells.add((int(row), dependent))
+    return cells
 
 
 class TestInjector:
@@ -123,7 +150,7 @@ class TestFDViolationInjection:
         frame = hospital(300).copy()
         cells = inject_fd_violations(frame, "ZipCode", "City", rate=0.05, seed=0)
         assert cells
-        assert not FunctionalDependency(("ZipCode",), "City").holds_in(frame)
+        assert FunctionalDependency(("ZipCode",), "City").violations(frame)
 
 
 class TestMakeDirty:
@@ -134,14 +161,26 @@ class TestMakeDirty:
         assert 0.03 < nasa_dirty.error_rate < 0.25
 
     def test_error_type_lookup(self, nasa_dirty):
-        cell = next(iter(nasa_dirty.cells_by_type[MISSING]))
-        assert nasa_dirty.error_type_of(cell) == MISSING
-        assert nasa_dirty.error_type_of((-1, "nope")) is None
+        """Every corrupted cell carries exactly one error type."""
+        groups = nasa_dirty.cells_by_type
+        assert sum(len(cells) for cells in groups.values()) == len(
+            nasa_dirty.mask
+        )
+        cell = next(iter(groups[MISSING]))
+        assert [t for t, cells in groups.items() if cell in cells] == [MISSING]
+        assert nasa_dirty.dirty.at(*cell) is None
+        assert (-1, "nope") not in nasa_dirty.mask
 
     def test_column_error_rates(self, nasa_dirty):
-        rates = nasa_dirty.column_error_rates()
+        """Figure 4's per-column rates over the injected mask."""
+        truth = DetectionResult("truth", nasa_dirty.mask)
+        rates = summarize_by_column({"truth": truth}, nasa_dirty.dirty)["truth"]
         assert set(rates) == set(nasa_dirty.dirty.column_names)
         assert all(0.0 <= rate <= 1.0 for rate in rates.values())
+        n_rows = nasa_dirty.dirty.num_rows
+        assert sum(rates.values()) * n_rows == pytest.approx(
+            len(nasa_dirty.mask)
+        )
 
     def test_overrides(self):
         bundle = make_dirty("nasa", seed=0, overrides={"missing_rate": 0.0})

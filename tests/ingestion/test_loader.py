@@ -3,7 +3,7 @@
 import pytest
 
 from repro.dataframe import DataFrame, write_csv
-from repro.ingestion import DataLoader, frame_to_sqlite, nasa
+from repro.ingestion import DataLoader, nasa
 
 
 class TestWorkspaceLayout:
@@ -62,7 +62,7 @@ class TestPreloaded:
 
 
 class TestSQLIngestion:
-    def test_sqlite_roundtrip(self, tmp_path):
+    def test_sqlite_roundtrip(self, tmp_path, frame_to_sqlite):
         frame = DataFrame.from_dict(
             {"id": [1, 2, 3], "name": ["x", "y", None]}
         )

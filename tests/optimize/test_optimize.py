@@ -16,7 +16,6 @@ from repro.optimize import (
     Study,
     TPESampler,
     TrialPruned,
-    create_study,
     grid_points,
 )
 
@@ -66,7 +65,7 @@ class TestDistributions:
 
 class TestStudy:
     def test_minimize_quadratic(self):
-        study = create_study(MINIMIZE, sampler=RandomSampler(), seed=0)
+        study = Study(MINIMIZE, sampler=RandomSampler(), seed=0)
         study.optimize(
             lambda t: (t.suggest_float("x", -5.0, 5.0) - 2.0) ** 2, 60
         )
@@ -74,19 +73,19 @@ class TestStudy:
         assert abs(study.best_params["x"] - 2.0) < 1.0
 
     def test_maximize(self):
-        study = create_study(MAXIMIZE, sampler=RandomSampler(), seed=0)
+        study = Study(MAXIMIZE, sampler=RandomSampler(), seed=0)
         study.optimize(lambda t: t.suggest_float("x", 0.0, 1.0), 40)
         assert study.best_value > 0.9
 
     def test_best_history_monotone(self):
-        study = create_study(MINIMIZE, sampler=RandomSampler(), seed=1)
+        study = Study(MINIMIZE, sampler=RandomSampler(), seed=1)
         study.optimize(lambda t: t.suggest_float("x", 0.0, 1.0), 25)
         history = study.best_value_history()
         assert len(history) == 25
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
     def test_failed_trials_caught(self):
-        study = create_study(MINIMIZE, sampler=RandomSampler(), seed=0)
+        study = Study(MINIMIZE, sampler=RandomSampler(), seed=0)
 
         def objective(trial):
             x = trial.suggest_float("x", 0.0, 1.0)
@@ -101,12 +100,12 @@ class TestStudy:
         assert study.best_value >= 0.5
 
     def test_uncaught_exception_propagates(self):
-        study = create_study(MINIMIZE, seed=0)
+        study = Study(MINIMIZE, seed=0)
         with pytest.raises(ZeroDivisionError):
             study.optimize(lambda t: 1 / 0, 1)
 
     def test_pruned_trials(self):
-        study = create_study(MINIMIZE, sampler=RandomSampler(), seed=0)
+        study = Study(MINIMIZE, sampler=RandomSampler(), seed=0)
 
         def objective(trial):
             x = trial.suggest_float("x", 0.0, 1.0)
@@ -118,12 +117,12 @@ class TestStudy:
         assert study.best_value <= 0.2
 
     def test_no_complete_trials_raises(self):
-        study = create_study(MINIMIZE, seed=0)
+        study = Study(MINIMIZE, seed=0)
         with pytest.raises(RuntimeError):
             _ = study.best_trial
 
     def test_user_attrs_recorded(self):
-        study = create_study(MINIMIZE, seed=0)
+        study = Study(MINIMIZE, seed=0)
 
         def objective(trial):
             trial.set_user_attr("note", "hello")
@@ -147,18 +146,18 @@ class TestTPE:
     def test_tpe_beats_random_on_average(self):
         tpe_scores, random_scores = [], []
         for seed in range(5):
-            tpe = create_study(
+            tpe = Study(
                 MINIMIZE, sampler=TPESampler(n_startup_trials=5), seed=seed
             )
             tpe.optimize(self._objective, 30)
             tpe_scores.append(tpe.best_value)
-            rand = create_study(MINIMIZE, sampler=RandomSampler(), seed=seed)
+            rand = Study(MINIMIZE, sampler=RandomSampler(), seed=seed)
             rand.optimize(self._objective, 30)
             random_scores.append(rand.best_value)
         assert np.mean(tpe_scores) <= np.mean(random_scores) + 0.05
 
     def test_tpe_concentrates_categorical(self):
-        study = create_study(
+        study = Study(
             MINIMIZE, sampler=TPESampler(n_startup_trials=5), seed=3
         )
         study.optimize(self._objective, 40)
@@ -166,7 +165,7 @@ class TestTPE:
         assert choices.count("plain") > choices.count("shift")
 
     def test_int_snapping(self):
-        study = create_study(
+        study = Study(
             MINIMIZE, sampler=TPESampler(n_startup_trials=4), seed=0
         )
         study.optimize(
@@ -178,7 +177,7 @@ class TestTPE:
 
 class TestGridSampler:
     def test_grid_covers_product(self):
-        study = create_study(
+        study = Study(
             MINIMIZE, sampler=GridSampler(resolution=3), seed=0
         )
 

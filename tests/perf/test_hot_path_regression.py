@@ -45,7 +45,7 @@ make_repair_frame = _repair_workload.make_repair_frame
 sample_dirty_cells = _repair_workload.sample_dirty_cells
 
 from repro.core.artifacts import ArtifactStore
-from repro.dataframe import DataFrame, group_by, inner_join, sort_by
+from repro.dataframe import DataFrame, group_by, join, sort_by
 from repro.detection.base import DetectionContext
 from repro.detection.holoclean import CooccurrenceModel, HoloCleanDetector
 from repro.detection.outliers import SDDetector
@@ -153,13 +153,15 @@ def test_inner_join_stays_vectorized(synthetic_frame):
             "label": [f"l{v % 7}" for v in range(500)],
         }
     )
-    elapsed = _best_of(lambda: inner_join(synthetic_frame, right, on=["code"]))
-    joined = inner_join(synthetic_frame, right, on=["code"])
+    elapsed = _best_of(
+        lambda: join(synthetic_frame, right, ["code"], how="inner")
+    )
+    joined = join(synthetic_frame, right, ["code"], how="inner")
     assert joined.num_rows == N_ROWS
     assert "label" in joined
     # Vectorized: ~0.023s here. The seed per-row probe loop: ~0.57s —
     # this budget enforces the >= 5x win over row-at-a-time joining.
-    assert elapsed < 0.11, f"inner_join took {elapsed:.3f}s on 50k rows"
+    assert elapsed < 0.11, f"inner join took {elapsed:.3f}s on 50k rows"
 
 
 def test_sort_by_stays_vectorized(synthetic_frame):

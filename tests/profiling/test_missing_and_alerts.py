@@ -12,7 +12,6 @@ from repro.profiling import (
     SKEWED,
     UNIQUE,
     ZEROS,
-    co_missingness,
     generate_alerts,
     missing_patterns,
     missing_summary,
@@ -55,12 +54,14 @@ class TestCoMissingness:
         frame = DataFrame.from_dict(
             {"a": [None, None, 1], "b": [None, 1, None]}
         )
-        names, matrix = co_missingness(frame)
-        i, j = names.index("a"), names.index("b")
-        assert matrix[i, i] == 2
-        assert matrix[j, j] == 2
-        assert matrix[i, j] == 1
-        assert np.all(matrix == matrix.T)
+        for leg in (frame, frame.to_chunked(1)):
+            assert missing_summary(leg)["per_column"] == {"a": 2, "b": 2}
+            joint = sum(
+                pattern["rows"]
+                for pattern in missing_patterns(leg)
+                if {"a", "b"} <= set(pattern["missing_columns"])
+            )
+            assert joint == 1
 
 
 class TestAlerts:

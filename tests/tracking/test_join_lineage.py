@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.dataframe import DataFrame, inner_join, join
+from repro.dataframe import DataFrame, join
 from repro.tracking import FAILED, FINISHED, TrackingClient
 
 
@@ -57,7 +57,7 @@ class TestJoinLineage:
         right = DataFrame.from_dict({"k": [1], "a": [2], "a_right": [3]})
         with pytest.raises(ValueError, match="colliding"):
             with client.start_run("Joins", "bad-suffix") as run:
-                inner_join(left, right, on=["k"])
+                join(left, right, ["k"], how="inner")
         assert run.status == FAILED
         assert client.search_runs("Joins", status=FAILED)[0].name == "bad-suffix"
 
