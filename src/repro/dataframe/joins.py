@@ -16,12 +16,13 @@ picked by :func:`resolve_join_strategy`:
   together, sort the right side once, probe with searchsorted).
   Densifies both inputs; the plan for resident frames.
 * ``partitioned`` — a Grace-style partitioned hash join: each side's
-  chunks are split into ``n_partitions`` buckets by an
-  equality-respecting key hash, bucket pairs are probed independently
-  with the same joint-codes kernel, and the per-partition pairs are
-  merged back into global row order. When either input is spilled the
-  buckets themselves spill through the same store, so peak residency
-  stays at the store budget; the plan for out-of-core frames.
+  chunks are split into buckets by an equality-respecting key hash (the
+  bucket count follows from the input size and the store budget),
+  bucket pairs are probed independently with the same joint-codes
+  kernel, and the per-partition pairs are merged back into global row
+  order. When either input is spilled the buckets themselves spill
+  through the same store, so peak residency stays at the store budget;
+  the plan for out-of-core frames.
 * ``auto`` (default) — ``memory`` when both inputs are resident,
   ``partitioned`` when either is spilled.
 
@@ -107,23 +108,14 @@ def resolve_join_strategy(
 
 
 def resolve_join_partitions(
-    n_partitions: int | None,
-    left: DataFrame,
-    right: DataFrame,
-    store: SpillStore | None,
+    left: DataFrame, right: DataFrame, store: SpillStore | None
 ) -> int:
-    """Partition count: explicit, else derived from input size.
+    """Partition count of the ``partitioned`` plan, from the input size.
 
     With a store, partitions are sized so one bucket pair fits well
     inside the resident budget (~64 bytes of key+row payload per row);
     without one, roughly one partition per 64k input rows.
     """
-    if n_partitions is not None:
-        if n_partitions < 1:
-            raise ValueError(
-                f"n_partitions must be >= 1, got {n_partitions}"
-            )
-        return n_partitions
     total = left.num_rows + right.num_rows
     if store is not None:
         per_row = 64
@@ -526,7 +518,6 @@ def _bucket_pairs(
     right: DataFrame,
     left_names: Sequence[str],
     right_names: Sequence[str],
-    n_partitions: int | None,
 ) -> Iterator[tuple[np.ndarray, list[Column], np.ndarray, list[Column]]]:
     """Yield ``(l_rows, l_cols, r_rows, r_cols)`` per bucket pair to probe.
 
@@ -538,7 +529,7 @@ def _bucket_pairs(
     ``l_rows``/``r_rows`` map bucket positions back to input row ids.
     """
     store = spill_store_of(left) or spill_store_of(right)
-    n_partitions = resolve_join_partitions(n_partitions, left, right, store)
+    n_partitions = resolve_join_partitions(left, right, store)
     l_dtypes = [left.column(name).dtype for name in left_names]
     r_dtypes = [right.column(name).dtype for name in right_names]
     l_buckets = _partition_side(left, left_names, n_partitions, store)
@@ -557,15 +548,12 @@ def _bucket_pairs(
 
 
 def _join_pairs_partitioned(
-    left: DataFrame,
-    right: DataFrame,
-    key_names: Sequence[str],
-    n_partitions: int | None,
+    left: DataFrame, right: DataFrame, key_names: Sequence[str]
 ) -> tuple[np.ndarray, np.ndarray]:
     lp_parts = [np.zeros(0, dtype=np.int64)]
     rp_parts = [np.zeros(0, dtype=np.int64)]
     for l_rows, l_cols, r_rows, r_cols in _bucket_pairs(
-        left, right, key_names, key_names, n_partitions
+        left, right, key_names, key_names
     ):
         left_take, right_take = _probe_pairs(
             l_cols, r_cols, len(l_rows), len(r_rows)
@@ -798,14 +786,12 @@ def join(
     how: str = "inner",
     suffix: str = "_right",
     strategy: str | None = None,
-    n_partitions: int | None = None,
 ) -> DataFrame:
     """Equality join with a pluggable physical strategy.
 
     See the module docstring for the plan and null contracts. Partition
     buckets spill only when an input is already spilled, through that
-    input's own store; ``n_partitions`` overrides the bucket count of
-    the ``partitioned`` plan.
+    input's own store.
     """
     key_names = list(on)
     if how not in _JOIN_HOWS:
@@ -823,7 +809,7 @@ def join(
             right.num_rows,
         )
     else:
-        lp, rp = _join_pairs_partitioned(left, right, key_names, n_partitions)
+        lp, rp = _join_pairs_partitioned(left, right, key_names)
     left_idx, right_idx = _expand_pairs(
         how, left.num_rows, right.num_rows, lp, rp
     )
@@ -864,7 +850,7 @@ def semi_join_mask(
         )
     out = np.zeros(left.num_rows, dtype=bool)
     for l_rows, l_cols, r_rows, r_cols in _bucket_pairs(
-        left, right, left_names, right_names, None
+        left, right, left_names, right_names
     ):
         member = _membership(l_cols, r_cols, len(l_rows), len(r_rows))
         out[l_rows[member]] = True

@@ -12,8 +12,9 @@ Both operations run on the integer group codes exposed by
   order while keeping ties in original row order (stable). A
   ``strategy`` seam (explicit > ``DATALENS_SORT_STRATEGY`` > auto)
   routes spilled inputs through the external merge sort in
-  :mod:`repro.dataframe.sort`, which reuses these exact order-code
-  semantics per run so both plans are bit-identical.
+  :mod:`repro.dataframe.sort`. Both plans order rows with the one
+  kernel :func:`_sort_order` (the external sort per run and per merge
+  window), so they are bit-identical.
 * ``group_by`` — streams the frame chunk by chunk (a monolithic frame is
   one chunk). Within a chunk one stable argsort of the composite key
   codes finds the groups; a registry keyed by the group's key tuple
@@ -36,7 +37,8 @@ result is bit-identical however the frame is chunked or spilled:
   Python fold);
 * int and bool sums merge as arbitrary-precision Python ints;
 * min/max reduce each chunk with ``reduceat`` and merge per group,
-  keeping the first-seen value on ties;
+  keeping the first-seen value on ties (``0.0`` against ``-0.0``), within
+  a chunk as across chunks;
 * everything else (object-backed columns, arbitrary callables) buffers
   per-group Python lists of the non-missing values in row order and
   applies the callback at the end, including its exception behaviour.
@@ -139,10 +141,11 @@ def sort_by(
     reversing the sorted output, so stability is preserved.
 
     ``strategy`` picks the physical plan (explicit >
-    ``DATALENS_SORT_STRATEGY`` > auto): ``memory`` is the dense
-    lexsort below; ``external`` routes through
+    ``DATALENS_SORT_STRATEGY`` > auto): ``memory`` orders the dense
+    frame with :func:`_sort_order`; ``external`` routes through
     :func:`repro.dataframe.sort.external_sort_by`, the spill-aware
-    merge sort whose output is a spilled ChunkedFrame. ``auto`` picks
+    merge sort whose output is a spilled ChunkedFrame and which orders
+    its runs and merge windows with the same kernel. ``auto`` picks
     ``external`` exactly when an input column is spilled (the memory
     plan would densify it). Both plans are bit-identical — same values,
     order, dtypes — differing only in the output's storage class.
@@ -151,18 +154,27 @@ def sort_by(
 
     if resolve_sort_strategy(strategy, frame) == "external":
         return external_sort_by(frame, columns, descending=descending)
-    n = frame.num_rows
-    names = list(columns)
-    if n == 0 or not names:
-        for name in names:
-            frame.column(name)  # preserve KeyError on unknown columns
-        return frame.take(np.arange(n, dtype=np.intp))
-    keys = [_order_codes(frame.column(name)) for name in names]
+    keys = [frame.column(name) for name in columns]
+    return frame.take(_sort_order(keys, frame.num_rows, descending))
+
+
+def _sort_order(
+    keys: Sequence[Column], n_rows: int, descending: bool
+) -> np.ndarray:
+    """Stable row order of ``n_rows`` rows sorted by the ``keys`` columns.
+
+    The one sort kernel: :func:`sort_by` orders a resident frame with
+    it, and the external sort orders each run and each merge window with
+    it, so both plans agree by construction. ``descending`` negates each
+    column's order codes, so ties keep their row order either way.
+    """
+    if not keys:
+        return np.arange(n_rows, dtype=np.intp)
+    codes = [_order_codes(column) for column in keys]
     if descending:
-        keys = [-key for key in keys]
+        codes = [-code for code in codes]
     # np.lexsort treats its *last* key as primary and is stable.
-    order = np.lexsort(tuple(reversed(keys)))
-    return frame.take(order)
+    return np.lexsort(tuple(reversed(codes)))
 
 
 def _group_layout(
@@ -468,6 +480,14 @@ class _MinMaxState:
         starts = np.concatenate(([0], boundaries))
         ufunc = np.minimum if self.kind == "min" else np.maximum
         reduced = ufunc.reduceat(sorted_values, starts)
+        if reduced.dtype.kind == "f":
+            # reduceat may return either of 0.0 and -0.0; Python's
+            # min/max keep the first, so take each group's first row
+            # equal to its extremum (the stable sort kept row order).
+            n = len(sorted_values)
+            hit = sorted_values == np.repeat(reduced, np.diff(starts, append=n))
+            first = np.minimum.reduceat(np.where(hit, np.arange(n), n), starts)
+            reduced = sorted_values[first]
         for gid, value in zip(
             sorted_gids[starts].tolist(), reduced.tolist()
         ):

@@ -17,24 +17,20 @@ The external path must equal ``ops.sort_by`` bit for bit (the fuzz
 harness pins it across monolithic/chunked/spilled legs). Three facts
 make that hold:
 
-* **Run generation reuses the memory kernel.** Each size-capped batch
-  of rows is sorted with the exact per-column
-  :func:`~repro.dataframe.ops._order_codes` + ``np.lexsort`` machinery
-  ``ops.sort_by`` uses (codes negated per column for ``descending``),
-  so within a run the permutation is the memory permutation restricted
-  to the batch. Order codes are batch-local, but their *order* is the
-  global value order (:func:`~repro.dataframe.ops._sort_key`: numbers
-  before strings, missing last), so batch-local and global comparisons
-  agree on every row pair.
-* **The merge compares raw key values.** Runs are decomposed into
-  equal-key blocks; each block's representative key tuple is compared
-  across runs via ``_sort_key`` — the same total order the codes
-  encode — inverted wholesale for ``descending`` (per-column code
-  negation and whole-tuple inversion both reduce to "the first
-  differing column decides, reversed").
-* **Ties break by run index.** Runs cover consecutive row ranges in
-  input order and each run is internally stable, so preferring the
-  lower run index on equal keys reproduces the global stable order.
+* **One order kernel.** Run generation and every merge window order
+  their rows with :func:`~repro.dataframe.ops._sort_order`, the kernel
+  ``ops.sort_by`` uses (codes negated per column for ``descending``).
+  Its order codes are local to the rows it is given, but their *order*
+  is the global value order (:func:`~repro.dataframe.ops._sort_key`:
+  numbers before strings, missing last), and equal values share a code
+  (``0.0`` ties with ``-0.0``), so local and global comparisons agree on
+  every row pair.
+* **Ties break by run index, then by row.** Runs cover consecutive row
+  ranges in input order and each run is internally stable. A merge
+  window concatenates its runs' rows in run order and the kernel is
+  stable, so equal keys keep their input order.
+* **A row is emitted only when no unread row can precede it** (the emit
+  rule below).
 
 Strategy seam
 -------------
@@ -48,36 +44,53 @@ Cost model
 ----------
 Runs are cut at ``budget // (4 * bytes_per_row)`` rows, so one run, the
 merge's resident LRU traffic, and the output chunk under assembly all
-fit comfortably inside the spill budget. The merge is a k-way
-tournament over run heads (a heap of equal-key block boundaries) with
-galloping: a run whose next blocks all sort before every other head is
-consumed in one contiguous segment, so presorted inputs merge in O(k)
-segments instead of O(blocks) heap operations.
+fit comfortably inside the spill budget.
 
-The merge fan-in is bounded at ``4 * num_columns`` live runs (one
-column is gathered at a time, and a run's single-column shard is
+A merge of ``k`` runs is a sequence of window steps. Each step reads the
+next ``window = budget // (4 * k * key_bytes_per_row)`` key rows of
+every live run, so the windows together hold about a quarter of the
+budget, and orders them with the kernel. A run is *open* when it has
+rows beyond its window; each of those sorts after the run's last
+windowed row (its key sorts no earlier, its run is the same, its
+position later). So the step emits the sorted prefix up to and including
+the earliest-sorting last windowed row of any open run (everything when
+no run is open). No unread row can precede an emitted one, and the
+prefix holds that open run's whole window, so every step advances by at
+least one window. Each emitted row appends its run index to the *tape*,
+one small integer per merged row held in RAM; each run's cursor advances
+by its emitted count, and the rest of its window is read again by the
+next step.
+
+The tape then drives the gather, one column at a time: each output shard
+takes one slice of each run's next rows, concatenates the slices in run
+order and scatters them to their tape positions with one stable argsort
+of the tape slice. The store is consulted about once per run, column and
+output shard, not once per interleaved segment.
+
+The merge fan-in is bounded at ``4 * num_columns`` live runs (one column
+is gathered at a time, and a run's single-column shard is
 ~``1/(4 * num_columns)`` of the budget, so that many run shards fit
 resident simultaneously). Inputs that generate more runs than the
 fan-in are merged in passes — groups of ``fan_in`` *contiguous* runs
 collapse into one multi-shard run per pass, preserving the run-index
-stability rule — so every shard is loaded O(passes) times instead of
-once per interleaved segment, which on narrow keys is the difference
-between I/O-linear and LRU-thrashing behavior.
+stability rule — so the shards one merge reads fit the LRU together
+instead of thrashing it.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Any, Iterator, Sequence
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from ..settings import resolve
 from . import types as _types
-from .chunked import ChunkedColumn, ChunkedFrame, chunk_lengths_for
+from .chunked import ChunkedColumn, ChunkedFrame, _concat_payload, chunk_lengths_for
 from .column import Column
 from .frame import DataFrame
-from .ops import _order_codes, _sort_key
+from .ops import _sort_order
 from .spill import (
     SpilledChunkedColumn,
     SpillStore,
@@ -86,13 +99,13 @@ from .spill import (
 )
 
 #: Payload-byte estimate per row for object-backed cells (strings,
-#: overflowed ints) when sizing runs — deliberately generous so runs
-#: undershoot the budget rather than overshoot it.
+#: overflowed ints) when sizing runs and merge windows — deliberately
+#: generous so they undershoot the budget rather than overshoot it.
 _OBJECT_ROW_BYTES = 64
 
 #: A run is cut at budget/4 so the run being built, the merge's LRU
 #: traffic, and the output chunk under assembly never sum past the
-#: budget.
+#: budget; a merge's windows hold about budget/4 of key rows.
 _RUN_BUDGET_FRACTION = 4
 
 
@@ -109,63 +122,59 @@ def resolve_sort_strategy(strategy: str | None, frame: DataFrame) -> str:
     return strategy
 
 
-def _per_row_bytes(frame: DataFrame) -> int:
-    """Estimated payload+mask bytes per row across all columns."""
+def _row_bytes(dtypes: Mapping[str, str], names: Sequence[str]) -> int:
+    """Estimated payload+mask bytes per row across the named columns."""
     total = 0
-    for name in frame.column_names:
-        np_dtype = np.dtype(_types.NUMPY_DTYPES[frame.column(name).dtype])
+    for name in names:
+        np_dtype = np.dtype(_types.NUMPY_DTYPES[dtypes[name]])
         payload = _OBJECT_ROW_BYTES if np_dtype == object else np_dtype.itemsize
         total += payload + 1  # +1 mask byte
     return max(total, 1)
 
 
-class _Run:
-    """One sorted run: spilled shards plus its equal-key block index.
+def _concat_pairs(
+    pairs: Sequence[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """One ``(data, mask)`` pair from several, in order."""
+    data, masks = zip(*pairs)
+    return _concat_payload(data), np.concatenate(masks)
 
-    ``handles`` maps column name to the run's spilled shards in row
-    order (one shard for generated runs, several for pass-merged runs);
-    ``shard_starts`` are the row offsets of those shards (length
-    ``n_shards + 1``); ``block_starts`` are the row offsets of equal-key
-    blocks (length ``n_blocks + 1``); ``sort_keys[j]`` is block ``j``'s
-    representative key as a tuple of :func:`_sort_key` tuples.
+
+class _Run:
+    """One sorted run: each column's spilled shards in row order.
+
+    ``handles`` maps column name to the run's shards (one for generated
+    runs, several for pass-merged runs); ``starts`` are the shards' row
+    offsets (length ``n_shards + 1``).
     """
 
-    __slots__ = ("handles", "sort_keys", "block_starts", "shard_starts")
+    __slots__ = ("handles", "starts")
 
     def __init__(
-        self,
-        handles: dict[str, list[Any]],
-        sort_keys: list[tuple],
-        block_starts: np.ndarray,
-        shard_starts: np.ndarray,
+        self, handles: dict[str, list[Any]], lengths: Sequence[int]
     ) -> None:
         self.handles = handles
-        self.sort_keys = sort_keys
-        self.block_starts = block_starts
-        self.shard_starts = shard_starts
+        self.starts = list(accumulate(lengths, initial=0))
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.sort_keys)
+    def __len__(self) -> int:
+        return self.starts[-1]
 
-    def segment_pairs(
+    def rows(
         self, name: str, store: SpillStore, start: int, end: int
-    ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Stream one column's ``[start, end)`` rows shard by shard.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``[start, end)`` of one column as one pair (``start < end``).
 
-        Loads go through the store's LRU, so at most one run shard per
-        live consumer is resident at a time.
+        Shards load through the store's LRU, so residency stays within
+        its budget.
         """
-        starts = self.shard_starts
-        i = int(np.searchsorted(starts, start, side="right")) - 1
-        while start < end:
-            shard_end = int(starts[i + 1])
+        starts = self.starts
+        pairs = []
+        for i in range(bisect_right(starts, start) - 1, bisect_left(starts, end)):
             data, mask = store.load(self.handles[name][i])
-            lo = start - int(starts[i])
-            hi = min(end, shard_end) - int(starts[i])
-            yield data[lo:hi], mask[lo:hi]
-            start = int(starts[i + 1]) if end > shard_end else end
-            i += 1
+            lo = max(start - starts[i], 0)
+            hi = min(end, starts[i + 1]) - starts[i]
+            pairs.append((data[lo:hi], mask[lo:hi]))
+        return _concat_pairs(pairs)
 
     def release(self, store: SpillStore) -> None:
         """Free every shard once — safe to call again after."""
@@ -173,26 +182,6 @@ class _Run:
             for handle in handle_list:
                 store.release(handle)
         self.handles = {}
-
-
-class _DescendingKey:
-    """Inverts block-key comparisons for ``descending`` merges.
-
-    Both ``__lt__`` and ``__eq__`` matter: heap entries are
-    ``(key, run, block)`` tuples, and tuple comparison consults ``==``
-    on the key before falling through to the run-index tie-break.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple) -> None:
-        self.key = key
-
-    def __lt__(self, other: "_DescendingKey") -> bool:
-        return other.key < self.key
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _DescendingKey) and self.key == other.key
 
 
 def _generate_runs(
@@ -222,189 +211,121 @@ def _generate_runs(
     runs: list[_Run] = []
     for length in batch_lengths:
         batch = {name: next(reslicers[name]) for name in columns}
-        keys = []
-        for name in names:
-            data, mask = batch[name]
-            codes = _order_codes(
-                Column._from_arrays(name, columns[name].dtype, data, mask)
-            )
-            keys.append(-codes if descending else codes)
-        if keys:
-            # np.lexsort treats its *last* key as primary and is stable
-            # — exactly the ops.sort_by kernel, batch-restricted.
-            order = np.lexsort(tuple(reversed(keys)))
-            change = np.zeros(max(length - 1, 0), dtype=bool)
-            for codes in keys:
-                change |= np.diff(codes[order]) != 0
-            starts = np.concatenate(
-                ([0], np.flatnonzero(change) + 1, [length])
-            ).astype(np.int64)
-        else:
-            order = np.arange(length, dtype=np.intp)
-            starts = np.array([0, length], dtype=np.int64)
-        handles: dict[str, list[Any]] = {}
-        sorted_key_pairs: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for name, (data, mask) in batch.items():
-            sdata = data[order]
-            smask = mask[order]
-            handles[name] = [store.spill(sdata, smask)]
-            if name in names:
-                sorted_key_pairs[name] = (sdata, smask)
-        head_rows = starts[:-1]
-        per_column_reps = []
-        for name in names:
-            sdata, smask = sorted_key_pairs[name]
-            # .tolist() converts numpy scalars to Python values, which
-            # _sort_key requires (np.int64 is not an ``int`` instance).
-            values = sdata[head_rows].tolist()
-            missing = smask[head_rows].tolist()
-            per_column_reps.append(
-                [None if m else v for v, m in zip(values, missing)]
-            )
-        sort_keys = [
-            tuple(_sort_key(reps[j]) for reps in per_column_reps)
-            for j in range(len(head_rows))
+        keys = [
+            Column._from_arrays(name, columns[name].dtype, *batch[name])
+            for name in names
         ]
-        shard_starts = np.array([0, length], dtype=np.int64)
-        runs.append(_Run(handles, sort_keys, starts, shard_starts))
+        order = _sort_order(keys, length, descending)
+        handles = {
+            name: [store.spill(data[order], mask[order])]
+            for name, (data, mask) in batch.items()
+        }
+        runs.append(_Run(handles, [length]))
     return runs
 
 
-def _merge_plan(
-    runs: Sequence[_Run], descending: bool
-) -> list[tuple[int, int, int]]:
-    """K-way tournament over run heads → ``(run, start, end)`` segments.
-
-    Pops the globally smallest block, then gallops: consecutive blocks
-    of the winning run that still sort before every other run's head
-    (ties broken by run index — the global stability rule) coalesce
-    into one contiguous segment.
-    """
-    if descending:
-        def wrap(key: tuple) -> Any:
-            return _DescendingKey(key)
-    else:
-        def wrap(key: tuple) -> Any:
-            return key
-
-    heap = [
-        (wrap(run.sort_keys[0]), r, 0)
-        for r, run in enumerate(runs)
-        if run.n_blocks
-    ]
-    heapq.heapify(heap)
-    plan: list[tuple[int, int, int]] = []
-    while heap:
-        _, r, j = heapq.heappop(heap)
-        run = runs[r]
-        if heap:
-            head_key, head_r = heap[0][0], heap[0][1]
-            j_end = j + 1
-            while j_end < run.n_blocks:
-                key = wrap(run.sort_keys[j_end])
-                if key < head_key or (key == head_key and r < head_r):
-                    j_end += 1
-                else:
-                    break
-        else:
-            j_end = run.n_blocks
-        start = int(run.block_starts[j])
-        end = int(run.block_starts[j_end])
-        if plan and plan[-1][0] == r and plan[-1][2] == start:
-            plan[-1] = (r, plan[-1][1], end)
-        else:
-            plan.append((r, start, end))
-        if j_end < run.n_blocks:
-            heapq.heappush(heap, (wrap(run.sort_keys[j_end]), r, j_end))
-    return plan
-
-
-def _plan_segments(
-    name: str,
-    runs: Sequence[_Run],
-    plan: Sequence[tuple[int, int, int]],
-    store: SpillStore,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """One column's rows in merge order, shard loads LRU-bounded."""
-    for r, start, end in plan:
-        yield from runs[r].segment_pairs(name, store, start, end)
-
-
-def _merge_group(
+def _merge_tape(
     group: Sequence[_Run],
+    dtypes: Mapping[str, str],
+    keys: Sequence[str],
+    descending: bool,
+    store: SpillStore,
+) -> np.ndarray:
+    """Run index of every merged row, in merge order (see module doc)."""
+    # All runs' windows together hold about budget/4 of key rows (an
+    # empty frame has no runs).
+    window = max(
+        1,
+        store.budget_bytes
+        // (_RUN_BUDGET_FRACTION * max(len(group), 1) * _row_bytes(dtypes, keys)),
+    )
+    sizes = np.array([len(run) for run in group], dtype=np.int64)
+    cursors = np.zeros(len(group), dtype=np.int64)
+    run_ids = np.arange(len(group), dtype=np.min_scalar_type(len(group)))
+    tape = np.empty(int(sizes.sum()), dtype=run_ids.dtype)
+    done = 0
+    while done < len(tape):
+        live = np.flatnonzero(cursors < sizes)
+        starts = cursors[live]
+        ends = np.minimum(starts + window, sizes[live])
+        counts = ends - starts
+        spans = list(zip(live.tolist(), starts.tolist(), ends.tolist()))
+        columns = [
+            Column._from_arrays(
+                name,
+                dtypes[name],
+                *_concat_pairs(
+                    [group[r].rows(name, store, lo, hi) for r, lo, hi in spans]
+                ),
+            )
+            for name in keys
+        ]
+        order = _sort_order(columns, int(counts.sum()), descending)
+        tails = np.zeros(len(order), dtype=bool)
+        tails[(np.cumsum(counts) - 1)[ends < sizes[live]]] = True
+        cut = int(np.argmax(tails[order])) + 1 if tails.any() else len(order)
+        emitted = np.repeat(run_ids[live], counts)[order[:cut]]
+        tape[done : done + cut] = emitted
+        done += cut
+        cursors += np.bincount(emitted, minlength=len(group))
+    return tape
+
+
+def _gather(
+    name: str,
+    group: Sequence[_Run],
+    tape: np.ndarray,
+    lengths: Sequence[int],
+    store: SpillStore,
+) -> list[Any]:
+    """Spill one column's merged rows as shards of ``lengths`` rows.
+
+    Each shard takes one slice of each run's next rows, concatenated in
+    run order, and scatters them to their tape positions: a stable
+    argsort of the tape slice lists those positions in run order.
+    """
+    cursors = [0] * len(group)
+    handles = []
+    done = 0
+    for length in lengths:
+        piece = tape[done : done + length]
+        done += length
+        pairs = []
+        for r, count in enumerate(np.bincount(piece, minlength=len(group)).tolist()):
+            if count:
+                pairs.append(group[r].rows(name, store, cursors[r], cursors[r] + count))
+                cursors[r] += count
+        data, mask = _concat_pairs(pairs)
+        slots = np.argsort(piece, kind="stable")
+        out_data = np.empty(length, dtype=data.dtype)
+        out_mask = np.empty(length, dtype=bool)
+        out_data[slots] = data
+        out_mask[slots] = mask
+        handles.append(store.spill(out_data, out_mask))
+    return handles
+
+
+def _merge(
+    group: Sequence[_Run],
+    dtypes: Mapping[str, str],
+    keys: Sequence[str],
     descending: bool,
     store: SpillStore,
     shard_rows: int,
 ) -> _Run:
-    """Collapse a contiguous group of runs into one multi-shard run.
+    """Merge a contiguous group of runs into one run of ``shard_rows`` shards.
 
-    One intermediate merge pass: the group's merge plan is materialized
-    column by column into budget/4-capped shards, and the merged run's
-    block index is stitched from the source blocks in plan order
-    (adjacent equal keys coalesce). Because groups are contiguous in run
-    order, the run-index stability rule keeps holding across passes.
-    Source shards are released as soon as the merged run exists.
+    Writes both the intermediate passes and the final output. Because
+    groups are contiguous in run order, the run-index stability rule
+    keeps holding across passes. The group's shards are released as soon
+    as the merged run exists.
     """
-    plan = _merge_plan(group, descending)
-    total = sum(int(run.block_starts[-1]) for run in group)
-    lengths = chunk_lengths_for(total, shard_rows)
-    handles: dict[str, list[Any]] = {}
-    for name in group[0].handles:
-        handles[name] = [
-            store.spill(data, mask)
-            for data, mask in _resliced_pairs(
-                _plan_segments(name, group, plan, store), lengths
-            )
-        ]
-    sort_keys: list[tuple] = []
-    bounds = [0]
-    for r, start, end in plan:
-        run = group[r]
-        block_starts = run.block_starts
-        j = int(np.searchsorted(block_starts, start))
-        position = start
-        while position < end:
-            block_end = min(int(block_starts[j + 1]), end)
-            key = run.sort_keys[j]
-            if sort_keys and sort_keys[-1] == key:
-                bounds[-1] += block_end - position
-            else:
-                sort_keys.append(key)
-                bounds.append(bounds[-1] + (block_end - position))
-            position = block_end
-            j += 1
-    shard_starts = np.concatenate(
-        ([0], np.cumsum(np.asarray(lengths, dtype=np.int64)))
-    ).astype(np.int64)
-    merged = _Run(
-        handles, sort_keys, np.asarray(bounds, dtype=np.int64), shard_starts
-    )
+    tape = _merge_tape(group, dtypes, keys, descending, store)
+    lengths = chunk_lengths_for(len(tape), shard_rows)
+    handles = {name: _gather(name, group, tape, lengths, store) for name in dtypes}
     for run in group:
         run.release(store)
-    return merged
-
-
-def _emit_column(
-    name: str,
-    dtype: str,
-    runs: Sequence[_Run],
-    plan: Sequence[tuple[int, int, int]],
-    out_lengths: Sequence[int],
-    store: SpillStore,
-) -> SpilledChunkedColumn:
-    """Gather one column through the merge plan into spilled out-shards.
-
-    Each plan segment loads its run shards through the store's LRU (so
-    residency stays budget-bounded) and slices; the segment stream is
-    re-cut at the output chunk boundaries and spilled shard by shard.
-    """
-    handles = [
-        store.spill(data, mask)
-        for data, mask in _resliced_pairs(
-            _plan_segments(name, runs, plan, store), out_lengths
-        )
-    ]
-    return SpilledChunkedColumn.from_handles(name, dtype, handles, store)
+    return _Run(handles, lengths)
 
 
 def external_sort_by(
@@ -425,12 +346,15 @@ def external_sort_by(
         frame.column(name)  # preserve KeyError on unknown columns
     if store is None:
         store = spill_store_of(frame) or SpillStore()
-    n = frame.num_rows
-    batch_rows = max(
-        1, store.budget_bytes // (_RUN_BUDGET_FRACTION * _per_row_bytes(frame))
+    dtypes = frame.dtypes()
+    shard_rows = max(
+        1,
+        store.budget_bytes
+        // (_RUN_BUDGET_FRACTION * _row_bytes(dtypes, frame.column_names)),
     )
-    batch_lengths = chunk_lengths_for(n, batch_rows)
-    runs = _generate_runs(frame, names, descending, store, batch_lengths)
+    runs = _generate_runs(
+        frame, names, descending, store, chunk_lengths_for(frame.num_rows, shard_rows)
+    )
     # Bounded fan-in: one column is gathered at a time, and a run's
     # single-column shard is ~1/(4 * num_columns) of the budget, so this
     # many run shards stay resident without LRU thrash (see module doc).
@@ -438,18 +362,18 @@ def external_sort_by(
     try:
         while len(runs) > fan_in:
             runs = [
-                _merge_group(runs[g : g + fan_in], descending, store, batch_rows)
-                if len(runs[g : g + fan_in]) > 1
+                _merge(
+                    runs[g : g + fan_in], dtypes, names, descending, store, shard_rows
+                )
+                if len(runs) - g > 1
                 else runs[g]
                 for g in range(0, len(runs), fan_in)
             ]
-        plan = _merge_plan(runs, descending)
-        out_lengths = chunk_lengths_for(n, batch_rows)
-        dtypes = frame.dtypes()
-        return ChunkedFrame(
-            _emit_column(name, dtypes[name], runs, plan, out_lengths, store)
-            for name in frame.column_names
-        )
+        merged = _merge(runs, dtypes, names, descending, store, shard_rows)
     finally:
         for run in runs:
             run.release(store)
+    return ChunkedFrame(
+        SpilledChunkedColumn.from_handles(name, dtype, merged.handles[name], store)
+        for name, dtype in dtypes.items()
+    )

@@ -33,8 +33,9 @@ def make_random_values(
 ) -> list[Any]:
     """Seeded random cell values for one column (None marks missing).
 
-    ``dtype`` is one of int/float/bool/string/bigint — bigint produces
-    Python ints beyond the int64 range (object-backed columns).
+    ``dtype`` is one of int/float/bool/string/bigint/zero — bigint
+    produces Python ints beyond the int64 range (object-backed columns);
+    zero produces ``0.0`` and ``-0.0``, equal floats with different bits.
     """
     spec = _VALUE_PROFILES[profile]
     values: list[Any] = []
@@ -52,6 +53,8 @@ def make_random_values(
             values.append(bool(rng.integers(0, 2)))
         elif dtype == "bigint":
             values.append(10**25 + int(rng.integers(0, 4)) * 10**12)
+        elif dtype == "zero":
+            values.append(-0.0 if rng.random() < 0.5 else 0.0)
         else:
             values.append(f"v{int(rng.integers(0, spec['string_levels']))}")
     return values

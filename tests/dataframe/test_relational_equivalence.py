@@ -277,7 +277,8 @@ def _assert_frames_identical(actual, expected):
         assert len(mine) == len(ref)
         for a, b in zip(mine, ref):
             assert type(a) is type(b), (name, a, b)
-            assert a == b or (a != a and b != b), (name, a, b)
+            # repr, not ==: -0.0 == 0.0, and NaN != NaN.
+            assert repr(a) == repr(b), (name, a, b)
 
 
 KEY_SETS = (["i"], ["s"], ["b"], ["big"], ["i", "s"], ["s", "b", "f"])

@@ -6,14 +6,15 @@ cardinalities (forcing collisions), adversarial chunk sizes (1, 2, 257,
 n±1) and spilled legs at a 512-byte budget — drive every join variant
 (inner/left/outer × memory/partitioned), semi-join membership, the external
 merge sort (every leg bit-identical to the in-memory ``ops.sort_by``
-kernel, including descending, multi-key, and all-None keys), and the
-grouped aggregation pushdown, asserting each leg bit-identical to the
-retained pure-Python reference in ``test_relational_equivalence``: same
-values, same Python types, same dtypes, same ordering — and for invalid
-inputs, the same exception type on every leg. Out-of-core legs assert
-residency (inputs and sorted outputs still spilled, peak resident bytes
-within budget) *before* any dense value comparison — a dense access
-materializes and releases shards by design, so the order matters.
+kernel, including descending, multi-key, signed-zero and all-None
+keys), and the grouped aggregation pushdown, asserting each leg
+bit-identical to the retained pure-Python reference in
+``test_relational_equivalence``: same values, same Python types, same
+dtypes, same ordering — and for invalid inputs, the same exception
+type on every leg. Out-of-core legs assert residency (inputs and sorted
+outputs still spilled, peak resident bytes within budget) *before* any
+dense value comparison — a dense access materializes and releases
+shards by design, so the order matters.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from repro.dataframe import (
     sort_by,
     spill_frame,
 )
+from repro.dataframe import joins
 from repro.dataframe.joins import (
     _partition_ids,
     _value_hashes,
@@ -44,7 +46,14 @@ from repro.dataframe.joins import (
 
 SPILL_BUDGET = 512
 KEY_POOL = ("int", "string", "bool", "float", "bigint")
-VALUE_COLS = (("v_f", "float"), ("v_s", "string"), ("v_i", "int"))
+# v_z holds only 0.0 and -0.0: equal values whose bits differ, so every
+# operator must tie them exactly as the reference does.
+VALUE_COLS = (
+    ("v_f", "float"),
+    ("v_s", "string"),
+    ("v_i", "int"),
+    ("v_z", "zero"),
+)
 
 REFERENCE_JOINS = {
     "inner": ref.reference_inner_join,
@@ -101,6 +110,17 @@ def _assert_still_spilled(frame, label):
         assert getattr(frame.column(name), "spilled", False), (label, name)
 
 
+def _fix_partitions(monkeypatch, count):
+    """Pin the ``partitioned`` plan's bucket count (``None``: derived)."""
+    monkeypatch.setattr(
+        joins,
+        "resolve_join_partitions",
+        resolve_join_partitions
+        if count is None
+        else lambda left, right, store: count,
+    )
+
+
 def _outcome(fn):
     try:
         return ("ok", fn())
@@ -144,11 +164,12 @@ class TestJoinFuzz:
         return left, right, [f"k{j}" for j in range(n_keys)]
 
     def test_all_variants_all_legs_match_reference(
-        self, random_values, seed, n_left, n_right, n_keys
+        self, random_values, seed, n_left, n_right, n_keys, monkeypatch
     ):
         left, right, keys = self._tables(
             random_values, seed, n_left, n_right, n_keys
         )
+        _fix_partitions(monkeypatch, 3)
         for how, reference_join in REFERENCE_JOINS.items():
             expected = reference_join(left, right, on=keys)
             # Fresh legs per strategy: the memory strategy densifies key
@@ -168,7 +189,6 @@ class TestJoinFuzz:
                         keys,
                         how=how,
                         strategy=strategy,
-                        n_partitions=3,
                     )
                     ref._assert_frames_identical(actual, expected)
                     if strategy != "partitioned":
@@ -276,7 +296,7 @@ class TestJoinFuzz:
                         assert stats["peak_resident_bytes"] <= SPILL_BUDGET
 
     def test_partition_count_never_changes_result(
-        self, random_values, seed, n_left, n_right, n_keys
+        self, random_values, seed, n_left, n_right, n_keys, monkeypatch
     ):
         """One bucket, a few, and far more buckets than rows agree.
 
@@ -294,6 +314,7 @@ class TestJoinFuzz:
         right_legs = _legs(right)
         pairs = [("spilled", "spilled"), ("chunk1", "spilled"), ("mono", "chunk2")]
         for n_partitions in (1, 7, 64, None):
+            _fix_partitions(monkeypatch, n_partitions)
             for left_name, right_name in pairs:
                 left_frame, left_store = left_legs[left_name]
                 right_frame, right_store = right_legs[right_name]
@@ -304,7 +325,6 @@ class TestJoinFuzz:
                         keys,
                         how=how,
                         strategy="partitioned",
-                        n_partitions=n_partitions,
                     )
                     label = (n_partitions, left_name, right_name, how)
                     for frame, store in (
@@ -377,7 +397,9 @@ class TestExternalSortFuzz:
         frame, keys = self._frame_and_keys(
             random_values, seed, n_left, n_keys
         )
-        for columns in (keys, keys[:1], []):
+        # lv_z ties 0.0 with -0.0 as the last key: the order is the one
+        # of keys alone, with rows missing lv_z last among equal keys.
+        for columns in ([*keys, "lv_z"], keys[:1], []):
             for descending in (False, True):
                 expected = sort_by(frame, columns, descending=descending)
                 for name, (leg, store) in _legs(frame).items():
@@ -454,6 +476,8 @@ class TestGroupByFuzz:
             "s_first": ("lv_s", "first"),
             "f_spread": ("lv_f", spread),
             "k_n": (keys[0], len),
+            "z_min": ("lv_z", "min"),
+            "z_max": ("lv_z", max),
         }
         expected = ref.reference_group_by(frame, keys, aggregations)
         for name, (leg, store) in _legs(frame).items():
@@ -614,24 +638,18 @@ class TestJoinPlanner:
         left, right = self._pair()
         assert resolve_join_strategy(None, left, right) == "memory"
 
-    def test_partition_count_must_be_positive(self):
-        left, right = self._pair()
-        with pytest.raises(ValueError, match="n_partitions must be >= 1, got 0"):
-            join(left, right, ["k"], strategy="partitioned", n_partitions=0)
-
     def test_derived_partition_count_follows_store_budget(self):
         left, right = self._pair()
         # Without a store: one partition per 64k input rows.
-        assert resolve_join_partitions(None, left, right, None) == 1
+        assert resolve_join_partitions(left, right, None) == 1
         # With one: ~64 B per input row, so 5 rows in a 64 B budget
         # need 5 partitions and fit one partition of a 1 MiB budget.
         small = SpillStore(budget_bytes=64)
         large = SpillStore(budget_bytes=1 << 20)
-        assert resolve_join_partitions(None, left, right, small) == 5
-        assert resolve_join_partitions(None, left, right, large) == 1
-        assert resolve_join_partitions(4, left, right, small) == 4
+        assert resolve_join_partitions(left, right, small) == 5
+        assert resolve_join_partitions(left, right, large) == 1
 
-    def test_small_chunk_spilled_input_buckets_in_batches(self):
+    def test_small_chunk_spilled_input_buckets_in_batches(self, monkeypatch):
         """Consecutive chunks are bucketed together up to one budget.
 
         Bucketing each one-row chunk on its own would spill a row-id and
@@ -648,7 +666,8 @@ class TestJoinPlanner:
         store = SpillStore(budget_bytes=4096)
         left = spill_frame(frame, store, chunk_size=1)
         spilled_before = store.stats()["spilled_shards"]
-        actual = join(left, right, ["k"], strategy="partitioned", n_partitions=2)
+        _fix_partitions(monkeypatch, 2)
+        actual = join(left, right, ["k"], strategy="partitioned")
         written = store.stats()["spilled_shards"] - spilled_before
         _assert_still_spilled(left, "batched")
         assert store.stats()["peak_resident_bytes"] <= 4096
@@ -690,7 +709,9 @@ class TestPartitionHash:
             ("string", "int"),
         ],
     )
-    def test_mixed_dtype_keys_match_reference(self, left_dtype, right_dtype):
+    def test_mixed_dtype_keys_match_reference(
+        self, left_dtype, right_dtype, monkeypatch
+    ):
         keys = {
             "int": [0, 1, 2, -3, None, 2, 7],
             "float": [0.0, 1.0, 2.5, None, -3.0, 2.0, 7.0],
@@ -712,6 +733,7 @@ class TestPartitionHash:
         for how, reference_join in REFERENCE_JOINS.items():
             expected = reference_join(left, right, on=["k"])
             for n_partitions in (1, 3, 16):
+                _fix_partitions(monkeypatch, n_partitions)
                 store = SpillStore(budget_bytes=SPILL_BUDGET)
                 left_leg = spill_frame(left, store, chunk_size=2)
                 actual = join(
@@ -720,7 +742,6 @@ class TestPartitionHash:
                     ["k"],
                     how=how,
                     strategy="partitioned",
-                    n_partitions=n_partitions,
                 )
                 ref._assert_frames_identical(actual, expected)
         for strategy in ("memory", "partitioned"):

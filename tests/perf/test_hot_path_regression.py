@@ -180,12 +180,12 @@ def test_sort_by_stays_vectorized(synthetic_frame):
 
 
 def test_external_sort_stays_run_based(synthetic_frame):
-    """The out-of-core sort must stay run + block based, not per-row.
+    """The out-of-core sort must stay run + window based, not per-row.
 
-    A generous ceiling — run generation is the vectorized memory kernel
-    per batch and the merge walks equal-key blocks, so 50k rows sort in
-    ~1s even through a tiny spill store; a per-row merge loop would
-    cost an order of magnitude more.
+    A generous ceiling — runs and merge windows are ordered with the
+    vectorized memory kernel, so 50k rows sort in well under a second
+    even through a small spill store; a per-row merge loop would cost an
+    order of magnitude more.
     """
     from repro.dataframe import SpillStore, external_sort_by
 
@@ -200,6 +200,30 @@ def test_external_sort_stays_run_based(synthetic_frame):
 
     elapsed = _best_of(run)
     assert elapsed < 10.0, f"external sort took {elapsed:.3f}s on 50k rows"
+
+
+def test_external_sort_looks_up_each_shard_a_few_times(synthetic_frame):
+    """The merge consults the store per run shard, not per row.
+
+    Window steps and the gather look up each run's shards about once per
+    column and output shard, about 7 lookups per spilled shard here. A
+    merge that walks interleaved key segments one by one looks a shard up
+    once per segment, over a thousand times per spilled shard on these
+    keys. Unlike a clock, the count repeats exactly, even under injected
+    faults: a retried load counts once.
+    """
+    from repro.dataframe import SpillStore, external_sort_by
+
+    store = SpillStore(budget_bytes=1 << 20)
+    try:
+        external_sort_by(synthetic_frame, ["group", "code"], store=store)
+        stats = store.stats()
+    finally:
+        store.close()
+    lookups = stats["loads"] + stats["cache_hits"]
+    assert lookups <= 10 * stats["spilled_shards"], (
+        f"{lookups} store lookups for {stats['spilled_shards']} spilled shards"
+    )
 
 
 @pytest.fixture(scope="module")
