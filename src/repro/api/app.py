@@ -113,8 +113,8 @@ Concurrency model
     state. Job bodies acquire the same locks when they run, so async
     and sync traffic serialize together. On a *spilled* frame even
     read-only requests take the exclusive lock: a dense access
-    materializes columns and releases their shard files, which must not
-    race with another reader still iterating them.
+    materializes columns and releases their spilled records, which must
+    not race with another reader still iterating them.
 
 Multi-tenancy
     The tenant is the ``X-Tenant`` header (or ``?tenant=`` query
@@ -346,9 +346,11 @@ def create_app(
         """Read lock — upgraded to exclusive while the frame is spilled.
 
         A "read" on a spilled frame is not storage-neutral: a dense
-        access materializes the columns and *releases the shard files*,
-        so two concurrent readers could delete shards out from under
-        each other. The spilled→dense transition happens exactly once,
+        access materializes the columns and *drops their references to
+        the spilled records* (a segment file goes only once no column,
+        copy included, holds a record in it), so two concurrent readers
+        could release shards out from under each other. The
+        spilled→dense transition happens exactly once,
         under this exclusive lock; once dense (``spill_store_of`` is
         None), reads are storage-neutral and run concurrently again.
         """

@@ -485,8 +485,8 @@ class _StreamingColumnBuilder:
 
         if not isinstance(shard, ShardHandle):
             return shard
-        # Copy out of the (possibly mmapped, read-only) loaded arrays
-        # before the files are released.
+        # Copy out of the read-only loaded views: the pair stays
+        # resident in a column that may be written.
         data, mask = (np.array(part) for part in self.store.load(shard))
         self.store.release(shard)
         return data, mask

@@ -390,7 +390,7 @@ def _partition_side(
 
     With a store, consecutive chunks are bucketed together until they
     hold about one budget of row ids and key payload: every bucket
-    shard costs a file write and a load, so an input cut into many
+    shard costs a record write and a load, so an input cut into many
     small chunks (an external sort's output) must not spill one tiny
     shard per chunk and partition.
     """
@@ -434,7 +434,7 @@ def _bucket_batch(
     under the store budget, so loading one back cannot push residency
     past the budget (a monolithic input arrives as one huge chunk;
     slicing here is what keeps the ≤-budget guarantee input-shape
-    independent). npy/pickle serialization overhead rides in the
+    independent). Pickle overhead on object payloads rides in the
     remaining 3/4 headroom.
     """
     rows = np.concatenate([part[0] for part in batch]).astype(

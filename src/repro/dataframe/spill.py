@@ -1,51 +1,85 @@
 """Out-of-core shard spilling — disk-backed ChunkedColumns.
 
-A :class:`SpillStore` serializes ``(values, mask)`` shard pairs to a
-per-session spill directory and memory-maps them back on demand, keeping
-an LRU cache of resident shards bounded by a byte budget. A
-:class:`SpilledChunkedColumn` is a :class:`~repro.dataframe.chunked.
-ChunkedColumn` whose shards live in such a store instead of RAM, so a
-table far larger than the budget can be ingested, profiled, detected,
-and repaired one chunk at a time.
+A :class:`SpillStore` appends ``(values, mask)`` shard pairs as records
+to segment files in a per-session spill directory and reads them back
+on demand, keeping an LRU cache of resident shards bounded by a byte
+budget. A :class:`SpilledChunkedColumn` is a :class:`~repro.dataframe.
+chunked.ChunkedColumn` whose shards live in such a store instead of
+RAM, so a table far larger than the budget can be ingested, profiled,
+detected, and repaired one chunk at a time.
 
 Serialization format
 --------------------
-* Numeric / bool shards: two sibling ``.npy`` files per shard
-  (``shard-N.values.npy`` + ``shard-N.mask.npy``) written with
-  :func:`numpy.save` and loaded with ``mmap_mode="r"`` — loading a shard
-  maps pages, it does not copy the payload.
-* Object-backed shards (string columns, overflowed ints): one pickle
-  file holding the ``(values, mask)`` pair — objects cannot be mmapped,
-  so these load as owned arrays.
+Each spilled shard is one *record* appended to the store's active
+*segment* file (``shard-N.seg``, named after the first shard it holds):
+
+* Numeric / bool shards: the C-contiguous values bytes followed by the
+  mask bytes. The :class:`ShardHandle` carries the dtype, row count,
+  section sizes, and offset, so a load parses no header.
+* Object-backed shards (string columns, overflowed ints): one pickle of
+  the ``(values, mask)`` pair.
+
+Each section has its own blake2b checksum on the handle, computed over
+the bytes written. A load reads the record with one ``pread``, verifies
+every section, and returns read-only :func:`numpy.frombuffer` views of
+the very bytes it verified (or the unpickled pair); :meth:`SpillStore.
+load_mask` reads and verifies only the mask section. Corrupt, truncated,
+or deleted spill data raises :class:`SpillError` naming the shard and
+path, so it can never flow into kernels.
+
+Segments and shared records
+---------------------------
+A writer reserves its offset under the store lock and writes outside
+it, so concurrent spills append to one file without overlapping. The
+active segment rolls once it passes :data:`SEGMENT_BYTES`, and only a
+segment's first record creates a file. Each segment counts its live
+records — a reservation counts before its bytes are written, so no
+release can unlink a segment under a write — and its file is unlinked
+when its last live record is released, whether it is sealed or still
+active.
+
+Records are reference counted. :meth:`SpilledChunkedColumn.copy`
+shares its records instead of writing them again, and
+:meth:`SpillStore.release` frees a record (its cache entry and its
+segment slot) only when its last holder lets go.
+
+Space: a released record stays on disk until its segment empties. In
+the worst case one live record pins each segment, so the segment files
+(``stats()["disk_bytes"]``) can hold up to ``SEGMENT_BYTES`` plus one
+record per live record, however small the live records are.
 
 Crash safety
 ------------
-Shard files are written through a tmp sibling + atomic ``os.replace``
-and carry per-file blake2b checksums on their :class:`ShardHandle`;
-every cold load re-hashes the file and raises :class:`SpillError`
-naming the shard and path on mismatch — corrupt or truncated spill data
-can never flow into kernels. Disk exhaustion (ENOSPC/EDQUOT) raises the
-typed :class:`SpillCapacityError`, which the ingestion paths catch to
-fall back to resident shards. Transient I/O faults (see
+Records need no tmp + rename: a record is reachable only through the
+handle :meth:`SpillStore.spill` returns after its bytes are written,
+and every read is verified, so a crash or a failed write leaves at most
+unreachable bytes in a segment, never a torn record a reader can see.
+Disk exhaustion (ENOSPC/EDQUOT) releases the failed reservation and
+raises the typed :class:`SpillCapacityError`, which the ingestion paths
+catch to fall back to resident shards. Transient I/O faults (see
 :mod:`repro.core.faults`) are absorbed by bounded internal retries
-(``DATALENS_IO_RETRIES``, read when a store is built). Crashed sessions
-leave ``datalens-spill-*`` directories behind; :func:`sweep_orphaned_spill_dirs` (run at
+(``DATALENS_IO_RETRIES``, read when a store is built); a retried write
+rewrites the same offset. Crashed sessions leave ``datalens-spill-*``
+directories behind; :func:`sweep_orphaned_spill_dirs` (run at
 :class:`~repro.core.controller.DataLens` startup) removes those whose
 owning pid is dead.
 
 Residency contract
 ------------------
-``load()`` pre-evicts least-recently-used shards until the incoming
-shard fits, so resident bytes never exceed the budget as long as every
-shard is smaller than the budget (a single oversized shard still loads —
-the budget has a one-shard floor, never an ingestion failure). All
-loads, hits, evictions, and the peak residency are counted; the peak is
-what the spill benchmark asserts against.
+``load()`` evicts least-recently-used shards until the incoming shard
+fits before it reads, and again under the lock just before it inserts,
+so resident bytes never exceed the budget — even when threads miss at
+once — as long as every shard is smaller than the budget (a single
+oversized shard still loads — the budget has a one-shard floor, never
+an ingestion failure). All loads, hits, evictions, and the peak
+residency are counted; the peak is what the spill benchmark asserts
+against.
 
-Spill round-trips are exact: ``.npy`` preserves numeric buffers bit for
-bit and pickle preserves Python payload objects, so a spilled column is
-bit-identical to its resident and monolithic twins — the chunked
-differential harness pins spilled ≡ resident ≡ monolithic.
+Spill round-trips are exact: raw buffers preserve numeric payloads bit
+for bit (the dtype rides on the handle) and pickle preserves Python
+payload objects, so a spilled column is bit-identical to its resident
+and monolithic twins — the chunked differential harness pins spilled ≡
+resident ≡ monolithic.
 
 Configuration
 -------------
@@ -60,17 +94,16 @@ RSS, so ``to_chunked()`` and ``profile()`` never spill implicitly — use
 
 Dense access (``values_array()`` / ``to_monolithic()`` / mutation)
 materializes the column — shards are gathered into owned dense arrays
-and the spill files are released. The non-pinning overrides
-(``codes()`` / ``fingerprint()`` / ``mask()`` / ``to_numpy()``) compute
-their results from temporary gathers instead, so the profile → detect →
-repair pipeline leaves columns spilled.
+and the column drops its references to its records. The non-pinning
+overrides (``codes()`` / ``fingerprint()`` / ``mask()`` /
+``to_numpy()``) compute their results from temporary gathers instead,
+so the profile → detect → repair pipeline leaves columns spilled.
 """
 
 from __future__ import annotations
 
 import errno
 import hashlib
-import io
 import json
 import logging
 import os
@@ -103,6 +136,12 @@ from .frame import DataFrame
 #: beyond-RAM ingest stays bounded.
 DEFAULT_SPILL_BUDGET = 256 * 1024 * 1024
 
+#: Size past which the active segment file is sealed and the next record
+#: starts a new one. Large enough that file creation (about half a
+#: millisecond on ext4) is paid once per thousands of small shards,
+#: small enough that one live record pins little dead space.
+SEGMENT_BYTES = 4 * 1024 * 1024
+
 #: Age (seconds) after which a spill directory with no readable owner
 #: file counts as orphaned for :func:`sweep_orphaned_spill_dirs`.
 ORPHAN_GRACE_SECONDS = 3600
@@ -132,36 +171,22 @@ class SpillCapacityError(SpillError):
     """The spill directory's filesystem is out of space (ENOSPC/EDQUOT)."""
 
 
-def _blob_digest(blob: bytes) -> str:
+def _blob_digest(blob: Any) -> str:
     return hashlib.blake2b(blob, digest_size=16).hexdigest()
 
 
-def _file_digest(path: Path) -> str:
-    digest = hashlib.blake2b(digest_size=16)
-    with open(path, "rb") as stream:
-        while True:
-            block = stream.read(1 << 20)
-            if not block:
-                break
-            digest.update(block)
-    return digest.hexdigest()
-
-
-def _atomic_write(path: Path, blob: bytes) -> None:
-    """Write a shard file via tmp sibling + atomic rename.
-
-    A crash or ENOSPC mid-write leaves at most a ``.tmp`` sibling — the
-    final path either does not exist or holds the complete blob, so a
-    reader can never observe a torn shard.
-    """
-    tmp = path.with_name(path.name + ".tmp")
+def _write_at(path: Path, offset: int, sections: Sequence[Any]) -> None:
+    """Write ``sections`` back to back at ``offset``, creating the file."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o600)
     try:
-        with open(tmp, "wb") as handle:
-            handle.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        for section in sections:
+            view = memoryview(section)
+            while view:
+                written = os.pwrite(fd, view, offset)
+                view = view[written:]
+                offset += written
+    finally:
+        os.close(fd)
 
 
 def resolve_spill_store(spill: "SpillStore | bool | None") -> "SpillStore | None":
@@ -179,31 +204,61 @@ def resolve_spill_store(spill: "SpillStore | bool | None") -> "SpillStore | None
     return SpillStore() if spill else None
 
 
-class ShardHandle:
-    """Pointer to one spilled shard: identity, length, and on-disk files.
+class _Segment:
+    """One append-only segment file: bytes reserved and live records."""
 
-    ``checksums`` holds one blake2b hex digest per path, computed over
-    the exact bytes written; loads re-hash the files and refuse to
-    deserialize on mismatch, so a truncated or bit-flipped shard raises
-    :class:`SpillError` instead of feeding garbage into kernels.
+    __slots__ = ("path", "size", "live")
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.size = 0
+        self.live = 0
+
+
+class ShardHandle:
+    """Pointer to one spilled record: identity, shape, and place on disk.
+
+    The record starts at ``offset`` in ``segment``'s file and holds one
+    section per entry of ``sizes``: values then mask for an ``"array"``
+    shard (of ``dtype``), one pickle of the pair for a ``"pickle"``
+    shard. ``checksums`` holds one blake2b hex digest per section,
+    computed over the exact bytes written; loads re-hash the bytes they
+    read and refuse to deserialize on mismatch, so a truncated or
+    bit-flipped record raises :class:`SpillError` instead of feeding
+    garbage into kernels.
     """
 
-    __slots__ = ("shard_id", "length", "nbytes", "kind", "paths", "checksums")
+    __slots__ = (
+        "shard_id",
+        "length",
+        "nbytes",
+        "kind",
+        "dtype",
+        "segment",
+        "offset",
+        "sizes",
+        "checksums",
+    )
 
     def __init__(
         self,
         shard_id: int,
         length: int,
-        nbytes: int,
         kind: str,
-        paths: tuple[Path, ...],
-        checksums: tuple[str, ...] | None = None,
+        dtype: np.dtype,
+        segment: _Segment,
+        offset: int,
+        sizes: tuple[int, ...],
+        checksums: tuple[str, ...],
     ) -> None:
         self.shard_id = shard_id
         self.length = length
-        self.nbytes = nbytes
+        self.nbytes = sum(sizes)
         self.kind = kind
-        self.paths = paths
+        self.dtype = dtype
+        self.segment = segment
+        self.offset = offset
+        self.sizes = sizes
         self.checksums = checksums
 
     def __repr__(self) -> str:
@@ -214,15 +269,17 @@ class ShardHandle:
 
 
 class SpillStore:
-    """Disk store for shard pairs with a byte-bounded resident LRU cache.
+    """Segment-file store for shard pairs with a byte-bounded LRU cache.
 
     One store backs one ingestion session (all columns of a frame share
     it), owning a private spill directory that is removed when the store
     is garbage-collected or explicitly :meth:`close`\\ d.
 
-    Thread safety: all cache and counter state is mutated under one
-    lock; file writes and reads happen outside it (shard files are
-    written once and never rewritten, so concurrent loads are safe).
+    Thread safety: all cache, reference-count, segment, and counter
+    state is mutated under one lock; record writes and reads happen
+    outside it (a record's bytes are written once, at an offset no
+    other writer holds, before its handle exists, so concurrent loads
+    are safe).
     """
 
     def __init__(
@@ -258,6 +315,12 @@ class SpillStore:
             OrderedDict()
         )
         self._resident_sizes: dict[int, int] = {}
+        #: shard_id -> number of holders, for every live record.
+        self._refs: dict[int, int] = {}
+        #: Segments whose files hold a live record (or will, once an
+        #: in-flight write lands); the active one takes new records.
+        self._segments: set[_Segment] = set()
+        self._active: _Segment | None = None
         self._next_id = 0
         self.spilled_shards = 0
         self.spilled_bytes = 0
@@ -275,55 +338,55 @@ class SpillStore:
 
     # ------------------------------------------------------------------
     def spill(self, data: np.ndarray, mask: np.ndarray) -> ShardHandle:
-        """Serialize one shard pair to disk and return its handle.
+        """Append one shard pair to the active segment; return its handle.
 
-        Shards are serialized in memory first (to checksum the exact
-        bytes), then written through tmp-file + atomic rename — a crash
-        mid-spill never leaves a torn shard behind. ENOSPC/EDQUOT raise
-        :class:`SpillCapacityError` naming the directory; transient I/O
-        faults are retried internally, up to ``DATALENS_IO_RETRIES`` times
-        (read when the store was built).
+        The sections are checksummed in memory, then written at an
+        offset reserved under the lock. ENOSPC/EDQUOT raise
+        :class:`SpillCapacityError` naming the directory, with the
+        reservation released; transient I/O faults are retried
+        internally at the same offset, up to ``DATALENS_IO_RETRIES``
+        times (read when the store was built).
         """
         data = np.asarray(data)
         mask = np.asarray(mask, dtype=bool)
         if len(data) != len(mask):
             raise ValueError("shard data and mask lengths differ")
+        if data.dtype == object:
+            kind = "pickle"
+            sections = [pickle.dumps((data, mask), pickle.HIGHEST_PROTOCOL)]
+        else:
+            kind = "array"
+            sections = [
+                np.ascontiguousarray(part).view(np.uint8) for part in (data, mask)
+            ]
+        sizes = tuple(len(section) for section in sections)
+        checksums = tuple(_blob_digest(section) for section in sections)
         with self._lock:
             shard_id = self._next_id
             self._next_id += 1
-        stem = self.directory / f"shard-{shard_id:06d}"
-        if data.dtype == object:
-            blobs = [
-                (
-                    Path(f"{stem}.pkl"),
-                    pickle.dumps((data, mask), pickle.HIGHEST_PROTOCOL),
-                )
-            ]
-            kind = "pickle"
-        else:
-            values_buffer = io.BytesIO()
-            np.save(values_buffer, data, allow_pickle=False)
-            mask_buffer = io.BytesIO()
-            np.save(mask_buffer, mask, allow_pickle=False)
-            blobs = [
-                (Path(f"{stem}.values.npy"), values_buffer.getvalue()),
-                (Path(f"{stem}.mask.npy"), mask_buffer.getvalue()),
-            ]
-            kind = "npy"
+            segment = self._active
+            if segment is None or segment.size >= SEGMENT_BYTES:
+                segment = _Segment(self.directory / f"shard-{shard_id:06d}.seg")
+                self._segments.add(segment)
+                self._active = segment
+            offset = segment.size
+            segment.size += sum(sizes)
+            segment.live += 1
 
         faults = _faults()
 
-        def write_all() -> None:
+        def write() -> None:
             faults.maybe_fire("spill.write")
-            for path, blob in blobs:
-                _atomic_write(path, blob)
+            _write_at(segment.path, offset, sections)
 
         try:
-            _, retried = faults.with_transient_retries(write_all, self._io_retries)
-        except OSError as error:
-            for path, _ in blobs:
-                path.unlink(missing_ok=True)
-            if error.errno in (errno.ENOSPC, getattr(errno, "EDQUOT", -1)):
+            _, retried = faults.with_transient_retries(write, self._io_retries)
+        except BaseException as error:
+            self._drop_from(segment)
+            if isinstance(error, OSError) and error.errno in (
+                errno.ENOSPC,
+                getattr(errno, "EDQUOT", -1),
+            ):
                 with self._lock:
                     self.capacity_errors += 1
                 raise SpillCapacityError(
@@ -332,26 +395,29 @@ class SpillStore:
                     "the shard stays resident"
                 ) from error
             raise
-        if retried:
-            with self._lock:
-                self.transient_retries += retried
-        paths = tuple(path for path, _ in blobs)
-        checksums = tuple(_blob_digest(blob) for _, blob in blobs)
-        nbytes = sum(len(blob) for _, blob in blobs)
-        handle_out = ShardHandle(
-            shard_id, len(data), nbytes, kind, paths, checksums
+        handle = ShardHandle(
+            shard_id, len(data), kind, data.dtype, segment, offset, sizes, checksums
         )
         with self._lock:
+            self._refs[shard_id] = 1
+            self.transient_retries += retried
             self.spilled_shards += 1
-            self.spilled_bytes += nbytes
-        return handle_out
+            self.spilled_bytes += handle.nbytes
+        return handle
+
+    def retain(self, handles: Iterable[ShardHandle]) -> None:
+        """Add a holder to each record: one more :meth:`release` frees it."""
+        with self._lock:
+            for handle in handles:
+                self._refs[handle.shard_id] += 1
 
     def load(self, handle: ShardHandle) -> tuple[np.ndarray, np.ndarray]:
-        """Return the shard pair, loading (mmap for numeric) on a miss.
+        """Return the shard pair, reading and verifying it on a miss.
 
-        Least-recently-used shards are evicted *before* the load, so
+        Least-recently-used shards are evicted *before* the read, so
         resident bytes peak at the budget, not the budget plus one
-        shard.
+        shard — and again just before the insert, because another
+        thread may have filled the cache in between.
         """
         with self._lock:
             pair = self._resident.get(handle.shard_id)
@@ -361,18 +427,20 @@ class SpillStore:
                 return pair
 
         faults = _faults()
+        room = self.budget_bytes - handle.nbytes
 
         def miss() -> tuple[np.ndarray, np.ndarray]:
             with self._lock:
-                self._evict_down_to(self.budget_bytes - handle.nbytes)
+                if self._resident and self.resident_bytes > room:
+                    faults.maybe_fire("spill.evict")
+                self._evict_down_to(room)
             return self._read(handle)
 
         pair, retried = faults.with_transient_retries(miss, self._io_retries)
-        if retried:
-            with self._lock:
-                self.transient_retries += retried
         with self._lock:
+            self.transient_retries += retried
             if handle.shard_id not in self._resident:
+                self._evict_down_to(room)
                 self._resident[handle.shard_id] = pair
                 self._resident_sizes[handle.shard_id] = handle.nbytes
                 self.resident_bytes += handle.nbytes
@@ -388,9 +456,9 @@ class SpillStore:
     def load_mask(self, handle: ShardHandle) -> np.ndarray:
         """Return only the shard's mask — no payload residency for numeric.
 
-        Mask-only consumers (missing tables, mask fingerprints) read the
-        sibling ``.mask.npy`` directly; pickled object shards have one
-        file, so they take the full :meth:`load` path.
+        Mask-only consumers (missing tables, mask fingerprints) read and
+        verify just the record's mask section; a pickled object shard is
+        one section, so it takes the full :meth:`load` path.
         """
         with self._lock:
             pair = self._resident.get(handle.shard_id)
@@ -398,57 +466,43 @@ class SpillStore:
                 self._resident.move_to_end(handle.shard_id)
                 self.cache_hits += 1
                 return pair[1]
-        if handle.kind == "npy":
-            faults = _faults()
+        if handle.kind == "pickle":
+            return self.load(handle)[1]
+        faults = _faults()
 
-            def read_mask() -> np.ndarray:
-                faults.maybe_fire("spill.read")
-                self._verify_file(handle, 1)
-                try:
-                    return np.load(
-                        handle.paths[1], mmap_mode="r", allow_pickle=False
-                    )
-                except (FileNotFoundError, OSError) as error:
-                    raise self._missing_shard_error(handle, error) from error
-
-            mask, retried = faults.with_transient_retries(
-                read_mask, self._io_retries
+        def read_mask() -> np.ndarray:
+            faults.maybe_fire("spill.read")
+            return np.frombuffer(
+                self._read_sections(handle, 1), dtype=bool, count=handle.length
             )
-            if retried:
-                with self._lock:
-                    self.transient_retries += retried
-            return mask
-        return self.load(handle)[1]
+
+        mask, retried = faults.with_transient_retries(read_mask, self._io_retries)
+        if retried:
+            with self._lock:
+                self.transient_retries += retried
+        return mask
 
     def release(self, handle: ShardHandle) -> None:
-        """Drop a shard from the cache and delete its files.
+        """Drop one holder of a record; the last one frees it.
 
-        A shard file that cannot be unlinked is counted in
+        Freeing drops the record's cache entry and its slot in its
+        segment, and unlinks the segment file once no live record is
+        left in it. A file that cannot be unlinked is counted in
         ``stats()["release_errors"]`` (and the first occurrence per
         store is logged) — the store keeps working, but the leak is
         visible instead of silently swallowed.
         """
         with self._lock:
+            refs = self._refs.pop(handle.shard_id, 0)
+            if refs > 1:
+                self._refs[handle.shard_id] = refs - 1
+            if refs != 1:  # still held elsewhere, or freed already
+                return
             if self._resident.pop(handle.shard_id, None) is not None:
                 self.resident_bytes -= self._resident_sizes.pop(
                     handle.shard_id
                 )
-        for path in handle.paths:
-            try:
-                path.unlink(missing_ok=True)
-            except OSError as error:
-                with self._lock:
-                    self.release_errors += 1
-                    first = not self._release_error_logged
-                    self._release_error_logged = True
-                if first:
-                    _logger.warning(
-                        "failed to delete spilled shard file %s (%s); "
-                        "further failures for this store are only "
-                        "counted in stats()['release_errors']",
-                        path,
-                        error,
-                    )
+        self._drop_from(handle.segment)
 
     def close(self) -> None:
         """Delete the spill directory; subsequent loads raise SpillError."""
@@ -456,10 +510,17 @@ class SpillStore:
             self._resident.clear()
             self._resident_sizes.clear()
             self.resident_bytes = 0
+            self._refs.clear()
+            self._segments.clear()
+            self._active = None
         self._finalizer()
 
     def stats(self) -> dict[str, Any]:
-        """Residency and traffic counters (REST spill endpoint payload)."""
+        """Residency, traffic, and disk counters (REST spill endpoint payload).
+
+        ``disk_bytes`` counts every byte appended to the segment files
+        still on disk, live records and released ones alike.
+        """
         with self._lock:
             return {
                 "budget_bytes": self.budget_bytes,
@@ -477,63 +538,85 @@ class SpillStore:
                 "capacity_errors": self.capacity_errors,
                 "checksum_failures": self.checksum_failures,
                 "transient_retries": self.transient_retries,
+                "segment_files": len(self._segments),
+                "disk_bytes": sum(segment.size for segment in self._segments),
             }
 
     # ------------------------------------------------------------------
     def _evict_down_to(self, target_bytes: int) -> None:
         # Caller holds the lock.
-        if self._resident and self.resident_bytes > target_bytes:
-            _faults().maybe_fire("spill.evict")
         while self._resident and self.resident_bytes > target_bytes:
             shard_id, _ = self._resident.popitem(last=False)
             self.resident_bytes -= self._resident_sizes.pop(shard_id)
             self.evictions += 1
 
-    def _verify_file(self, handle: ShardHandle, index: int) -> None:
-        if not handle.checksums:
-            return
-        path = handle.paths[index]
+    def _drop_from(self, segment: _Segment) -> None:
+        """Count one record out of ``segment``; unlink the file once empty."""
+        with self._lock:
+            segment.live -= 1
+            if segment.live:
+                return
+            self._segments.discard(segment)
+            if self._active is segment:
+                self._active = None
         try:
-            digest = _file_digest(path)
-        except (FileNotFoundError, OSError) as error:
-            raise self._missing_shard_error(handle, error) from error
-        expected = handle.checksums[index]
-        if digest != expected:
+            segment.path.unlink(missing_ok=True)
+        except OSError as error:
             with self._lock:
-                self.checksum_failures += 1
-            raise SpillError(
-                f"spilled shard {handle.shard_id} is corrupt or "
-                f"truncated: {path} fails its blake2b checksum "
-                f"(expected {expected}, got {digest})"
-            )
+                self.release_errors += 1
+                first = not self._release_error_logged
+                self._release_error_logged = True
+            if first:
+                _logger.warning(
+                    "failed to delete spill segment file %s (%s); "
+                    "further failures for this store are only "
+                    "counted in stats()['release_errors']",
+                    segment.path,
+                    error,
+                )
 
     def _read(self, handle: ShardHandle) -> tuple[np.ndarray, np.ndarray]:
         _faults().maybe_fire("spill.read")
-        for index in range(len(handle.paths)):
-            self._verify_file(handle, index)
-        try:
-            if handle.kind == "pickle":
-                with open(handle.paths[0], "rb") as stream:
-                    data, mask = pickle.load(stream)
-            else:
-                data = np.load(
-                    handle.paths[0], mmap_mode="r", allow_pickle=False
-                )
-                mask = np.load(
-                    handle.paths[1], mmap_mode="r", allow_pickle=False
-                )
-        except (FileNotFoundError, OSError, pickle.UnpicklingError) as error:
-            raise self._missing_shard_error(handle, error) from error
+        blob = self._read_sections(handle, 0)
+        if handle.kind == "pickle":
+            return pickle.loads(blob)
+        data = np.frombuffer(blob, dtype=handle.dtype, count=handle.length)
+        mask = np.frombuffer(
+            blob, dtype=bool, count=handle.length, offset=handle.sizes[0]
+        )
         return data, mask
 
-    def _missing_shard_error(
-        self, handle: ShardHandle, error: Exception
-    ) -> SpillError:
-        return SpillError(
-            f"cannot read spilled shard {handle.shard_id} under "
-            f"{self.directory} — was the spill directory deleted while "
-            f"the session was live? ({error})"
-        )
+    def _read_sections(self, handle: ShardHandle, first: int) -> bytes:
+        """The record's sections from ``first`` on: one read, each verified."""
+        start = handle.offset + sum(handle.sizes[:first])
+        path = handle.segment.path
+        try:
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                blob = os.pread(fd, sum(handle.sizes[first:]), start)
+            finally:
+                os.close(fd)
+        except OSError as error:
+            raise SpillError(
+                f"cannot read spilled shard {handle.shard_id} under "
+                f"{self.directory} — was the spill directory deleted while "
+                f"the session was live? ({error})"
+            ) from error
+        view = memoryview(blob)
+        at = 0
+        for size, expected in zip(handle.sizes[first:], handle.checksums[first:]):
+            digest = _blob_digest(view[at : at + size])
+            if digest != expected:
+                with self._lock:
+                    self.checksum_failures += 1
+                raise SpillError(
+                    f"spilled shard {handle.shard_id} is corrupt or "
+                    f"truncated: {path} bytes {start + at}..{start + at + size} "
+                    f"fail their blake2b checksum (expected {expected}, "
+                    f"got {digest})"
+                )
+            at += size
+        return blob
 
 
 def _pid_alive(pid: int) -> bool:
@@ -631,9 +714,10 @@ class SpilledChunkedColumn(ChunkedColumn):
     Shards stream through the inherited chunk-aware kernels via the
     overridden :meth:`_shard_pairs`; any dense access (``values_array``,
     mutation, ``to_monolithic``) gathers the shards into owned arrays
-    and **releases** the spilled state — after which the column behaves
-    exactly like a dense :class:`ChunkedColumn` and ``spilled`` is
-    False. ``codes()``, ``fingerprint()``, ``mask()``, and
+    and **releases** the column's records — after which the column
+    behaves exactly like a dense :class:`ChunkedColumn` and ``spilled``
+    is False. A copy shares the records, so the other holder reads on
+    unchanged. ``codes()``, ``fingerprint()``, ``mask()``, and
     ``to_numpy()`` are overridden to compute from temporary gathers so
     the profile/detect pipeline does not trigger that materialization.
     """
@@ -680,8 +764,8 @@ class SpilledChunkedColumn(ChunkedColumn):
         """Spill an existing column at the given shard lengths.
 
         A chunked source streams shard by shard (re-cut at the new
-        boundaries), so spilling a spilled column — ``copy()`` /
-        ``rechunk()`` — never gathers it densely.
+        boundaries), so re-spilling a spilled column (``rechunk()``)
+        never gathers it densely.
         """
         lengths = tuple(int(length) for length in chunk_lengths)
         if sum(lengths) != len(column):
@@ -706,13 +790,17 @@ class SpilledChunkedColumn(ChunkedColumn):
             for handle in handles:
                 store.release(handle)
             raise
-        out = cls.from_handles(column.name, column.dtype, handles, store)
+        return cls.from_handles(
+            column.name, column.dtype, handles, store
+        )._with_caches_of(column)
+
+    def _with_caches_of(self, column: Column) -> "SpilledChunkedColumn":
         # Content is preserved row for row, so content-derived caches
         # carry over (same rule as ChunkedColumn.from_column).
-        out._codes_cache = column._codes_cache
-        out._fingerprint_cache = column._fingerprint_cache
-        out._mask_fingerprint_cache = column._mask_fingerprint_cache
-        return out
+        self._codes_cache = column._codes_cache
+        self._fingerprint_cache = column._fingerprint_cache
+        self._mask_fingerprint_cache = column._mask_fingerprint_cache
+        return self
 
     # ------------------------------------------------------------------
     # Spill state
@@ -740,8 +828,8 @@ class SpilledChunkedColumn(ChunkedColumn):
         """Concatenated (data, mask) straight from the spilled shards.
 
         ``copy=True`` guarantees owned writable arrays (a single shard
-        loads as a read-only mmap, which must not become ``_data``);
-        ``copy=False`` may hand back the mmap itself for read-only use.
+        loads as a read-only view, which must not become ``_data``);
+        ``copy=False`` may hand back that view itself for read-only use.
         """
         handles = self._handles or []
         if not handles:
@@ -815,11 +903,13 @@ class SpilledChunkedColumn(ChunkedColumn):
         )
 
     def copy(self) -> ChunkedColumn:
+        """A column sharing these records: nothing is written or read."""
         if self._handles is None:
             return super().copy()
-        return SpilledChunkedColumn.from_column(
-            self, self._chunk_lengths, self._spill_store
-        )
+        self._spill_store.retain(self._handles)
+        return SpilledChunkedColumn.from_handles(
+            self.name, self.dtype, self._handles, self._spill_store
+        )._with_caches_of(self)
 
     # ------------------------------------------------------------------
     # Non-pinning overrides: compute without keeping dense payloads

@@ -19,14 +19,13 @@ runs by it.
 from __future__ import annotations
 
 import json
+import os
 import threading
 import time
 import uuid
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
-
-from ..dataframe.spill import _atomic_write
 
 ACTIVE = "active"
 FINISHED = "finished"
@@ -51,6 +50,23 @@ class RunRecord:
         return {
             key: history[-1][1] for key, history in self.metrics.items() if history
         }
+
+
+def _atomic_write(path: Path, blob: bytes) -> None:
+    """Write a file via tmp sibling + atomic rename.
+
+    A crash or ENOSPC mid-write leaves at most a ``.tmp`` sibling — the
+    final path either does not exist or holds the complete blob, so a
+    reader can never observe a torn file.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _write_text(path: Path, text: str) -> None:

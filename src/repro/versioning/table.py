@@ -10,8 +10,11 @@ on for dataset version control (§5).
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import time
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -20,6 +23,12 @@ from ..dataframe import DataFrame, read_csv, write_csv
 
 LOG_DIR = "_delta_log"
 DATA_DIR = "data"
+
+#: ``os.link`` errnos of a filesystem without hard links (FAT/exFAT,
+#: many SMB/CIFS and FUSE mounts).
+_NO_HARD_LINKS = frozenset(
+    {errno.EPERM, errno.EOPNOTSUPP, errno.ENOTSUP, errno.ENOSYS}
+)
 
 
 class VersionNotFoundError(KeyError):
@@ -103,23 +112,57 @@ class DeltaTable:
         operation: str = "write",
         metadata: dict[str, Any] | None = None,
     ) -> int:
-        """Append ``frame`` as a new version; returns the version number."""
-        latest = self.latest_version()
-        version = 0 if latest is None else latest + 1
-        data_file = f"{DATA_DIR}/part-{version:05d}.csv"
-        write_csv(frame, self.root / data_file)
-        commit = Commit(
-            version=version,
-            timestamp=time.time(),
-            operation=operation,
-            data_file=data_file,
-            num_rows=frame.num_rows,
-            num_columns=frame.num_columns,
-            metadata=dict(metadata or {}),
-        )
-        log_path = self.root / LOG_DIR / f"{version:020d}.json"
-        log_path.write_text(json.dumps(commit.to_dict()), encoding="utf-8")
-        return version
+        """Append ``frame`` as a new version; returns the version number.
+
+        The data file gets a name no other writer can pick. The version
+        is claimed by hard-linking a finished log entry (written under a
+        name ``history()`` skips) to its final name: a link never
+        replaces an existing file, so a writer that loses the race to
+        another table on the same root retries at the next version. No
+        log entry is ever overwritten, and none is visible before its
+        data.
+
+        The root must be on a filesystem with hard links. Where it is
+        not, ``write`` raises :class:`OSError` naming the root; a failed
+        write leaves neither its data file nor its log entry behind.
+        """
+        token = uuid.uuid4().hex
+        data_file = f"{DATA_DIR}/part-{token}.csv"
+        tmp = self.root / LOG_DIR / f"{token}.tmp"
+        try:
+            write_csv(frame, self.root / data_file)
+            latest = self.latest_version()
+            version = 0 if latest is None else latest + 1
+            while True:
+                commit = Commit(
+                    version=version,
+                    timestamp=time.time(),
+                    operation=operation,
+                    data_file=data_file,
+                    num_rows=frame.num_rows,
+                    num_columns=frame.num_columns,
+                    metadata=dict(metadata or {}),
+                )
+                tmp.write_text(json.dumps(commit.to_dict()), encoding="utf-8")
+                try:
+                    os.link(tmp, self.root / LOG_DIR / f"{version:020d}.json")
+                    return version
+                except FileExistsError:
+                    version += 1
+                except OSError as error:
+                    if error.errno not in _NO_HARD_LINKS:
+                        raise
+                    raise OSError(
+                        error.errno,
+                        f"cannot commit a version of the table at {self.root}: "
+                        "its filesystem does not support the hard links that "
+                        f"claim versions ({error.strerror})",
+                    ) from error
+        except BaseException:
+            (self.root / data_file).unlink(missing_ok=True)
+            raise
+        finally:
+            tmp.unlink(missing_ok=True)
 
     def read(self, version: int | None = None) -> DataFrame:
         """Read a version (default: latest) back as a DataFrame."""

@@ -282,7 +282,7 @@ class TestStreamingWidening:
         self, monkeypatch, pair, last
     ):
         """Under a 512 B store, each widening record is spilled with its
-        shard, and its file is gone once the column is finished, whether
+        shard, and its record is freed once the column is finished, whether
         the column widens to string (record applied) or not (dropped)."""
         held = []
         finish = csv_io._StreamingColumnBuilder.finish
@@ -298,11 +298,10 @@ class TestStreamingWidening:
         streamed = read_csv_stream(io.StringIO(text), chunk_size=8, spill=store)
         assert len(held) == 10
         assert all(isinstance(record, ShardHandle) for record in held)
-        # The column's 11 shards: one pickle file per string shard, two
-        # .npy files per numeric one; no file is left for a record.
+        # The column's 11 shards are the store's only live records; no
+        # record is left for a widening record.
         reference = read_csv_text(text)
-        files = 11 if reference.dtypes()["col"] == "string" else 22
-        assert len(list(store.directory.glob("shard-*"))) == files
+        assert len(store._refs) == 11
         assert streamed.dtypes() == reference.dtypes()
         assert_deep_identical(
             streamed.column("col").values(), reference.column("col").values()

@@ -11,6 +11,8 @@ controller, CLI, and REST endpoint.
 from __future__ import annotations
 
 import shutil
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from repro.dataframe import (
     spill_store_of,
     write_csv,
 )
+from repro.core import faults
+from repro.dataframe import spill as spill_module
 from repro.dataframe.spill import DEFAULT_SPILL_BUDGET, resolve_spill_store
 from repro.settings import Settings, parse_byte_size
 
@@ -176,9 +180,9 @@ class TestSpillStoreMechanics:
         handle = store.spill(
             np.arange(5, dtype=np.float64), np.zeros(5, dtype=bool)
         )
-        assert all(path.exists() for path in handle.paths)
+        assert handle.segment.path.exists()
         store.release(handle)
-        assert not any(path.exists() for path in handle.paths)
+        assert not handle.segment.path.exists()
 
     def test_deleted_spill_dir_raises_clear_error(self):
         store = SpillStore(budget_bytes=1024**2)
@@ -207,6 +211,113 @@ class TestSpillStoreMechanics:
         with pytest.raises(ValueError, match="lengths differ"):
             store.spill(np.arange(3, dtype=np.float64), np.zeros(2, dtype=bool))
 
+    def test_concurrent_misses_keep_residency_within_budget(self, monkeypatch):
+        """Two threads that miss at once both insert; the store evicts
+        again under the lock before each insert, so the peak holds."""
+        # A retried read would wait on the barrier a second time.
+        monkeypatch.delenv(faults.FAULT_INJECT_ENV, raising=False)
+        data = np.arange(1000, dtype=np.float64)
+        mask = np.zeros(1000, dtype=bool)
+        shard_bytes = SpillStore(budget_bytes=1024**2).spill(data, mask).nbytes
+        store = SpillStore(budget_bytes=2 * shard_bytes + shard_bytes // 2)
+        handles = [store.spill(data + i, mask) for i in range(4)]
+        store.load(handles[0])
+        store.load(handles[1])
+        barrier = threading.Barrier(2)
+        read = SpillStore._read
+
+        def racing_read(self, handle):
+            barrier.wait(timeout=10)
+            return read(self, handle)
+
+        monkeypatch.setattr(SpillStore, "_read", racing_read)
+        errors = []
+
+        def load(handle):
+            try:
+                store.load(handle)
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=load, args=(h,)) for h in handles[2:]]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        assert not errors
+        stats = store.stats()
+        assert stats["peak_resident_bytes"] <= store.budget_bytes
+        assert stats["resident_bytes"] <= store.budget_bytes
+
+    def test_concurrent_spills_and_loads_read_back_their_own_data(self):
+        store = SpillStore(budget_bytes=16 * 1024)
+        errors = []
+
+        def work(seed):
+            try:
+                rng = np.random.default_rng(seed)
+                written = []
+                for i in range(60):
+                    if i % 5 == 4:
+                        data = np.empty(3, dtype=object)
+                        data[:] = [f"{seed}-{i}", 10**30 + i, None]
+                    else:
+                        data = rng.normal(size=int(rng.integers(1, 400)))
+                    mask = rng.random(len(data)) < 0.3
+                    written.append((store.spill(data, mask), data, mask))
+                    handle, data, mask = written[int(rng.integers(len(written)))]
+                    got_data, got_mask = store.load(handle)
+                    assert list(got_data) == list(data)
+                    assert np.array_equal(got_mask, mask)
+                for handle, data, mask in written:
+                    assert np.array_equal(store.load_mask(handle), mask)
+                    assert list(store.load(handle)[0]) == list(data)
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        stats = store.stats()
+        assert stats["spilled_shards"] == 240
+        assert stats["peak_resident_bytes"] <= store.budget_bytes
+
+    def test_disk_bytes_matches_the_segment_files(self, monkeypatch):
+        monkeypatch.setattr(spill_module, "SEGMENT_BYTES", 2000)
+        store = SpillStore(budget_bytes=1024**2)
+        handles = [
+            store.spill(np.arange(n, dtype=np.float64), np.zeros(n, dtype=bool))
+            for n in range(1, 80)
+        ]
+
+        def on_disk():
+            files = list(store.directory.glob("shard-*"))
+            return len(files), sum(path.stat().st_size for path in files)
+
+        stats = store.stats()
+        assert (stats["segment_files"], stats["disk_bytes"]) == on_disk()
+        assert stats["segment_files"] > 1
+        assert stats["disk_bytes"] == stats["spilled_bytes"]
+        # A released record stays on disk until its segment empties.
+        for handle in handles[::2]:
+            store.release(handle)
+        stats = store.stats()
+        assert (stats["segment_files"], stats["disk_bytes"]) == on_disk()
+        for handle in handles[1::2]:
+            store.release(handle)
+        stats = store.stats()
+        assert (stats["segment_files"], stats["disk_bytes"]) == (0, 0) == on_disk()
+
 
 # ----------------------------------------------------------------------
 # Spilled columns under dense access and mutation
@@ -214,27 +325,36 @@ class TestSpillStoreMechanics:
 class TestSpilledColumnLifecycle:
     def test_dense_access_releases_spill_files(self):
         spilled = spill_frame(_frame(), chunk_size=7, budget_bytes=512)
+        store = spill_store_of(spilled)
         column = spilled.column("x")
         handles = list(column._handles)
         values = column.values_array()  # dense access materializes
         assert not column.spilled
         assert values.flags.writeable is False  # values_array is readonly
-        assert not any(
-            path.exists() for handle in handles for path in handle.paths
-        )
+        assert not any(handle.shard_id in store._refs for handle in handles)
+        # The other columns' records keep the shared segment file alive
+        # until they are released too.
+        assert handles[0].segment.path.exists()
+        for name in ("s", "big"):
+            spilled.column(name).values_array()
+        assert not list(store.directory.glob("shard-*"))
 
     def test_set_many_invalidates_spilled_state(self):
         spilled = spill_frame(_frame(), chunk_size=7, budget_bytes=512)
+        store = spill_store_of(spilled)
         column = spilled.column("x")
         handles = list(column._handles)
         column.set_many([0, 6, 39], [None, 2.5, -1.0])
         assert not column.spilled
         assert column[0] is None and column[6] == 2.5 and column[39] == -1.0
-        assert not any(
-            path.exists() for handle in handles for path in handle.paths
-        )
-        # The untouched column keeps its spilled state.
+        assert not any(handle.shard_id in store._refs for handle in handles)
+        # The untouched columns keep their spilled state, and their
+        # records keep the segment file.
         assert spilled.column("s").spilled
+        assert handles[0].segment.path.exists()
+        for name in ("s", "big"):
+            spilled.column(name).set_many([1], [None])
+        assert not list(store.directory.glob("shard-*"))
 
     def test_repair_patches_invalidate_spilled_state(self):
         from repro.repair.base import RepairResult
@@ -247,6 +367,36 @@ class TestSpilledColumnLifecycle:
             _frame()
         )
         assert repaired.column("x").values() == reference.column("x").values()
+
+    def test_copy_shares_records(self):
+        frame = _frame()
+        spilled = spill_frame(frame, chunk_size=7, budget_bytes=512)
+        store = spill_store_of(spilled)
+        before = store.stats()
+        duplicate = spilled.copy()
+        after = store.stats()
+        assert after["spilled_shards"] == before["spilled_shards"]
+        assert after["loads"] == before["loads"]
+        assert after["cache_hits"] == before["cache_hits"]
+        # Releasing the original (dense access) leaves the copy spilled
+        # on the shared records, and it reads back bit-identical.
+        original = spilled.to_monolithic()
+        assert spill_store_of(spilled) is None
+        assert all(
+            duplicate.column(name).spilled for name in duplicate.column_names
+        )
+        assert list(store.directory.glob("shard-*"))
+        copied = duplicate.to_monolithic()
+        assert copied == original == frame
+        for name in frame.column_names:
+            assert copied.column(name).values() == frame.column(name).values()
+        assert (
+            np.asarray(copied.column("x").values_array()).tobytes()
+            == np.asarray(frame.column("x").values_array()).tobytes()
+        )
+        # Releasing both frees every record and deletes the segment.
+        assert not store._refs
+        assert not list(store.directory.glob("shard-*"))
 
     def test_copy_and_rechunk_stay_spilled(self):
         spilled = spill_frame(_frame(), chunk_size=7, budget_bytes=512)

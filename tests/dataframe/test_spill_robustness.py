@@ -2,7 +2,7 @@
 
 test_spill.py covers budgets and lifecycle on a healthy filesystem;
 this module attacks the disk itself: corrupted and truncated shard
-files, injected ENOSPC mid-spill and mid-ingest, undeletable shard
+records, injected ENOSPC mid-spill and mid-ingest, undeletable segment
 files, transient I/O blips, and spill directories orphaned by crashed
 processes. Fault injection (repro.core.faults) stands in for the real
 failures, so every scenario is deterministic.
@@ -31,6 +31,7 @@ from repro.dataframe import (
     sweep_orphaned_spill_dirs,
     write_csv,
 )
+from repro.dataframe import spill as spill_module
 from repro.dataframe.spill import SpilledChunkedColumn
 
 
@@ -65,42 +66,52 @@ class TestChecksums:
     def test_handles_carry_checksums_and_round_trip(self):
         store = SpillStore(budget_bytes=1024**2)
         handle = _spill_one(store)
-        assert len(handle.checksums) == len(handle.paths) == 2
+        # One record, two sections: 50 float64 values, then 50 mask bytes.
+        assert handle.sizes == (400, 50)
+        assert len(handle.checksums) == 2
+        assert handle.segment.path.stat().st_size == handle.nbytes == 450
         data, mask = store.load(handle)
         assert np.array_equal(np.asarray(data), np.arange(50, dtype=np.float64))
         assert int(np.asarray(mask).sum()) == 13
         assert store.stats()["checksum_failures"] == 0
 
     def test_bit_flip_raises_spill_error_naming_shard_and_path(self):
-        store = SpillStore(budget_bytes=1024**2)
-        handle = _spill_one(store)
-        path = handle.paths[0]
-        corrupted = bytearray(path.read_bytes())
-        corrupted[-1] ^= 0xFF
-        path.write_bytes(bytes(corrupted))
-        with pytest.raises(SpillError) as excinfo:
-            store.load(handle)
-        message = str(excinfo.value)
-        assert "corrupt or truncated" in message
-        assert str(path) in message
-        assert f"shard {handle.shard_id}" in message
-        assert store.stats()["checksum_failures"] == 1
+        # A flipped byte in either section fails that section's checksum.
+        for section in (0, 1):  # values, mask
+            store = SpillStore(budget_bytes=1024**2)
+            handle = _spill_one(store)
+            path = handle.segment.path
+            start = handle.offset + sum(handle.sizes[:section])
+            corrupted = bytearray(path.read_bytes())
+            corrupted[start] ^= 0xFF
+            path.write_bytes(bytes(corrupted))
+            with pytest.raises(SpillError) as excinfo:
+                store.load(handle)
+            message = str(excinfo.value)
+            assert "corrupt or truncated" in message
+            assert str(path) in message
+            assert f"shard {handle.shard_id}" in message
+            assert f"bytes {start}..{start + handle.sizes[section]}" in message
+            assert store.stats()["checksum_failures"] == 1
 
     def test_truncation_raises_spill_error(self):
         store = SpillStore(budget_bytes=1024**2)
         handle = _spill_one(store)
-        path = handle.paths[0]
-        path.write_bytes(path.read_bytes()[:-8])
+        path = handle.segment.path
+        # Cut the file inside the values section.
+        path.write_bytes(path.read_bytes()[: handle.offset + handle.sizes[0] - 8])
         with pytest.raises(SpillError, match="corrupt or truncated"):
             store.load(handle)
 
     def test_mask_only_read_verifies_the_mask_file(self):
         store = SpillStore(budget_bytes=1024**2)
+        _spill_one(store)
         handle = _spill_one(store)
-        mask_path = handle.paths[1]
-        blob = bytearray(mask_path.read_bytes())
-        blob[-1] ^= 0x01
-        mask_path.write_bytes(bytes(blob))
+        _spill_one(store)
+        path = handle.segment.path
+        blob = bytearray(path.read_bytes())
+        blob[handle.offset + handle.sizes[0]] ^= 0x01  # first mask byte
+        path.write_bytes(bytes(blob))
         with pytest.raises(SpillError, match="corrupt or truncated"):
             store.load_mask(handle)
 
@@ -110,9 +121,9 @@ class TestChecksums:
         payload[:] = [10**30, None, "x"]
         handle = store.spill(payload, np.array([False, True, False]))
         assert handle.kind == "pickle"
-        blob = bytearray(handle.paths[0].read_bytes())
+        blob = bytearray(handle.segment.path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
-        handle.paths[0].write_bytes(bytes(blob))
+        handle.segment.path.write_bytes(bytes(blob))
         with pytest.raises(SpillError, match="corrupt or truncated"):
             store.load(handle)
 
@@ -121,19 +132,6 @@ class TestChecksums:
         for _ in range(5):
             _spill_one(store)
         assert not list(store.directory.glob("*.tmp"))
-
-    def test_failed_atomic_write_leaves_no_tmp(self, monkeypatch):
-        from repro.dataframe.spill import _atomic_write
-
-        def explode(src, dst):
-            raise OSError(5, "replace failed")
-
-        monkeypatch.setattr(os, "replace", explode)
-        target = Path(SpillStore(budget_bytes=1024).directory) / "x.npy"
-        with pytest.raises(OSError):
-            _atomic_write(target, b"payload")
-        assert not target.exists()
-        assert not target.with_name("x.npy.tmp").exists()
 
 
 # ----------------------------------------------------------------------
@@ -236,6 +234,46 @@ class TestTransientAbsorption:
         assert store.stats()["transient_retries"] == 2
         assert store.stats()["loads"] == 1  # counted once, not per attempt
 
+    def test_transient_write_fault_mid_segment_rewrites_its_offset(self):
+        store = SpillStore(budget_bytes=1024**2)
+        first = _spill_one(store)
+        with faults.inject("site=spill.write,error=transient,count=1"):
+            middle = _spill_one(store, 30)
+        last = _spill_one(store)
+        assert middle.segment is first.segment is last.segment
+        assert middle.offset == first.nbytes
+        assert last.offset == first.nbytes + middle.nbytes
+        assert store.stats()["transient_retries"] == 1
+        data, mask = store.load(middle)
+        assert np.array_equal(data, np.arange(30, dtype=np.float64))
+        assert int(mask.sum()) == 8
+        assert middle.segment.path.stat().st_size == store.stats()["disk_bytes"]
+
+    def test_torn_write_is_retried_at_the_same_offset(self, monkeypatch):
+        """A transient error after half a record's bytes landed: the retry
+        rewrites the whole record in place, and it reads back."""
+        store = SpillStore(budget_bytes=1024**2)
+        first = _spill_one(store)
+        pwrite = os.pwrite
+        torn = []
+
+        def flaky(fd, data, offset):
+            if not torn:
+                torn.append(offset)
+                pwrite(fd, bytes(data[: len(data) // 2]), offset)
+                raise TimeoutError("injected: torn write")
+            return pwrite(fd, data, offset)
+
+        monkeypatch.setattr(os, "pwrite", flaky)
+        middle = _spill_one(store, 30)
+        monkeypatch.setattr(os, "pwrite", pwrite)
+        last = _spill_one(store)
+        assert torn == [middle.offset] == [first.nbytes]
+        assert store.stats()["transient_retries"] == 1
+        for handle, n in ((first, 50), (middle, 30), (last, 50)):
+            data, _ = store.load(handle)
+            assert np.array_equal(data, np.arange(n, dtype=np.float64))
+
     def test_persistent_transient_faults_eventually_propagate(self):
         store = SpillStore(budget_bytes=1024**2)
         with faults.inject("site=spill.write,error=transient"):
@@ -250,9 +288,12 @@ class TestReleaseErrors:
     def test_unlink_failure_counted_and_logged_once(self, monkeypatch, caplog):
         import logging
 
+        # A one-byte segment size gives every record its own segment.
+        monkeypatch.setattr(spill_module, "SEGMENT_BYTES", 1)
         store = SpillStore(budget_bytes=1024**2)
         first = _spill_one(store)
         second = _spill_one(store)
+        assert first.segment is not second.segment
 
         def refuse(self, missing_ok=False):
             raise OSError(13, "Permission denied")
@@ -261,11 +302,11 @@ class TestReleaseErrors:
         with caplog.at_level(logging.WARNING, logger="repro.dataframe.spill"):
             store.release(first)
             store.release(second)
-        assert store.stats()["release_errors"] == 4  # two files per shard
+        assert store.stats()["release_errors"] == 2  # one per segment file
         warnings = [
             record
             for record in caplog.records
-            if "failed to delete spilled shard file" in record.getMessage()
+            if "failed to delete spill segment file" in record.getMessage()
         ]
         assert len(warnings) == 1  # first occurrence only
 

@@ -226,6 +226,48 @@ def test_external_sort_looks_up_each_shard_a_few_times(synthetic_frame):
     )
 
 
+def test_spilling_appends_records_to_a_few_segment_files(synthetic_frame):
+    """Shards are appended to segment files, not written one file each.
+
+    Counts, not clocks: creating a file costs about half a millisecond on
+    ext4, so a file per shard (two per numeric shard, as ``.npy`` pairs
+    once were) makes the spill store cost more than the kernels that use
+    it. Only a segment's first record creates a file, and nothing is
+    released here, so the files left are the files created.
+    """
+    from repro.dataframe import SpillStore, spill_frame
+    from repro.dataframe.spill import SEGMENT_BYTES
+
+    store = SpillStore(budget_bytes=1 << 20)
+    try:
+        spill_frame(synthetic_frame, store=store)
+        stats = store.stats()
+        files = len(list(store.directory.glob("shard-*")))
+    finally:
+        store.close()
+    ceiling = -(-stats["spilled_bytes"] // SEGMENT_BYTES) + 1
+    assert files <= ceiling, (
+        f"{files} files for {stats['spilled_shards']} shards "
+        f"({stats['spilled_bytes']} bytes)"
+    )
+
+
+def test_copy_of_a_spilled_frame_shares_its_records(synthetic_frame):
+    """Repair copies the spilled frame twice; a copy writes and reads nothing."""
+    from repro.dataframe import SpillStore, spill_frame
+
+    store = SpillStore(budget_bytes=1 << 20)
+    try:
+        spilled = spill_frame(synthetic_frame, store=store)
+        before = store.stats()
+        spilled.copy()
+        after = store.stats()
+    finally:
+        store.close()
+    assert after["spilled_shards"] == before["spilled_shards"]
+    assert after["loads"] == before["loads"]
+
+
 @pytest.fixture(scope="module")
 def profiling_frame() -> DataFrame:
     """200k-row, mostly numeric frame for the chunked profiling budgets."""

@@ -95,6 +95,16 @@ class TestStore:
         assert list(tmp_path.rglob("*.tmp")) == []
         assert len(list(tmp_path.rglob("*.json"))) == 2 + 2 * 3
 
+    def test_failed_atomic_write_leaves_no_tmp(self, tmp_path, monkeypatch):
+        def explode(src, dst):
+            raise OSError(5, "replace failed")
+
+        monkeypatch.setattr(store_module.os, "replace", explode)
+        target = tmp_path / "meta.json"
+        with pytest.raises(OSError):
+            store_module._atomic_write(target, b"payload")
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_meta_written_last(self, tmp_path, monkeypatch):
         """Readers list runs by meta.json, so it lands after the rest."""
         store = TrackingStore(tmp_path)

@@ -1,5 +1,8 @@
 """Delta-style versioned table tests."""
 
+import errno
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from repro.dataframe import DataFrame
 from repro.ingestion import nasa
 from repro.versioning import DeltaTable, VersionNotFoundError
+from repro.versioning import table as table_module
 
 
 def small(seed: int = 0) -> DataFrame:
@@ -66,6 +70,71 @@ class TestHistory:
         reopened = DeltaTable(tmp_path)
         assert len(reopened) == 2
         assert reopened.read(0) == small(0)
+
+
+class TestConcurrentWriters:
+    def test_racing_writers_claim_distinct_versions(self, tmp_path, monkeypatch):
+        """Two tables on one root both see the same latest version before
+        either commits; each still gets its own version and data file."""
+        barrier = threading.Barrier(2)
+        waited = set()
+        latest_version = DeltaTable.latest_version
+
+        def racing_latest(self):
+            latest = latest_version(self)
+            if threading.get_ident() not in waited:
+                waited.add(threading.get_ident())
+                barrier.wait(timeout=10)
+            return latest
+
+        monkeypatch.setattr(DeltaTable, "latest_version", racing_latest)
+        frames = [small(0), small(10)]
+        tables = [DeltaTable(tmp_path) for _ in frames]
+        versions = [None, None]
+        errors = []
+
+        def commit(i):
+            try:
+                versions[i] = tables[i].write(frames[i], metadata={"writer": i})
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=commit, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+            assert not thread.is_alive()
+        monkeypatch.undo()
+        assert not errors
+        assert sorted(versions) == [0, 1]
+        reader = DeltaTable(tmp_path)
+        for i, frame in enumerate(frames):
+            assert reader.read(versions[i]) == frame
+            assert reader.commit_for(versions[i]).metadata == {"writer": i}
+        assert reader.versions() == [0, 1]
+        log = [path.name for path in (tmp_path / "_delta_log").iterdir()]
+        assert sorted(log) == [f"{v:020d}.json" for v in (0, 1)]
+
+    def test_filesystem_without_hard_links_fails_naming_the_root(
+        self, tmp_path, monkeypatch
+    ):
+        table = DeltaTable(tmp_path)
+        table.write(small(0))
+
+        def refuse(src, dst):
+            raise OSError(errno.EPERM, "Operation not permitted")
+
+        monkeypatch.setattr(table_module.os, "link", refuse)
+        with pytest.raises(OSError, match="does not support the hard links") as error:
+            table.write(small(10))
+        assert error.value.errno == errno.EPERM
+        assert str(tmp_path) in str(error.value)
+        monkeypatch.undo()
+        # The failed write left no data file, log entry or tmp file.
+        assert table.versions() == [0]
+        assert len(list((tmp_path / "data").iterdir())) == 1
+        assert len(list((tmp_path / "_delta_log").iterdir())) == 1
 
 
 class TestRestore:
