@@ -11,7 +11,10 @@ so the chaos leg is held to the acceptance bar:
   for absorbed transient faults);
 * **zero corrupted responses** — every body is byte-compared against
   the baseline run;
-* bounded latency inflation (reported, and sanity-bounded).
+* bounded latency inflation (reported, and sanity-bounded);
+* the dataset is still spilled after both legs, and the ``spill.*``
+  rule fired under chaos: concurrent reads, previews included, go
+  through the spill store and never densify the frame.
 
 A second leg injects a transient fault into a queued job and shows the
 automatic retry converging to ``done`` with the attempt on record.
@@ -40,9 +43,12 @@ CHAOS_PLAN = (
     "site=spill.*,error=transient,prob=0.05,seed=11;"
     "site=artifact.*,error=transient,prob=0.05,seed=13"
 )
+#: The sorted preview runs the external sort through the spill store
+#: (the frame stays spilled), so the ``spill.*`` rule has sites to hit.
 READ_PATHS = (
     "/health",
     "/datasets/nasa",
+    "/datasets/nasa?sort_by=Frequency,Angle",
     "/datasets/nasa/quality",
     "/datasets/nasa/detections",
     "/datasets/nasa/spill",
@@ -147,13 +153,21 @@ def test_fault_tolerance_under_load(benchmark, tmp_path, nasa_bundle):
         def chaos_leg():
             with faults.inject(CHAOS_PLAN) as plan:
                 result = _run_leg(port)
-            return result + (sum(r["fires"] for r in plan.stats()),)
+            fires = {rule["site"]: rule["fires"] for rule in plan.stats()}
+            return result + (fires,)
 
-        chaos_lat, chaos_fail, retries, chaos_bodies, chaos_wall, fired = (
+        chaos_lat, chaos_fail, retries, chaos_bodies, chaos_wall, fires = (
             benchmark.pedantic(chaos_leg, rounds=1, iterations=1)
         )
+        fired = sum(fires.values())
         assert chaos_fail == [], f"failures under chaos: {chaos_fail[:5]}"
-        assert fired > 0, "chaos plan never fired — raise the workload"
+        assert fires["spill.*"] > 0, (
+            "no read of the spilled dataset went through the spill store"
+        )
+        spill = TestClient(router).get("/datasets/nasa/spill")
+        assert spill.status == 200 and spill.body["enabled"] is True, (
+            "concurrent reads densified the spilled dataset"
+        )
         # Zero corrupted responses: each compared path served exactly one
         # body shape in both runs, and they are byte-identical.
         for path in COMPARED_PATHS:

@@ -111,10 +111,13 @@ Concurrency model
     readers and each other — a detect and a repair hammering one
     dataset can interleave in any order but never corrupt session
     state. Job bodies acquire the same locks when they run, so async
-    and sync traffic serialize together. On a *spilled* frame even
-    read-only requests take the exclusive lock: a dense access
-    materializes columns and releases their spilled records, which must
-    not race with another reader still iterating them.
+    and sync traffic serialize together. Reads share the lock on every
+    frame, spilled ones included, because a read never changes a
+    column's residency: row access (previews, sorted previews, the
+    dashboard, explanations) reads only the shards it needs through the
+    spill store's LRU cache and pins nothing, so no read can release a
+    record another read is loading. Only writes materialize and release
+    spilled columns, under the exclusive lock.
 
 Multi-tenancy
     The tenant is the ``X-Tenant`` header (or ``?tenant=`` query
@@ -342,28 +345,9 @@ def create_app(
         session = registry.lens_for(tenant).session(name)
         return tenant, name, session
 
-    def _read_guard(tenant: str, name: str, session: Any):
-        """Read lock — upgraded to exclusive while the frame is spilled.
-
-        A "read" on a spilled frame is not storage-neutral: a dense
-        access materializes the columns and *drops their references to
-        the spilled records* (a segment file goes only once no column,
-        copy included, holds a record in it), so two concurrent readers
-        could release shards out from under each other. The
-        spilled→dense transition happens exactly once,
-        under this exclusive lock; once dense (``spill_store_of`` is
-        None), reads are storage-neutral and run concurrently again.
-        """
-        from ..dataframe import spill_store_of
-
-        lock = locks.of(tenant, name)
-        if spill_store_of(session.frame) is not None:
-            return lock.write_lock()
-        return lock.read_lock()
-
     def _read(request: Request, fn: Callable[[Any], Any]):
         tenant, name, session = _session(request)
-        with _read_guard(tenant, name, session):
+        with locks.of(tenant, name).read_lock():
             return fn(session)
 
     def _write(request: Request, fn: Callable[[Any], Any]):
@@ -514,7 +498,7 @@ def create_app(
         tenant, name, session = _session(request)
 
         def work() -> dict:
-            with _read_guard(tenant, name, session):
+            with locks.of(tenant, name).read_lock():
                 report = session.profile_report
                 if report is None:
                     report = session.profile()

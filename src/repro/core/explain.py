@@ -52,9 +52,9 @@ class CellExplanation:
 
 
 def _column_context(frame: DataFrame, column: str) -> dict[str, float]:
-    values = frame.column(column).to_numpy()
-    if not frame.column(column).is_numeric():
+    if column not in frame or not frame.column(column).is_numeric():
         return {}
+    values = frame.column(column).to_numpy()
     finite = values[~np.isnan(values)]
     if len(finite) < 2:
         return {}
@@ -115,12 +115,24 @@ def explain_cell(
     detection_results: dict[str, DetectionResult],
     rules: list[FunctionalDependency] | None = None,
     repair_result: Any = None,
+    *,
+    context: dict[str, float] | None = None,
+    violations: dict[FunctionalDependency, set[Cell]] | None = None,
 ) -> CellExplanation:
-    """Build the explanation for one cell from session artifacts."""
+    """Build the explanation for one cell from session artifacts.
+
+    ``context`` (the statistics of the cell's column) and ``violations``
+    (each rule's violation set) are computed here when omitted;
+    :func:`explain_session` computes them once for all its cells.
+    """
+    rules = rules or []
+    if context is None:
+        context = _column_context(frame, cell[1])
+    if violations is None:
+        violations = _rule_violations(frame, [cell], detection_results, rules)
     row, column = cell
     value = frame.at(row, column) if column in frame else None
     explanation = CellExplanation(cell=cell, value=value)
-    context = _column_context(frame, column) if column in frame else {}
 
     for tool, result in detection_results.items():
         if cell not in result.cells:
@@ -129,7 +141,7 @@ def explain_cell(
         if tool in ("sd", "iqr", "isolation_forest"):
             reason = _statistical_reason(tool, value, context, result.config)
         elif tool == "nadeef":
-            reason = _rule_reason(frame, cell, rules or [], result)
+            reason = _rule_reason(cell, rules, result, violations)
         else:
             reason = _TOOL_REASONS.get(tool, "flagged by this tool")
         explanation.evidence.append(
@@ -156,15 +168,12 @@ def explain_cell(
 
 
 def _rule_reason(
-    frame: DataFrame,
     cell: Cell,
     rules: list[FunctionalDependency],
     result: DetectionResult,
+    violations: dict[FunctionalDependency, set[Cell]],
 ) -> str:
-    violated = []
-    for rule in rules:
-        if cell in rule.violations(frame):
-            violated.append(str(rule))
+    violated = [str(rule) for rule in rules if cell in violations[rule]]
     if violated:
         return f"violates rule(s): {', '.join(violated)}"
     per_rule = result.metadata.get("violations_per_rule", {})
@@ -174,16 +183,41 @@ def _rule_reason(
     return "violates a quality rule"
 
 
+def _rule_violations(
+    frame: DataFrame,
+    cells: list[Cell],
+    detection_results: dict[str, DetectionResult],
+    rules: list[FunctionalDependency],
+) -> dict[FunctionalDependency, set[Cell]]:
+    """Each rule's violation set, scanned only when NADEEF flagged a cell."""
+    nadeef = detection_results.get("nadeef")
+    if nadeef is None or not any(cell in nadeef.cells for cell in cells):
+        return {}
+    return {rule: rule.violations(frame) for rule in rules}
+
+
 def explain_session(session: Any, limit: int = 20) -> list[CellExplanation]:
-    """Explanations for the first ``limit`` detected cells of a session."""
+    """Explanations for the first ``limit`` detected cells of a session.
+
+    Each rule's violation set and each column's context are computed
+    once, not once per explained cell.
+    """
+    frame = session.frame
+    results = session.detection_results
     cells = sorted(session.detected_cells)[:limit]
+    rules = session.rule_set.active_rules()
+    violations = _rule_violations(frame, cells, results, rules)
+    columns = {column for _, column in cells}
+    contexts = {column: _column_context(frame, column) for column in columns}
     return [
         explain_cell(
-            session.frame,
+            frame,
             cell,
-            session.detection_results,
-            rules=session.rule_set.active_rules(),
-            repair_result=session.repair_result,
+            results,
+            rules,
+            session.repair_result,
+            context=contexts[cell[1]],
+            violations=violations,
         )
         for cell in cells
     ]

@@ -77,15 +77,18 @@ def render_left_panel(session: DataLensSession) -> str:
 
 
 def _affected_rows_table(session: DataLensSession, limit: int = 8) -> str:
-    """Rows containing at least one detected cell, via the select() fast path."""
+    """The first ``limit`` rows holding a detected cell, via select().
+
+    Only the rows shown are selected, so a spilled frame reads just the
+    shards that hold them.
+    """
     frame = session.frame
     if not session.detected_cells or not frame.num_rows:
         return ""
-    row_mask = np.zeros(frame.num_rows, dtype=bool)
     affected = sorted({row for row, _ in session.detected_cells})
-    row_mask[affected] = True
-    flagged = frame.select(row_mask)
-    records = flagged.head(limit).to_records()
+    shown = np.zeros(frame.num_rows, dtype=bool)
+    shown[affected[:limit]] = True
+    records = frame.select(shown).to_records()
     for record, row_index in zip(records, affected):
         record["row"] = row_index
     return (

@@ -24,6 +24,19 @@ Chunking contract
   yields Columns wrapping read-only views of the shard storage; mutating
   the parent column (``set`` / ``set_many``) invalidates previously
   yielded chunks, exactly like it invalidates ``codes()``.
+* **Row access reads only the shards it needs.** ``col[i]`` reads the
+  one shard holding row ``i``; the range read
+  :meth:`~ChunkedColumn.row_range` (and so a slice) reads the shards
+  that cover the range. A column that is already dense reads its dense
+  view instead. Shard-routed ``take`` is the spilled path only:
+  :meth:`SpilledChunkedColumn.take
+  <repro.dataframe.spill.SpilledChunkedColumn.take>` reads each shard
+  that holds a requested row once, while a resident chunked column's
+  ``take`` (inherited from ``Column``) densifies it first, because
+  routing indices per shard costs more than one concatenation there.
+  Results equal the monolithic column's, backing dtype included: an
+  int column whose shards mix int64 and object backing reads as
+  object-backed Python ints, exactly like its dense concatenation.
 * **Merge rules for partial aggregates.** Integer counters (count,
   missing, zeros, negatives, histogram bin counts over shared edges),
   element selections (min/max), first/last boundary values, and Counter
@@ -35,9 +48,9 @@ Chunking contract
   of the per-chunk compressed shards, which is element-identical to the
   monolithic compression).
 
-Every derived frame (``select``/``take``/in-memory ``sort_by``/...) is
-monolithic; chunking is a property of the stored table, not of query
-results. The one deliberate exception is the external merge sort
+Every derived frame (``select``/``take``/``head``/in-memory
+``sort_by``/...) is monolithic; chunking is a property of the stored
+table, not of query results. The one deliberate exception is the external merge sort
 (:mod:`repro.dataframe.sort`): its output is emitted shard-by-shard as a
 spill-backed chunked frame, because densifying the result would defeat
 sorting a frame that never fit in memory in the first place.
@@ -46,7 +59,7 @@ Out-of-core spilling
 --------------------
 :mod:`repro.dataframe.spill` extends this layer with
 :class:`~repro.dataframe.spill.SpilledChunkedColumn`, whose shards live
-on disk behind the :meth:`ChunkedColumn._shard_pairs` seam instead of in
+on disk behind the :meth:`ChunkedColumn._shard` seam instead of in
 RAM. ``DATALENS_SPILL_BUDGET`` makes the streaming ingestion paths spill
 their shards (see :class:`repro.settings.Settings` for every
 ``DATALENS_*`` variable). Spilled columns obey the full chunking
@@ -55,6 +68,8 @@ contract above — spilled ≡ resident ≡ monolithic, bit for bit.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
 from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -109,6 +124,19 @@ def _concat_payload(shards: Sequence[np.ndarray]) -> np.ndarray:
     return np.concatenate(shards)
 
 
+def _checked_lengths(chunk_lengths: Sequence[int], n_rows: int) -> tuple[int, ...]:
+    """Shard lengths as ints, validated to cover ``n_rows`` rows."""
+    lengths = tuple(int(length) for length in chunk_lengths)
+    if sum(lengths) != n_rows:
+        raise ValueError(
+            f"chunk lengths {lengths} cover {sum(lengths)} rows, "
+            f"column has {n_rows}"
+        )
+    if any(length < 1 for length in lengths):
+        raise ValueError("chunk lengths must all be >= 1")
+    return lengths
+
+
 def compressed_chunks(column: Column) -> list[np.ndarray]:
     """Per-chunk non-missing payloads as float arrays, in row order.
 
@@ -148,6 +176,8 @@ class ChunkedColumn(Column):
 
     __slots__ = (
         "_chunk_lengths",
+        "_starts",
+        "_payload_dtype",
         "_shard_data",
         "_shard_masks",
         "_dense_data",
@@ -164,34 +194,50 @@ class ChunkedColumn(Column):
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def from_column(
-        cls, column: Column, chunk_lengths: Sequence[int]
+    def _bare(
+        cls, name: str, dtype: str, lengths: Sequence[int], payloads: Sequence
     ) -> "ChunkedColumn":
-        """Chunk an existing column at the given shard lengths (copies)."""
-        lengths = tuple(int(length) for length in chunk_lengths)
-        if sum(lengths) != len(column):
-            raise ValueError(
-                f"chunk lengths {lengths} cover {sum(lengths)} rows, "
-                f"column has {len(column)}"
-            )
-        if any(length < 1 for length in lengths):
-            raise ValueError("chunk lengths must all be >= 1")
+        """A column of these shard lengths and shard backing dtypes, no storage."""
+        if dtype not in _types.DTYPES:
+            raise ValueError(f"unknown dtype {dtype!r}")
         out = cls.__new__(cls)
-        out.name = column.name
-        out.dtype = column.dtype
+        out.name = name
+        out.dtype = dtype
+        out._codes_cache = out._fingerprint_cache = None
+        out._mask_fingerprint_cache = None
+        out._chunk_lengths = tuple(lengths)
+        out._starts = tuple(accumulate(lengths, initial=0))
+        # The dense concatenation's backing: object once any shard is.
+        out._payload_dtype = np.dtype(
+            object
+            if any(payload == object for payload in payloads)
+            else payloads[0] if payloads else _types.NUMPY_DTYPES[dtype]
+        )
+        out._shard_data = out._shard_masks = None
+        out._dense_data = out._dense_mask = None
+        return out
+
+    def _with_caches_of(self, column: Column) -> "ChunkedColumn":
         # Re-chunking preserves content row for row, so the source column's
         # content-derived caches stay valid (cross-chunk codes() equal the
         # monolithic factorization by contract; fingerprints are computed
         # over the dense pair either way).
-        out._codes_cache = column._codes_cache
-        out._fingerprint_cache = column._fingerprint_cache
-        out._mask_fingerprint_cache = column._mask_fingerprint_cache
-        out._chunk_lengths = lengths
-        out._shard_data = None
-        out._shard_masks = None
-        out._dense_data = np.asarray(column.values_array()).copy()
+        self._codes_cache = column._codes_cache
+        self._fingerprint_cache = column._fingerprint_cache
+        self._mask_fingerprint_cache = column._mask_fingerprint_cache
+        return self
+
+    @classmethod
+    def from_column(
+        cls, column: Column, chunk_lengths: Sequence[int]
+    ) -> "ChunkedColumn":
+        """Chunk an existing column at the given shard lengths (copies)."""
+        lengths = _checked_lengths(chunk_lengths, len(column))
+        data = np.asarray(column.values_array()).copy()
+        out = cls._bare(column.name, column.dtype, lengths, [data.dtype])
+        out._dense_data = data
         out._dense_mask = np.asarray(column.mask()).copy()
-        return out
+        return out._with_caches_of(column)
 
     @classmethod
     def from_shards(
@@ -207,25 +253,20 @@ class ChunkedColumn(Column):
         values at masked slots; int shards may mix int64 and object
         backing (the dense view normalizes on materialization).
         """
-        if dtype not in _types.DTYPES:
-            raise ValueError(f"unknown dtype {dtype!r}")
         pairs = [(data, mask) for data, mask in shards]
         for data, mask in pairs:
             if len(data) != len(mask):
                 raise ValueError("shard data and mask lengths differ")
             if len(data) == 0:
                 raise ValueError("empty shards are not allowed")
-        out = cls.__new__(cls)
-        out.name = name
-        out.dtype = dtype
-        out._codes_cache = None
-        out._fingerprint_cache = None
-        out._mask_fingerprint_cache = None
-        out._chunk_lengths = tuple(len(data) for data, _ in pairs)
+        out = cls._bare(
+            name,
+            dtype,
+            [len(data) for data, _ in pairs],
+            [data.dtype for data, _ in pairs],
+        )
         out._shard_data = [data for data, _ in pairs]
         out._shard_masks = [mask for _, mask in pairs]
-        out._dense_data = None
-        out._dense_mask = None
         return out
 
     # ------------------------------------------------------------------
@@ -235,20 +276,13 @@ class ChunkedColumn(Column):
     def _materialize(self) -> None:
         if self._dense_data is not None:
             return
-        shards = self._shard_data or []
-        masks = self._shard_masks or []
-        if not shards:
-            self._dense_data = np.empty(
-                0, dtype=_types.NUMPY_DTYPES[self.dtype]
-            )
-            self._dense_mask = np.zeros(0, dtype=bool)
-        else:
-            self._dense_data = _concat_payload(shards)
-            self._dense_mask = (
-                masks[0] if len(masks) == 1 else np.concatenate(masks)
-            )
+        self._dense_data, self._dense_mask = self.row_range(0, len(self))
         # From here on the shards are views of the dense pair, so in-place
         # writes through the inherited mutators stay consistent.
+        self._drop_shards()
+
+    def _drop_shards(self) -> None:
+        """Forget the shard storage once the dense pair holds the column."""
         self._shard_data = None
         self._shard_masks = None
 
@@ -262,17 +296,18 @@ class ChunkedColumn(Column):
         # Widening/overflow paths in Column.set/set_many replace the whole
         # array (same length); shard views are recomputed on demand.
         self._dense_data = array
-        self._shard_data = None
+        self._drop_shards()
 
     @property
     def _mask(self) -> np.ndarray:  # type: ignore[override]
-        self._materialize()
+        if self._dense_mask is None:
+            self._materialize()
         return self._dense_mask
 
     @_mask.setter
     def _mask(self, array: np.ndarray) -> None:
         self._dense_mask = array
-        self._shard_masks = None
+        self._drop_shards()
 
     # ------------------------------------------------------------------
     # Chunk API
@@ -285,21 +320,21 @@ class ChunkedColumn(Column):
     def chunk_lengths(self) -> tuple[int, ...]:
         return self._chunk_lengths
 
-    def _shard_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield the raw ``(data, mask)`` shard pair per chunk, in order."""
-        if self._shard_data is not None:
-            yield from zip(self._shard_data, self._shard_masks)
-            return
+    def _shard(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The raw ``(data, mask)`` pair of shard ``i``."""
+        # Read each list once: a concurrent reader's _materialize may drop
+        # them, and the dense pair it set first then serves the shard.
+        data, masks = self._shard_data, self._shard_masks
+        if data is not None and masks is not None:
+            return data[i], masks[i]
         self._materialize()
-        start = 0
-        for length in self._chunk_lengths:
-            end = start + length
-            yield self._dense_data[start:end], self._dense_mask[start:end]
-            start = end
+        start, end = self._starts[i], self._starts[i + 1]
+        return self._dense_data[start:end], self._dense_mask[start:end]
 
     def iter_chunks(self) -> Iterator[Column]:
         """Yield each shard as a read-only monolithic :class:`Column`."""
-        for data, mask in self._shard_pairs():
+        for i in range(self.n_chunks):
+            data, mask = self._shard(i)
             yield Column._from_arrays(
                 self.name, self.dtype, _readonly(data), _readonly(mask)
             )
@@ -310,10 +345,40 @@ class ChunkedColumn(Column):
         return ChunkedColumn.from_column(self, chunk_lengths_for(len(self), size))
 
     # ------------------------------------------------------------------
+    # Row access: read only the shards that hold the requested rows
+    # ------------------------------------------------------------------
+    def _cell(self, index: int) -> tuple[np.ndarray, np.ndarray, int]:
+        if self._dense_data is not None:
+            return super()._cell(index)
+        n = self._starts[-1]
+        if not -n <= index < n:
+            raise IndexError(f"index {index} out of range for {n} rows")
+        row = index + n if index < 0 else index
+        i = bisect_right(self._starts, row) - 1
+        data, mask = self._shard(i)
+        return data, mask, row - self._starts[i]
+
+    def row_range(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        if self._dense_data is not None:
+            return super().row_range(start, stop)
+        starts = self._starts
+        datas, masks = [], []
+        for i in range(bisect_right(starts, start) - 1, bisect_left(starts, stop)):
+            data, mask = self._shard(i)
+            lo, hi = max(start, starts[i]), min(stop, starts[i + 1])
+            datas.append(data[lo - starts[i] : hi - starts[i]])
+            masks.append(mask[lo - starts[i] : hi - starts[i]])
+        if not datas:
+            return np.empty(0, self._payload_dtype), np.zeros(0, dtype=bool)
+        # astype: int64 rows of a column whose other shards are objects.
+        data = _concat_payload(datas).astype(self._payload_dtype, copy=False)
+        return data, masks[0] if len(masks) == 1 else np.concatenate(masks)
+
+    # ------------------------------------------------------------------
     # Cheap chunk-aware overrides (avoid materializing for metadata)
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(self._chunk_lengths)
+        return self._starts[-1]
 
     def missing_count(self) -> int:
         if self._dense_mask is not None:
@@ -330,8 +395,8 @@ class ChunkedColumn(Column):
         from collections import Counter
 
         counts: Counter = Counter()
-        for data, mask in self._shard_pairs():
-            counts.update(data[~mask].tolist())
+        for chunk in self.iter_chunks():
+            counts.update(chunk.values_array()[~chunk.mask()].tolist())
         return counts
 
     def copy(self) -> "ChunkedColumn":

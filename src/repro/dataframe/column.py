@@ -91,6 +91,12 @@ both representations. ``codes()`` on a chunked column always factorizes
 across *all* chunks (equal values in different chunks share one code);
 see the :mod:`repro.dataframe.chunked` module docstring for the chunk
 boundary invariants and the exact merge rules.
+
+Row access — ``col[i]``, slices, :meth:`take` and the range read
+:meth:`row_range` — is the one way to read some rows. Here it indexes or
+slices the two arrays; a chunked column reads only the shards that hold
+the requested rows, so reading rows of a spilled column never densifies
+it.
 """
 
 from __future__ import annotations
@@ -195,17 +201,37 @@ class Column:
         return iter(self.values())
 
     def __getitem__(self, index):
+        """One cell (None when missing), or a slice as an owned Column.
+
+        Built on the row access below, so a chunked column reads only
+        the shards that hold the requested rows.
+        """
         if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return self.take(np.arange(start, stop, step))
+            data, mask = self.row_range(start, max(start, stop))
             return Column._from_arrays(
-                self.name,
-                self.dtype,
-                self._data[index].copy(),
-                self._mask[index].copy(),
+                self.name, self.dtype, data.copy(), mask.copy()
             )
-        if self._mask[index]:
+        data, mask, position = self._cell(index)
+        if mask[position]:
             return None
-        value = self._data[index]
+        value = data[position]
         return value.item() if isinstance(value, np.generic) else value
+
+    def _cell(self, index: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """``(data, mask, position)`` of the arrays that hold row ``index``."""
+        return self._data, self._mask, index
+
+    def row_range(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``[start, stop)`` as one ``(data, mask)`` pair.
+
+        ``0 <= start <= stop <= len(self)``. The pair may share memory
+        with the column (here it is a slice of its two arrays), so a
+        caller copies before writing.
+        """
+        return self._data[start:stop], self._mask[start:stop]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Column):
@@ -526,6 +552,7 @@ class Column:
         return Column(self.name, mapped)
 
     def take(self, indices: Sequence[int]) -> "Column":
+        """Rows at ``indices`` (negative and repeated allowed), owned."""
         idx = np.asarray(indices, dtype=np.intp)
         return Column._from_arrays(
             self.name, self.dtype, self._data[idx], self._mask[idx]

@@ -188,7 +188,12 @@ class DataFrame:
     # Selection
     # ------------------------------------------------------------------
     def take(self, indices: Sequence[int]) -> "DataFrame":
-        """Return the rows at ``indices`` in the given order."""
+        """Return the rows at ``indices`` in the given order.
+
+        Each column gathers through :meth:`Column.take`, so a spilled
+        column reads only the shards that hold the requested rows and
+        stays spilled.
+        """
         idx = np.asarray(indices, dtype=np.intp)
         if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= self.num_rows):
             raise IndexError(f"row index out of range for {self.num_rows} rows")
@@ -197,22 +202,15 @@ class DataFrame:
     def select(self, mask: np.ndarray) -> "DataFrame":
         """Boolean-mask row selection — the vectorized fast path.
 
-        ``mask`` must be a boolean array of length ``num_rows``; each
-        column is sliced in one numpy operation without materializing
-        Python row objects.
+        ``mask`` must be a boolean array of length ``num_rows``; it is
+        :meth:`take` of the selected rows, so each column is gathered in
+        one numpy operation (a spilled column reads only the shards that
+        hold selected rows) without materializing Python row objects.
         """
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (self.num_rows,):
             raise ValueError("mask length must equal number of rows")
-        return DataFrame(
-            Column._from_arrays(
-                col.name,
-                col.dtype,
-                col.values_array()[mask],
-                col.mask()[mask],
-            )
-            for col in self._columns.values()
-        )
+        return self.take(np.flatnonzero(mask))
 
     def column_codes(
         self, columns: Sequence[str] | None = None, dense: bool = True
@@ -250,7 +248,9 @@ class DataFrame:
         return codes, span
 
     def head(self, n: int = 5) -> "DataFrame":
-        return self.take(list(range(min(n, self.num_rows))))
+        """The first ``n`` rows (a range read of each column)."""
+        stop = max(0, min(n, self.num_rows))
+        return DataFrame(col[:stop] for col in self._columns.values())
 
     def copy(self) -> "DataFrame":
         return DataFrame(col.copy() for col in self._columns.values())

@@ -608,84 +608,30 @@ def _expand_pairs(
     return left_idx, right_idx
 
 
-class _GatherPlan:
-    """One output row-index array shared by every gathered column.
+def _gather_arrays(column: Column, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gather ``column`` at ``idx`` (-1 = missing) into fresh arrays.
 
-    Caches the stable argsort the spilled streaming path needs, so a
-    wide spilled side sorts its indices once, not once per column.
+    One :meth:`~repro.dataframe.column.Column.take`: a spilled column
+    reads each shard that holds an output row once, through the store's
+    LRU, so the input stays spilled. Missing output slots hold the
+    canonical fill value with the mask set — the standard storage
+    invariant.
     """
-
-    __slots__ = ("idx", "_order", "_sorted")
-
-    def __init__(self, idx: np.ndarray) -> None:
-        self.idx = np.asarray(idx, dtype=np.int64)
-        self._order: np.ndarray | None = None
-        self._sorted: np.ndarray | None = None
-
-    def order_and_sorted(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._order is None:
-            self._order = np.argsort(self.idx, kind="stable")
-            self._sorted = self.idx[self._order]
-        return self._order, self._sorted
-
-
-def _gather_arrays(
-    column: Column, plan: _GatherPlan
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gather ``column`` at ``plan.idx`` (-1 = missing) into fresh arrays.
-
-    Unspilled columns take one fancy-index (the in-memory fast path);
-    spilled columns stream shard by shard through the store's LRU so the
-    input stays spilled. Missing output slots hold the canonical fill
-    value with the mask set — the standard storage invariant.
-    """
-    idx = plan.idx
-    n = len(idx)
     dtype = column.dtype
     fill = _types.FILL_VALUES[dtype]
     out_missing = idx < 0
-    if not getattr(column, "spilled", False):
-        src = np.asarray(column.values_array())
-        src_mask = np.asarray(column.mask())
-        if len(src) == 0:
-            data = np.full(n, fill, dtype=_types.NUMPY_DTYPES[dtype])
-            return data, out_missing.copy()
-        safe = np.where(out_missing, 0, idx)
-        data = src[safe]
-        mask = src_mask[safe] | out_missing
-        if out_missing.any():
-            data[out_missing] = fill
-        return data, mask
-    data = np.full(n, fill, dtype=_types.NUMPY_DTYPES[dtype])
-    mask = out_missing.copy()
-    order, sorted_idx = plan.order_and_sorted()
-    lo = int(np.searchsorted(sorted_idx, 0))
-    start = 0
-    for chunk in column.iter_chunks():
-        end = start + len(chunk)
-        hi = int(np.searchsorted(sorted_idx, end))
-        if hi > lo:
-            positions = order[lo:hi]
-            local = idx[positions] - start
-            vals = chunk.values_array()[local]
-            if vals.dtype != data.dtype:
-                # An int column can mix int64 and object shards; the
-                # gathered array normalizes to object-backed Python ints
-                # exactly like the dense concatenation does.
-                if data.dtype != object:
-                    data = data.astype(object)
-                vals = vals.astype(object)
-            data[positions] = vals
-            mask[positions] = chunk.mask()[local]
-        lo = hi
-        start = end
+    if len(column) == 0:
+        data = np.full(len(idx), fill, dtype=_types.NUMPY_DTYPES[dtype])
+        return data, out_missing.copy()
+    taken = column.take(np.where(out_missing, 0, idx))
+    data, mask = taken._data, taken._mask | out_missing
+    if out_missing.any():
+        data[out_missing] = fill
     return data, mask
 
 
-def _gather_column(
-    column: Column, plan: _GatherPlan, out_name: str
-) -> Column:
-    data, mask = _gather_arrays(column, plan)
+def _gather_column(column: Column, idx: np.ndarray, out_name: str) -> Column:
+    data, mask = _gather_arrays(column, idx)
     return Column._from_arrays(out_name, column.dtype, data, mask)
 
 
@@ -693,8 +639,8 @@ def _merged_key_column(
     name: str,
     left_col: Column,
     right_col: Column,
-    left_plan: _GatherPlan,
-    right_plan: _GatherPlan,
+    left_idx: np.ndarray,
+    right_idx: np.ndarray,
 ) -> Column:
     """Outer-join key column: left value when present, else right.
 
@@ -704,9 +650,9 @@ def _merged_key_column(
     reference frame built with ``from_dict(..., dtypes=...)``.
     """
     out_dtype = _types.common_dtype(left_col.dtype, right_col.dtype)
-    left_data, left_mask = _gather_arrays(left_col, left_plan)
-    right_data, right_mask = _gather_arrays(right_col, right_plan)
-    take_right = left_plan.idx < 0
+    left_data, left_mask = _gather_arrays(left_col, left_idx)
+    right_data, right_mask = _gather_arrays(right_col, right_idx)
+    take_right = left_idx < 0
     if left_col.dtype == right_col.dtype:
         if left_data.dtype != right_data.dtype:
             left_data = left_data.astype(object)
@@ -753,8 +699,6 @@ def _assemble(
             f"suffix {suffix!r} produces colliding output column names "
             f"among right columns {right_extra}"
         )
-    left_plan = _GatherPlan(left_idx)
-    right_plan = _GatherPlan(right_idx)
     columns: list[Column] = []
     for name in left_names:
         if how == "outer" and name in key_names:
@@ -763,15 +707,15 @@ def _assemble(
                     name,
                     left.column(name),
                     right.column(name),
-                    left_plan,
-                    right_plan,
+                    left_idx,
+                    right_idx,
                 )
             )
         else:
-            columns.append(_gather_column(left.column(name), left_plan, name))
+            columns.append(_gather_column(left.column(name), left_idx, name))
     for name in right_extra:
         columns.append(
-            _gather_column(right.column(name), right_plan, renamed[name])
+            _gather_column(right.column(name), right_idx, renamed[name])
         )
     return DataFrame(columns)
 

@@ -109,12 +109,17 @@ def _order_codes(column: Column) -> np.ndarray:
     remapped through a sorted-representatives rank table.
     """
     codes, n_groups = column.codes()
-    has_missing = bool(column.mask().any())
-    n_valid = n_groups - 1 if has_missing else n_groups
-    if n_valid <= 1 or column.values_array().dtype != object:
-        return codes
     valid = ~column.mask()
-    payload = column.values_array()[valid]
+    has_missing = not valid.all()
+    n_valid = n_groups - 1 if has_missing else n_groups
+    if n_valid <= 1:
+        return codes
+    # A range read, not values_array(): ordering a spilled column (the
+    # memory plan over a spilled frame) must not densify it.
+    data = column.row_range(0, len(column))[0]
+    if data.dtype != object:
+        return codes
+    payload = data[valid]
     valid_codes = codes[valid]
     # np.unique returns the sorted distinct codes 0..n_valid-1, so
     # first_index[i] is the first occurrence of code i.

@@ -79,24 +79,18 @@ instead of thrashing it.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from ..settings import resolve
 from . import types as _types
-from .chunked import ChunkedColumn, ChunkedFrame, _concat_payload, chunk_lengths_for
+from .chunked import ChunkedFrame, _concat_payload, chunk_lengths_for
 from .column import Column
 from .frame import DataFrame
 from .ops import _sort_order
-from .spill import (
-    SpilledChunkedColumn,
-    SpillStore,
-    _resliced_pairs,
-    spill_store_of,
-)
+from .spill import SpilledChunkedColumn, SpillStore, spill_store_of
 
 #: Payload-byte estimate per row for object-backed cells (strings,
 #: overflowed ints) when sizing runs and merge windows — deliberately
@@ -140,48 +134,10 @@ def _concat_pairs(
     return _concat_payload(data), np.concatenate(masks)
 
 
-class _Run:
-    """One sorted run: each column's spilled shards in row order.
-
-    ``handles`` maps column name to the run's shards (one for generated
-    runs, several for pass-merged runs); ``starts`` are the shards' row
-    offsets (length ``n_shards + 1``).
-    """
-
-    __slots__ = ("handles", "starts")
-
-    def __init__(
-        self, handles: dict[str, list[Any]], lengths: Sequence[int]
-    ) -> None:
-        self.handles = handles
-        self.starts = list(accumulate(lengths, initial=0))
-
-    def __len__(self) -> int:
-        return self.starts[-1]
-
-    def rows(
-        self, name: str, store: SpillStore, start: int, end: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows ``[start, end)`` of one column as one pair (``start < end``).
-
-        Shards load through the store's LRU, so residency stays within
-        its budget.
-        """
-        starts = self.starts
-        pairs = []
-        for i in range(bisect_right(starts, start) - 1, bisect_left(starts, end)):
-            data, mask = store.load(self.handles[name][i])
-            lo = max(start - starts[i], 0)
-            hi = min(end, starts[i + 1]) - starts[i]
-            pairs.append((data[lo:hi], mask[lo:hi]))
-        return _concat_pairs(pairs)
-
-    def release(self, store: SpillStore) -> None:
-        """Free every shard once — safe to call again after."""
-        for handle_list in self.handles.values():
-            for handle in handle_list:
-                store.release(handle)
-        self.handles = {}
+def _release(run: ChunkedFrame) -> None:
+    """Free a run's records once — safe to call again after."""
+    for name in run.column_names:
+        run.column(name)._release_spill()
 
 
 def _generate_runs(
@@ -190,42 +146,38 @@ def _generate_runs(
     descending: bool,
     store: SpillStore,
     batch_lengths: Sequence[int],
-) -> list[_Run]:
+) -> list[ChunkedFrame]:
     """Cut the frame into size-capped batches, sort and spill each.
 
-    Every column streams through :func:`_resliced_pairs` in lockstep
-    (spilled inputs load shard by shard through the store's LRU), so at
-    most one batch of rows is resident while runs are generated.
+    Each batch is a range read of every column (spilled inputs load only
+    the shards that cover it, through the store's LRU), so at most one
+    batch of rows is resident while runs are generated. A run is a frame
+    of one-shard spilled columns.
     """
-    columns = {name: frame.column(name) for name in frame.column_names}
-
-    def pairs_of(col: Column) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        if isinstance(col, ChunkedColumn):
-            return col._shard_pairs()
-        return iter([(np.asarray(col.values_array()), np.asarray(col.mask()))])
-
-    reslicers = {
-        name: _resliced_pairs(pairs_of(col), batch_lengths)
-        for name, col in columns.items()
-    }
-    runs: list[_Run] = []
-    for length in batch_lengths:
-        batch = {name: next(reslicers[name]) for name in columns}
-        keys = [
-            Column._from_arrays(name, columns[name].dtype, *batch[name])
-            for name in names
-        ]
-        order = _sort_order(keys, length, descending)
-        handles = {
-            name: [store.spill(data[order], mask[order])]
-            for name, (data, mask) in batch.items()
+    dtypes = frame.dtypes()
+    runs: list[ChunkedFrame] = []
+    bounds = zip(accumulate(batch_lengths, initial=0), accumulate(batch_lengths))
+    for start, stop in bounds:
+        batch = {
+            name: frame.column(name).row_range(start, stop) for name in dtypes
         }
-        runs.append(_Run(handles, [length]))
+        keys = [
+            Column._from_arrays(name, dtypes[name], *batch[name]) for name in names
+        ]
+        order = _sort_order(keys, stop - start, descending)
+        runs.append(
+            ChunkedFrame(
+                SpilledChunkedColumn.from_handles(
+                    name, dtypes[name], [store.spill(data[order], mask[order])], store
+                )
+                for name, (data, mask) in batch.items()
+            )
+        )
     return runs
 
 
 def _merge_tape(
-    group: Sequence[_Run],
+    group: Sequence[ChunkedFrame],
     dtypes: Mapping[str, str],
     keys: Sequence[str],
     descending: bool,
@@ -239,7 +191,7 @@ def _merge_tape(
         store.budget_bytes
         // (_RUN_BUDGET_FRACTION * max(len(group), 1) * _row_bytes(dtypes, keys)),
     )
-    sizes = np.array([len(run) for run in group], dtype=np.int64)
+    sizes = np.array([run.num_rows for run in group], dtype=np.int64)
     cursors = np.zeros(len(group), dtype=np.int64)
     run_ids = np.arange(len(group), dtype=np.min_scalar_type(len(group)))
     tape = np.empty(int(sizes.sum()), dtype=run_ids.dtype)
@@ -255,7 +207,7 @@ def _merge_tape(
                 name,
                 dtypes[name],
                 *_concat_pairs(
-                    [group[r].rows(name, store, lo, hi) for r, lo, hi in spans]
+                    [group[r].column(name).row_range(lo, hi) for r, lo, hi in spans]
                 ),
             )
             for name in keys
@@ -273,7 +225,7 @@ def _merge_tape(
 
 def _gather(
     name: str,
-    group: Sequence[_Run],
+    group: Sequence[ChunkedFrame],
     tape: np.ndarray,
     lengths: Sequence[int],
     store: SpillStore,
@@ -293,7 +245,9 @@ def _gather(
         pairs = []
         for r, count in enumerate(np.bincount(piece, minlength=len(group)).tolist()):
             if count:
-                pairs.append(group[r].rows(name, store, cursors[r], cursors[r] + count))
+                pairs.append(
+                    group[r].column(name).row_range(cursors[r], cursors[r] + count)
+                )
                 cursors[r] += count
         data, mask = _concat_pairs(pairs)
         slots = np.argsort(piece, kind="stable")
@@ -306,13 +260,13 @@ def _gather(
 
 
 def _merge(
-    group: Sequence[_Run],
+    group: Sequence[ChunkedFrame],
     dtypes: Mapping[str, str],
     keys: Sequence[str],
     descending: bool,
     store: SpillStore,
     shard_rows: int,
-) -> _Run:
+) -> ChunkedFrame:
     """Merge a contiguous group of runs into one run of ``shard_rows`` shards.
 
     Writes both the intermediate passes and the final output. Because
@@ -322,10 +276,15 @@ def _merge(
     """
     tape = _merge_tape(group, dtypes, keys, descending, store)
     lengths = chunk_lengths_for(len(tape), shard_rows)
-    handles = {name: _gather(name, group, tape, lengths, store) for name in dtypes}
+    merged = ChunkedFrame(
+        SpilledChunkedColumn.from_handles(
+            name, dtype, _gather(name, group, tape, lengths, store), store
+        )
+        for name, dtype in dtypes.items()
+    )
     for run in group:
-        run.release(store)
-    return _Run(handles, lengths)
+        _release(run)
+    return merged
 
 
 def external_sort_by(
@@ -372,8 +331,5 @@ def external_sort_by(
         merged = _merge(runs, dtypes, names, descending, store, shard_rows)
     finally:
         for run in runs:
-            run.release(store)
-    return ChunkedFrame(
-        SpilledChunkedColumn.from_handles(name, dtype, merged.handles[name], store)
-        for name, dtype in dtypes.items()
-    )
+            _release(run)
+    return merged

@@ -92,12 +92,23 @@ and defaults. Spilling an already in-memory frame cannot lower its peak
 RSS, so ``to_chunked()`` and ``profile()`` never spill implicitly — use
 :func:`spill_frame` or the explicit ``spill=`` parameters.
 
-Dense access (``values_array()`` / ``to_monolithic()`` / mutation)
-materializes the column — shards are gathered into owned dense arrays
-and the column drops its references to its records. The non-pinning
-overrides (``codes()`` / ``fingerprint()`` / ``mask()`` /
-``to_numpy()``) compute their results from temporary gathers instead,
-so the profile → detect → repair pipeline leaves columns spilled.
+Residency of spilled columns
+----------------------------
+Row access never pins: ``col[i]``, slices, ``row_range()``, ``take()``
+and so ``head()``, ``select()`` and ``DataFrame.take()`` load only the
+records that hold the requested rows, through the LRU cache, and the
+column stays spilled. The non-pinning overrides (``codes()`` /
+``fingerprint()`` / ``unique()`` / ``mask()`` / ``to_numpy()``) compute
+their results from temporary whole-column reads, so reads and the
+profile → detect pipeline leave columns spilled. Explicit dense access
+(``values_array()`` / ``to_monolithic()`` / ``set`` / ``set_many``)
+still materializes the column: its shards are gathered into owned dense
+arrays and the column releases its records.
+
+A column garbage-collected while still spilled releases its records
+too, at the store's next ``spill`` / ``load`` / ``load_mask`` /
+``release`` / ``stats`` / ``close``: its finalizer only queues the
+handles, because it may run while the same thread holds the store lock.
 """
 
 from __future__ import annotations
@@ -113,17 +124,17 @@ import tempfile
 import threading
 import time
 import weakref
-from collections import OrderedDict
+from collections import OrderedDict, deque
+from itertools import accumulate
 from pathlib import Path
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from . import types as _types
 from .chunked import (
     ChunkedColumn,
     ChunkedFrame,
-    _concat_payload,
+    _checked_lengths,
     chunk_lengths_for,
     resolve_chunk_size,
 )
@@ -321,6 +332,11 @@ class SpillStore:
         #: in-flight write lands); the active one takes new records.
         self._segments: set[_Segment] = set()
         self._active: _Segment | None = None
+        #: Handles of spilled columns that were garbage-collected while
+        #: spilled. A column's finalizer only appends here: it may run
+        #: inside any allocation, even one made while this thread holds
+        #: the (non-reentrant) lock. The next store call releases them.
+        self._orphans: deque[ShardHandle] = deque()
         self._next_id = 0
         self.spilled_shards = 0
         self.spilled_bytes = 0
@@ -347,6 +363,7 @@ class SpillStore:
         internally at the same offset, up to ``DATALENS_IO_RETRIES``
         times (read when the store was built).
         """
+        self._release_orphans()
         data = np.asarray(data)
         mask = np.asarray(mask, dtype=bool)
         if len(data) != len(mask):
@@ -419,6 +436,7 @@ class SpillStore:
         shard — and again just before the insert, because another
         thread may have filled the cache in between.
         """
+        self._release_orphans()
         with self._lock:
             pair = self._resident.get(handle.shard_id)
             if pair is not None:
@@ -460,6 +478,7 @@ class SpillStore:
         verify just the record's mask section; a pickled object shard is
         one section, so it takes the full :meth:`load` path.
         """
+        self._release_orphans()
         with self._lock:
             pair = self._resident.get(handle.shard_id)
             if pair is not None:
@@ -492,6 +511,20 @@ class SpillStore:
         store is logged) — the store keeps working, but the leak is
         visible instead of silently swallowed.
         """
+        self._release_orphans()
+        self._release(handle)
+
+    def _release_orphans(self) -> None:
+        """Release the records of spilled columns collected since the last call."""
+        orphans = self._orphans
+        while orphans:
+            try:
+                handle = orphans.popleft()
+            except IndexError:  # another thread took the last one
+                return
+            self._release(handle)
+
+    def _release(self, handle: ShardHandle) -> None:
         with self._lock:
             refs = self._refs.pop(handle.shard_id, 0)
             if refs > 1:
@@ -506,6 +539,7 @@ class SpillStore:
 
     def close(self) -> None:
         """Delete the spill directory; subsequent loads raise SpillError."""
+        self._release_orphans()
         with self._lock:
             self._resident.clear()
             self._resident_sizes.clear()
@@ -521,6 +555,7 @@ class SpillStore:
         ``disk_bytes`` counts every byte appended to the segment files
         still on disk, live records and released ones alike.
         """
+        self._release_orphans()
         with self._lock:
             return {
                 "budget_bytes": self.budget_bytes,
@@ -676,53 +711,27 @@ def sweep_orphaned_spill_dirs(
     return removed
 
 
-def _resliced_pairs(
-    pairs: Iterable[tuple[np.ndarray, np.ndarray]],
-    lengths: Sequence[int],
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Re-cut a stream of shard pairs at new boundary lengths.
-
-    Holds at most one source shard (plus the pieces of the pair being
-    assembled), so re-chunking a spilled column never densifies it.
-    """
-    source = iter(pairs)
-    data: np.ndarray | None = None
-    mask: np.ndarray | None = None
-    offset = 0
-    for length in lengths:
-        data_parts: list[np.ndarray] = []
-        mask_parts: list[np.ndarray] = []
-        need = length
-        while need:
-            if data is None or offset == len(data):
-                data, mask = next(source)
-                offset = 0
-            take = min(need, len(data) - offset)
-            data_parts.append(data[offset : offset + take])
-            mask_parts.append(mask[offset : offset + take])
-            offset += take
-            need -= take
-        yield (
-            data_parts[0] if len(data_parts) == 1 else _concat_payload(data_parts),
-            mask_parts[0] if len(mask_parts) == 1 else np.concatenate(mask_parts),
-        )
-
-
 class SpilledChunkedColumn(ChunkedColumn):
     """A ChunkedColumn whose shards live in a :class:`SpillStore`.
 
-    Shards stream through the inherited chunk-aware kernels via the
-    overridden :meth:`_shard_pairs`; any dense access (``values_array``,
-    mutation, ``to_monolithic``) gathers the shards into owned arrays
-    and **releases** the column's records — after which the column
-    behaves exactly like a dense :class:`ChunkedColumn` and ``spilled``
-    is False. A copy shares the records, so the other holder reads on
-    unchanged. ``codes()``, ``fingerprint()``, ``mask()``, and
-    ``to_numpy()`` are overridden to compute from temporary gathers so
-    the profile/detect pipeline does not trigger that materialization.
+    Shards stream through the inherited chunk-aware kernels and row
+    access via the overridden per-shard accessor :meth:`_shard`: ``col[i]``,
+    slices, :meth:`row_range` and :meth:`take` load only the records that
+    hold the requested rows, through the store's LRU cache, and pin
+    nothing. ``codes()``, ``fingerprint()``, ``unique()``, ``mask()`` and
+    ``to_numpy()`` compute from temporary whole-column reads, so reads and
+    the profile/detect pipeline leave the column spilled.
+
+    Explicit dense access (``values_array``, mutation, ``to_monolithic``)
+    gathers the shards into owned arrays and **releases** the column's
+    records — after which the column behaves exactly like a dense
+    :class:`ChunkedColumn` and ``spilled`` is False. A copy shares the
+    records, so the other holder reads on unchanged. A column collected
+    while still spilled hands its records to the store, which releases
+    them at its next call.
     """
 
-    __slots__ = ("_handles", "_spill_store")
+    __slots__ = ("_handles", "_spill_store", "_finalizer", "__weakref__")
 
     # ------------------------------------------------------------------
     # Constructors
@@ -735,23 +744,19 @@ class SpilledChunkedColumn(ChunkedColumn):
         handles: Iterable[ShardHandle],
         store: SpillStore,
     ) -> "SpilledChunkedColumn":
-        """Wrap already-spilled shards (the streaming reader's path)."""
-        if dtype not in _types.DTYPES:
-            raise ValueError(f"unknown dtype {dtype!r}")
+        """Wrap already-spilled shards; the column owns one hold on each."""
         handle_list = list(handles)
-        out = cls.__new__(cls)
-        out.name = name
-        out.dtype = dtype
-        out._codes_cache = None
-        out._fingerprint_cache = None
-        out._mask_fingerprint_cache = None
-        out._chunk_lengths = tuple(handle.length for handle in handle_list)
-        out._shard_data = None
-        out._shard_masks = None
-        out._dense_data = None
-        out._dense_mask = None
+        out = cls._bare(
+            name,
+            dtype,
+            [handle.length for handle in handle_list],
+            [handle.dtype for handle in handle_list],
+        )
         out._handles = handle_list
         out._spill_store = store
+        # Runs at collection, possibly while the store lock is held by
+        # this very thread: it only queues the handles (see SpillStore).
+        out._finalizer = weakref.finalize(out, store._orphans.extend, handle_list)
         return out
 
     @classmethod
@@ -763,28 +768,15 @@ class SpilledChunkedColumn(ChunkedColumn):
     ) -> "SpilledChunkedColumn":
         """Spill an existing column at the given shard lengths.
 
-        A chunked source streams shard by shard (re-cut at the new
-        boundaries), so re-spilling a spilled column (``rechunk()``)
-        never gathers it densely.
+        Each new shard is a range read of the source, so re-spilling a
+        chunked or spilled column (``rechunk()``) reads it one shard at a
+        time and never gathers it densely.
         """
-        lengths = tuple(int(length) for length in chunk_lengths)
-        if sum(lengths) != len(column):
-            raise ValueError(
-                f"chunk lengths {lengths} cover {sum(lengths)} rows, "
-                f"column has {len(column)}"
-            )
-        if any(length < 1 for length in lengths):
-            raise ValueError("chunk lengths must all be >= 1")
-        if isinstance(column, ChunkedColumn):
-            pairs: Iterable[tuple[np.ndarray, np.ndarray]] = column._shard_pairs()
-        else:
-            pairs = [
-                (np.asarray(column.values_array()), np.asarray(column.mask()))
-            ]
+        lengths = _checked_lengths(chunk_lengths, len(column))
         handles: list[ShardHandle] = []
         try:
-            for data, mask in _resliced_pairs(pairs, lengths):
-                handles.append(store.spill(data, mask))
+            for start, stop in zip(accumulate(lengths, initial=0), accumulate(lengths)):
+                handles.append(store.spill(*column.row_range(start, stop)))
         except BaseException:
             # Don't leak the shards already written for this column.
             for handle in handles:
@@ -793,14 +785,6 @@ class SpilledChunkedColumn(ChunkedColumn):
         return cls.from_handles(
             column.name, column.dtype, handles, store
         )._with_caches_of(column)
-
-    def _with_caches_of(self, column: Column) -> "SpilledChunkedColumn":
-        # Content is preserved row for row, so content-derived caches
-        # carry over (same rule as ChunkedColumn.from_column).
-        self._codes_cache = column._codes_cache
-        self._fingerprint_cache = column._fingerprint_cache
-        self._mask_fingerprint_cache = column._mask_fingerprint_cache
-        return self
 
     # ------------------------------------------------------------------
     # Spill state
@@ -815,84 +799,80 @@ class SpilledChunkedColumn(ChunkedColumn):
         return self._spill_store
 
     def _release_spill(self) -> None:
-        if self._handles is None:
+        store = self._spill_store
+        # Swap under the store lock: of two racing dense accesses exactly
+        # one takes the handles, so no record loses two holds.
+        with store._lock:
+            handles, self._handles = self._handles, None
+        if handles is None:
             return
-        handles, self._handles = self._handles, None
+        self._finalizer.detach()
         for handle in handles:
-            self._spill_store.release(handle)
+            store.release(handle)
 
     # ------------------------------------------------------------------
     # Dense storage — gathering releases the spilled state
     # ------------------------------------------------------------------
-    def _gather_dense(self, copy: bool) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated (data, mask) straight from the spilled shards.
-
-        ``copy=True`` guarantees owned writable arrays (a single shard
-        loads as a read-only view, which must not become ``_data``);
-        ``copy=False`` may hand back that view itself for read-only use.
-        """
-        handles = self._handles or []
-        if not handles:
-            return (
-                np.empty(0, dtype=_types.NUMPY_DTYPES[self.dtype]),
-                np.zeros(0, dtype=bool),
-            )
-        pairs = [self._spill_store.load(handle) for handle in handles]
-        if len(pairs) == 1:
-            data, mask = pairs[0]
-            if copy:
-                return np.array(data), np.array(mask, dtype=bool)
-            return np.asarray(data), np.asarray(mask)
-        data = _concat_payload([pair[0] for pair in pairs])
-        mask = np.concatenate([pair[1] for pair in pairs])
-        return data, mask
-
     def _materialize(self) -> None:
-        if self._dense_data is not None:
-            return
+        if self._dense_data is None and self._handles is not None:
+            data, mask = self.row_range(0, len(self))
+            # A one-shard read is a view of the cached record: own a copy.
+            self._dense_data = np.array(data)
+            # mask() may have gathered the dense mask already; its content
+            # is identical, so keep it (returned views stay aligned).
+            if self._dense_mask is None:
+                self._dense_mask = np.array(mask)
+            self._drop_shards()
+
+    def _drop_shards(self) -> None:
+        super()._drop_shards()
+        self._release_spill()
+
+    # ------------------------------------------------------------------
+    # Chunk API and row access over spilled shards
+    # ------------------------------------------------------------------
+    def _shard(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        handles = self._handles
+        if handles is not None:
+            try:
+                return self._spill_store.load(handles[i])
+            except SpillError:
+                if self._handles is not None:
+                    raise
+                # A dense access released the records after setting the
+                # dense pair, which serves the shard from here on.
+        return super()._shard(i)
+
+    def take(self, indices: Sequence[int]) -> Column:
+        """Rows at ``indices``, owned; each touched shard is read once.
+
+        The indices are routed by shard id, held in the smallest unsigned
+        integer type that fits: one stable argsort of those small ids
+        costs far less than sorting the indices themselves.
+        """
         if self._handles is None:
-            super()._materialize()
-            return
-        data, mask = self._gather_dense(copy=True)
-        self._dense_data = data
-        # mask() may have gathered the dense mask already; its content is
-        # identical, so keep it (previously returned views stay aligned).
-        if self._dense_mask is None:
-            self._dense_mask = mask
-        self._release_spill()
-
-    @property
-    def _data(self) -> np.ndarray:  # type: ignore[override]
-        self._materialize()
-        return self._dense_data
-
-    @_data.setter
-    def _data(self, array: np.ndarray) -> None:
-        self._dense_data = array
-        self._shard_data = None
-        self._release_spill()
-
-    @property
-    def _mask(self) -> np.ndarray:  # type: ignore[override]
-        if self._dense_mask is None:
-            self._materialize()
-        return self._dense_mask
-
-    @_mask.setter
-    def _mask(self, array: np.ndarray) -> None:
-        self._dense_mask = array
-        self._shard_masks = None
-        self._release_spill()
-
-    # ------------------------------------------------------------------
-    # Chunk API over spilled shards
-    # ------------------------------------------------------------------
-    def _shard_pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        if self._handles is not None:
-            for handle in self._handles:
-                yield self._spill_store.load(handle)
-            return
-        yield from super()._shard_pairs()
+            return super().take(indices)
+        n = self._starts[-1]
+        idx = np.asarray(indices, dtype=np.intp)
+        if idx.size and (int(idx.min()) < -n or int(idx.max()) >= n):
+            raise IndexError(f"index out of range for {n} rows")
+        idx = np.where(idx < 0, idx + n, idx)
+        starts = np.asarray(self._starts)
+        shard_ids = (np.searchsorted(starts, idx, side="right") - 1).astype(
+            np.min_scalar_type(self.n_chunks)
+        )
+        order = np.argsort(shard_ids, kind="stable")
+        counts = np.bincount(shard_ids, minlength=self.n_chunks)
+        ends = np.cumsum(counts)
+        data = np.empty(len(idx), dtype=self._payload_dtype)
+        mask = np.empty(len(idx), dtype=bool)
+        for i in np.flatnonzero(counts).tolist():
+            positions = order[ends[i] - counts[i] : ends[i]]
+            local = idx[positions] - starts[i]
+            shard_data, shard_mask = self._shard(i)
+            data[positions] = shard_data[local]
+            mask[positions] = shard_mask[local]
+        return Column._from_arrays(self.name, self.dtype, data, mask)
 
     def rechunk(self, chunk_size: int | None = None) -> ChunkedColumn:
         if self._handles is None:
@@ -914,6 +894,12 @@ class SpilledChunkedColumn(ChunkedColumn):
     # ------------------------------------------------------------------
     # Non-pinning overrides: compute without keeping dense payloads
     # ------------------------------------------------------------------
+    def _whole(self) -> Column:
+        """A temporary monolithic column over one whole-column range read."""
+        return Column._from_arrays(
+            self.name, self.dtype, *self.row_range(0, len(self))
+        )
+
     def missing_count(self) -> int:
         if self._dense_mask is None and self._handles is not None:
             return sum(
@@ -925,19 +911,10 @@ class SpilledChunkedColumn(ChunkedColumn):
     def mask(self) -> np.ndarray:
         """Dense read-only mask, gathered without loading the payloads."""
         if self._dense_mask is None and self._handles is not None:
-            handles = self._handles
-            if not handles:
-                self._dense_mask = np.zeros(0, dtype=bool)
-            else:
-                parts = [
-                    np.asarray(self._spill_store.load_mask(handle))
-                    for handle in handles
-                ]
-                self._dense_mask = (
-                    np.array(parts[0], dtype=bool)
-                    if len(parts) == 1
-                    else np.concatenate(parts)
-                )
+            self._dense_mask = np.concatenate(
+                [np.zeros(0, dtype=bool)]
+                + [self._spill_store.load_mask(handle) for handle in self._handles]
+            )
         return super().mask()
 
     def mask_fingerprint(self) -> str:
@@ -948,37 +925,22 @@ class SpilledChunkedColumn(ChunkedColumn):
     def unique(self) -> list[Any]:
         if self._handles is None:
             return super().unique()
-        data, mask = self._gather_dense(copy=False)
-        temp = Column._from_arrays(self.name, self.dtype, data, mask)
-        return temp.unique()
+        return self._whole().unique()
 
     def codes(self) -> tuple[np.ndarray, int]:
         if self._codes_cache is None and self._handles is not None:
-            data, mask = self._gather_dense(copy=False)
-            temp = Column._from_arrays(self.name, self.dtype, data, mask)
-            self._codes_cache = temp.codes()
+            self._codes_cache = self._whole().codes()
         return super().codes()
 
     def fingerprint(self) -> str:
         if self._fingerprint_cache is None and self._handles is not None:
-            data, mask = self._gather_dense(copy=False)
-            temp = Column._from_arrays(self.name, self.dtype, data, mask)
-            self._fingerprint_cache = temp.fingerprint()
+            self._fingerprint_cache = self._whole().fingerprint()
         return super().fingerprint()
 
     def to_numpy(self) -> np.ndarray:
-        if self._handles is None or not self.is_numeric():
+        if self._handles is None:
             return super().to_numpy()
-        parts = []
-        for data, mask in self._shard_pairs():
-            part = np.asarray(data).astype(float)
-            mask = np.asarray(mask)
-            if mask.any():
-                part[mask] = np.nan
-            parts.append(part)
-        if not parts:
-            return np.empty(0, dtype=float)
-        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return self._whole().to_numpy()
 
 
 def spill_frame(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Any, Callable, Iterable
 
 from ..dataframe import Cell, DataFrame
@@ -16,6 +17,16 @@ from ..dataframe import Cell, DataFrame
 PENDING = "pending"
 CONFIRMED = "confirmed"
 REJECTED = "rejected"
+
+
+def _cells(frame: DataFrame, name: str) -> list[Any]:
+    """Every cell of one column (None when missing), in one pass.
+
+    ``column[:]`` is a range read: a spilled column loads each of its
+    shards once and stays spilled, where a cell-by-cell scan would make
+    one store lookup per cell.
+    """
+    return frame.column(name)[:].values()
 
 
 @dataclass(frozen=True)
@@ -40,15 +51,16 @@ class FunctionalDependency:
     def violating_groups(self, frame: DataFrame) -> list[list[int]]:
         """Row groups that agree on the determinants but not the dependent."""
         groups: dict[tuple, list[int]] = {}
-        for i in range(frame.num_rows):
-            key = tuple(frame.at(i, name) for name in self.determinants)
+        if self.determinants:
+            keys = zip(*(_cells(frame, name) for name in self.determinants))
+        else:
+            keys = repeat((), frame.num_rows)
+        for i, key in enumerate(keys):
             groups.setdefault(key, []).append(i)
-        violating = []
-        for rows in groups.values():
-            values = {frame.at(i, self.dependent) for i in rows}
-            if len(values) > 1:
-                violating.append(rows)
-        return violating
+        dependent = _cells(frame, self.dependent)
+        return [
+            rows for rows in groups.values() if len({dependent[i] for i in rows}) > 1
+        ]
 
     def violations(self, frame: DataFrame) -> set[Cell]:
         """Dependent cells of minority rows inside each violating group.
@@ -57,11 +69,12 @@ class FunctionalDependency:
         as the intended one; the other rows' dependent cells are flagged.
         """
         cells: set[Cell] = set()
+        dependent = _cells(frame, self.dependent)
         for rows in self.violating_groups(frame):
-            values = Counter(frame.at(i, self.dependent) for i in rows)
+            values = Counter(dependent[i] for i in rows)
             majority, _ = max(values.items(), key=lambda kv: (kv[1], str(kv[0])))
             for i in rows:
-                if frame.at(i, self.dependent) != majority:
+                if dependent[i] != majority:
                     cells.add((i, self.dependent))
         return cells
 

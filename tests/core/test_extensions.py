@@ -142,6 +142,61 @@ class TestExplainability:
         )
         assert "[zip] -> city" in reasons
 
+    def test_session_scans_each_rule_and_column_once(
+        self, tmp_path, monkeypatch
+    ):
+        """Explaining many cells computes each active rule's violations and
+        each column's context once, with the payload of per-cell calls."""
+        from repro.core import explain
+
+        frame = DataFrame.from_dict(
+            {
+                "zip": ["1", "1", "1", "2"] * 10,
+                "city": (["x"] * 3 + ["y"]) * 10,
+                "state": (["a"] * 3 + ["b"]) * 10,
+                "score": [float(i % 7) for i in range(40)],
+            }
+        )
+        for row in (2, 6, 10, 14, 18):
+            frame.set_at(row, "city", "z")
+            frame.set_at(row, "state", "c")
+        frame.set_at(3, "score", 500.0)
+        lens = DataLens(tmp_path / "ws", seed=0)
+        session = lens.ingest_frame("geo", frame)
+        session.add_custom_rule(["zip"], "city")
+        session.add_custom_rule(["zip"], "state")
+        session.run_detection(["nadeef", "sd", "iqr"])
+        cells = sorted(session.detected_cells)[:20]
+        assert len(cells) > 2 * len({column for _, column in cells})
+        expected = [
+            explain_cell(
+                session.frame,
+                cell,
+                session.detection_results,
+                rules=session.rule_set.active_rules(),
+                repair_result=session.repair_result,
+            )
+            for cell in cells
+        ]
+        scans: list[str] = []
+        contexts: list[str] = []
+        violations = FunctionalDependency.violations
+        column_context = explain._column_context
+
+        def counted_violations(rule, data):
+            scans.append(str(rule))
+            return violations(rule, data)
+
+        def counted_context(data, column):
+            contexts.append(column)
+            return column_context(data, column)
+
+        monkeypatch.setattr(FunctionalDependency, "violations", counted_violations)
+        monkeypatch.setattr(explain, "_column_context", counted_context)
+        assert session.explain_detections(limit=20) == expected
+        assert sorted(scans) == ["[zip] -> city", "[zip] -> state"]
+        assert sorted(contexts) == sorted({column for _, column in cells})
+
     def test_tag_evidence(self, tmp_path):
         frame = DataFrame.from_dict({"x": [1.0, 99999.0, 2.0] * 4})
         lens = DataLens(tmp_path / "ws", seed=0)

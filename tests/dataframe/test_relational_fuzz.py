@@ -103,7 +103,8 @@ def _legs(frame):
 
 def _assert_still_spilled(frame, label):
     """The out-of-core contract: reading through an operator must not
-    pin a spilled column resident (values_array()/take() would)."""
+    pin a spilled column resident. values_array() would; take() and the
+    other row access read only the records they need and do not."""
     if frame.num_rows == 0:
         return  # nothing to spill: empty frames carry plain columns
     for name in frame.column_names:

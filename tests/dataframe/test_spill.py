@@ -10,6 +10,7 @@ controller, CLI, and REST endpoint.
 
 from __future__ import annotations
 
+import gc
 import shutil
 import sys
 import threading
@@ -397,6 +398,177 @@ class TestSpilledColumnLifecycle:
         # Releasing both frees every record and deletes the segment.
         assert not store._refs
         assert not list(store.directory.glob("shard-*"))
+
+    def test_dropped_copy_gives_its_records_back(self):
+        """A column collected while spilled releases its hold on each
+        record at the store's next call, not when the store closes."""
+        spilled = spill_frame(_frame(), chunk_size=7, budget_bytes=512)
+        store = spill_store_of(spilled)
+        original = dict(store._refs)
+        duplicate = spilled.copy()
+        duplicate.column("x").set_many([0], [1.5])  # densifies one column
+        assert sum(store._refs.values()) == 2 * sum(original.values()) - 6
+        del duplicate
+        gc.collect()
+        store.stats()
+        assert store._refs == original
+        # Dropping the original too leaves no record and no segment file.
+        del spilled
+        gc.collect()
+        assert store.stats()["segment_files"] == 0
+        assert not store._refs
+        assert not list(store.directory.glob("shard-*"))
+
+    def test_collection_under_the_store_lock_only_queues(self):
+        """The cyclic collector may run a column's finalizer while this
+        very thread holds the store's non-reentrant lock: the finalizer
+        must not take it, and the release waits for the next store call."""
+        spilled = spill_frame(_frame(), chunk_size=7, budget_bytes=512)
+        store = spill_store_of(spilled)
+        original = dict(store._refs)
+        holder = {"copy": spilled.copy()}
+        holder["cycle"] = holder  # only the cyclic collector frees the copy
+        del holder
+
+        def collect_under_lock() -> None:
+            with store._lock:
+                gc.collect()
+
+        thread = threading.Thread(target=collect_under_lock, daemon=True)
+        thread.start()
+        thread.join(timeout=10)
+        assert not thread.is_alive(), "a finalizer blocked on the store lock"
+        assert store._refs != original  # queued, not yet released
+        store.load(spilled.column("x")._handles[0])
+        assert store._refs == original
+
+    def test_concurrent_row_access_while_copies_come_and_go(self):
+        """Readers share a spilled frame (as REST reads now do) while
+        copies are made and dropped: every read matches the monolithic
+        frame, and every dropped copy's hold is released."""
+        frame = _frame(200)
+        spilled = spill_frame(frame, chunk_size=7, budget_bytes=512)
+        store = spill_store_of(spilled)
+        original = dict(store._refs)
+        expected = frame.to_dict()
+        errors: list = []
+
+        def reader(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(40):
+                    rows = rng.integers(-200, 200, 13)
+                    for name, values in expected.items():
+                        column = spilled.column(name)
+                        if column.take(rows).values() != [values[i] for i in rows]:
+                            errors.append((name, rows.tolist()))
+                        if column[int(rows[0])] != values[rows[0]]:
+                            errors.append((name, int(rows[0])))
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        def churner() -> None:
+            try:
+                for _ in range(40):
+                    spilled.copy().head(3)
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader, args=(k,)) for k in range(4)]
+        threads.append(threading.Thread(target=churner))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        gc.collect()
+        store.stats()
+        assert store._refs == original
+        assert all(spilled.column(name).spilled for name in spilled.column_names)
+
+    def test_racing_dense_accesses_release_each_hold_once(self, monkeypatch):
+        """Two threads densify one spilled column at once while a copy
+        shares its records: each record loses one hold, not two, so the
+        copy's records stay live and it reads on."""
+        spilled = spill_frame(_frame(), chunk_size=7, budget_bytes=512)
+        store = spill_store_of(spilled)
+        column = spilled.column("x")
+        duplicate = column.copy()
+        expected = _frame().column("x").values()
+        barrier = threading.Barrier(2, timeout=5)
+        row_range = SpilledChunkedColumn.row_range
+
+        def meeting(self, start, stop):
+            pair = row_range(self, start, stop)
+            if self is column:  # both threads are past the spilled check
+                barrier.wait()
+            return pair
+
+        class SlowDetach:
+            """Hold a releasing thread until the other one arrives too (or
+            0.5 s pass), so both race for the handles at once."""
+
+            def __init__(self, finalizer) -> None:
+                self.finalizer = finalizer
+                self.arrivals = threading.Barrier(2, timeout=0.5)
+
+            def detach(self):
+                try:
+                    self.arrivals.wait()
+                except threading.BrokenBarrierError:
+                    pass
+                return self.finalizer.detach()
+
+        monkeypatch.setattr(SpilledChunkedColumn, "row_range", meeting)
+        column._finalizer = SlowDetach(column._finalizer)
+        errors: list = []
+
+        def densify() -> None:
+            try:
+                column.values_array()
+            except Exception as error:  # noqa: BLE001 — reported below
+                errors.append(error)
+
+        threads = [threading.Thread(target=densify) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        monkeypatch.undo()
+        assert errors == []
+        assert not column.spilled and column.values() == expected
+        assert [store._refs[h.shard_id] for h in duplicate._handles] == [1] * len(
+            duplicate._handles
+        )
+        assert duplicate[:].values() == expected
+
+    def test_a_read_racing_a_dense_access_reads_the_dense_pair(self, monkeypatch):
+        """A reader that took the handles just before a dense access
+        released them (and unlinked their segment) reads the dense pair
+        the dense access set first, instead of failing."""
+        frame = DataFrame.from_dict({"x": [float(i) for i in range(40)]})
+        spilled = spill_frame(frame, chunk_size=7, budget_bytes=512)
+        store = spill_store_of(spilled)
+        column = spilled.column("x")
+        load = SpillStore.load
+        raced: list[bool] = []
+
+        def racing(self, handle):
+            if not raced:  # a dense access lands between handles and load
+                raced.append(True)
+                column.values_array()
+            return load(self, handle)
+
+        monkeypatch.setattr(SpillStore, "load", racing)
+        assert column[9] == 9.0
+        assert raced and not column.spilled
+        assert not store._refs and not list(store.directory.glob("shard-*"))
 
     def test_copy_and_rechunk_stay_spilled(self):
         spilled = spill_frame(_frame(), chunk_size=7, budget_bytes=512)

@@ -235,14 +235,16 @@ def test_spilling_appends_records_to_a_few_segment_files(synthetic_frame):
     it. Only a segment's first record creates a file, and nothing is
     released here, so the files left are the files created.
     """
-    from repro.dataframe import SpillStore, spill_frame
+    from repro.dataframe import SpillStore, spill_frame, spill_store_of
     from repro.dataframe.spill import SEGMENT_BYTES
 
     store = SpillStore(budget_bytes=1 << 20)
     try:
-        spill_frame(synthetic_frame, store=store)
+        # Held, so that no record is released before the files are counted.
+        spilled = spill_frame(synthetic_frame, store=store)
         stats = store.stats()
         files = len(list(store.directory.glob("shard-*")))
+        assert spill_store_of(spilled) is store
     finally:
         store.close()
     ceiling = -(-stats["spilled_bytes"] // SEGMENT_BYTES) + 1
@@ -266,6 +268,79 @@ def test_copy_of_a_spilled_frame_shares_its_records(synthetic_frame):
         store.close()
     assert after["spilled_shards"] == before["spilled_shards"]
     assert after["loads"] == before["loads"]
+
+
+def test_row_access_reads_only_the_shards_it_needs(synthetic_frame):
+    """A preview or a small take of a spilled frame reads a shard per column.
+
+    Counts, not clocks: ``head(20)`` and a 100-row ``take`` inside one
+    shard make at most one store lookup per column, write nothing, and
+    leave every column spilled. A row access that densified the frame
+    would load every shard of every column and release the records.
+    """
+    from repro.dataframe import SpillStore, spill_frame
+
+    store = SpillStore(budget_bytes=1 << 20)
+    try:
+        spilled = spill_frame(synthetic_frame, store=store, chunk_size=4096)
+        width = spilled.num_columns
+        first = spilled.chunk_lengths[0]
+        assert spilled.n_chunks > 1 and first > 100
+
+        def lookups(read) -> tuple[int, int]:
+            before = store.stats()
+            read()
+            after = store.stats()
+            return (
+                after["loads"] + after["cache_hits"]
+                - before["loads"] - before["cache_hits"],
+                after["spilled_shards"] - before["spilled_shards"],
+            )
+
+        head = lookups(lambda: spilled.head(20))
+        inside = lookups(lambda: spilled.take(np.arange(first - 100, first)))
+        still_spilled = all(
+            spilled.column(name).spilled for name in spilled.column_names
+        )
+    finally:
+        store.close()
+    assert head[0] <= width and head[1] == 0, head
+    assert inside[0] <= width and inside[1] == 0, inside
+    assert still_spilled
+
+
+def test_fd_scan_reads_each_column_in_one_pass(synthetic_frame):
+    """An FD violation scan over a spilled frame reads each column whole.
+
+    Counts, not clocks: ``[group] -> code`` over the 50k-row frame in
+    4096-row shards reads the determinant once and the dependent twice
+    (the groups, then the majorities), so it makes at most three lookups
+    per shard. A cell-by-cell scan would make one lookup per cell, and
+    one that densified would release the records. The violations equal
+    the monolithic frame's.
+    """
+    from repro.dataframe import SpillStore, spill_frame
+    from repro.fd import FunctionalDependency
+
+    rule = FunctionalDependency(("group",), "code")
+    expected = rule.violations(synthetic_frame)
+    store = SpillStore(budget_bytes=1 << 20)
+    try:
+        spilled = spill_frame(synthetic_frame, store=store, chunk_size=4096)
+        before = store.stats()
+        found = rule.violations(spilled)
+        after = store.stats()
+        still_spilled = all(
+            spilled.column(name).spilled for name in spilled.column_names
+        )
+    finally:
+        store.close()
+    lookups = (
+        after["loads"] + after["cache_hits"] - before["loads"] - before["cache_hits"]
+    )
+    assert found == expected and expected
+    assert lookups <= 3 * spilled.n_chunks, lookups
+    assert still_spilled
 
 
 @pytest.fixture(scope="module")
