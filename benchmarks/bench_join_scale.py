@@ -2,9 +2,9 @@
 
 Two CSVs are streamed into one :class:`~repro.dataframe.SpillStore`
 whose resident budget is a small fraction of either table, then joined
-with the partitioned hash strategy (key buckets spill through the same
-store) and aggregated with the chunk-native ``group_by`` pushdown. The
-store counters prove the operators ran out-of-core: spilled bytes are
+with the partitioned hash plan that spilled inputs take (key buckets
+spill through the same store) and aggregated with the chunk-native
+``group_by`` pushdown. The store counters prove the operators ran out-of-core: spilled bytes are
 several multiples of the budget while peak resident shard bytes never
 exceed it, and the inputs are still spilled afterwards — the join
 streamed from disk instead of densifying either table.
@@ -83,9 +83,7 @@ def test_partitioned_join_scale(benchmark):
         ingest_seconds = time.perf_counter() - start
         input_spilled_bytes = store.stats()["spilled_bytes"]
         start = time.perf_counter()
-        joined = join(
-            left, right, ["key"], how="inner", strategy="partitioned"
-        )
+        joined = join(left, right, ["key"], how="inner")
         join_seconds = time.perf_counter() - start
         start = time.perf_counter()
         grouped = group_by(

@@ -22,8 +22,7 @@ POST        /datasets/{name}/upload                **streaming** CSV upload
                                                    (Content-Type ``text/csv``)
 GET         /datasets/{name}                       preview (``?limit=``,
                                                    ``?sort_by=a,b``,
-                                                   ``?descending=1``,
-                                                   ``?sort_strategy=``)
+                                                   ``?descending=1``)
 GET         /datasets/{name}/profile               profile report [async-able]
 GET         /datasets/{name}/quality               quality metrics
 GET         /datasets/{name}/cache                 artifact-cache counters
@@ -130,12 +129,15 @@ Multi-tenancy
     uploaded by different tenants hit the same cache entries.
 
 Error semantics
-    ``404`` unknown dataset/job (typed ``DatasetNotFoundError`` /
-    ``JobNotFoundError`` — a stray ``KeyError`` from a handler bug is a
-    logged ``500``), ``422`` missing/malformed fields and parameters
-    (the detail names the offending parameter; negative limits are
-    clamped to 0 instead of erroring), ``400`` domain errors
-    (``ValueError`` / ``RuntimeError`` from the pipeline).
+    ``404`` unknown dataset/version/job (typed ``DatasetNotFoundError``
+    / ``VersionNotFoundError`` / ``JobNotFoundError`` — a stray
+    ``KeyError`` from a handler bug is a logged ``500``), ``422``
+    missing/malformed fields and parameters (the detail names the
+    offending parameter; negative limits are clamped to 0 instead of
+    erroring; a tenant or dataset name must be one path component of
+    letters, digits, ``.``, ``_`` and ``-`` not starting with ``.``; an
+    unknown ``preloaded`` name), ``400`` domain errors (``ValueError`` /
+    ``RuntimeError`` from the pipeline).
 
 Environment knobs
     Every ``DATALENS_*`` variable, with its meaning, default and reader,
@@ -154,6 +156,8 @@ from ..core.artifacts import ArtifactCapacityError
 from ..core.faults import TransientFaultError
 from ..dataframe import DataFrame, read_csv_text
 from ..dataframe.spill import SpillCapacityError, SpillError
+from ..ingestion import PRELOADED
+from ..versioning import VersionNotFoundError
 from .http import RETRY_AFTER_SECONDS, HTTPError, Request, Response, Router
 from .jobs import (
     JobNotFoundError,
@@ -165,7 +169,8 @@ from .jobs import (
 
 DEFAULT_TENANT = "default"
 TENANT_HEADER = "x-tenant"
-_TENANT_PATTERN = re.compile(r"^[A-Za-z0-9._\-]+$")
+#: One path component: a tenant or dataset name names a directory.
+_NAME_PATTERN = re.compile(r"[A-Za-z0-9_\-][A-Za-z0-9._\-]*")
 _TRUTHY = {"1", "true", "yes", "on"}
 
 
@@ -269,18 +274,29 @@ def _float_param(source: Any, name: str, default: float) -> float:
         ) from None
 
 
+def _checked_name(value: Any, parameter: str) -> str:
+    """``value`` when it is a tenant or dataset name, else a 422.
+
+    A name is one path component of letters, digits, ``.``, ``_`` and
+    ``-`` that does not start with ``.``, so it cannot leave the
+    directory it is joined to.
+    """
+    if not isinstance(value, str) or not _NAME_PATTERN.fullmatch(value):
+        raise HTTPError(
+            422,
+            f"invalid name {value!r} for parameter {parameter!r}: use "
+            "letters, digits, '.', '_' and '-', not starting with '.'",
+        )
+    return value
+
+
 def _tenant_of(request: Request) -> str:
     raw = (
         request.headers.get(TENANT_HEADER)
         or request.query.get("tenant")
         or DEFAULT_TENANT
     )
-    if not _TENANT_PATTERN.match(raw):
-        raise HTTPError(
-            422,
-            f"invalid tenant {raw!r}: use letters, digits, '.', '_', '-'",
-        )
-    return raw
+    return _checked_name(raw, "tenant")
 
 
 def _wants_async(request: Request) -> bool:
@@ -321,6 +337,7 @@ def create_app(
     router.locks = locks
     router.tenants = registry
     router.map_exception(DatasetNotFoundError, 404)
+    router.map_exception(VersionNotFoundError, 404)
     router.map_exception(JobNotFoundError, 404)
     # Degradation mappings (subclasses before their bases): overload and
     # shutdown answer with Retry-After so well-behaved clients back off;
@@ -398,11 +415,15 @@ def create_app(
         lens_t = registry.lens_for(tenant)
         body = request.body
         if "preloaded" in (body or {}):
-            target = _require(body, "preloaded")
+            target = body["preloaded"]
+            if not isinstance(target, str) or target not in PRELOADED:
+                raise HTTPError(
+                    422,
+                    f"unknown dataset {target!r} for parameter 'preloaded'; "
+                    f"have {sorted(PRELOADED)}",
+                )
         else:
-            target = _require(body, "name")
-        if not isinstance(target, str) or not target:
-            raise HTTPError(422, "dataset name must be a non-empty string")
+            target = _checked_name(_require(body, "name"), "name")
         with locks.of(tenant, target).write_lock():
             if "records" in body:
                 frame = DataFrame.from_records(body["records"])
@@ -428,13 +449,7 @@ def create_app(
         materializing.
         """
         tenant = _tenant_of(request)
-        name = request.path_params["name"]
-        if not _TENANT_PATTERN.match(name):
-            raise HTTPError(
-                422,
-                f"invalid dataset name {name!r}: use letters, digits, "
-                "'.', '_', '-'",
-            )
+        name = _checked_name(request.path_params["name"], "name")
         if request.stream is not None:
             lines: Any = io.TextIOWrapper(
                 request.stream, encoding="utf-8", newline=""
@@ -459,10 +474,9 @@ def create_app(
     def preview(request: Request) -> dict:
         """Preview rows, optionally sorted server-side.
 
-        ``?sort_by=col_a,col_b`` sorts before slicing ``limit`` rows;
-        ``?descending=1`` flips the order and ``?sort_strategy=`` forces
-        ``memory``/``external`` (default ``auto``: external when the
-        frame is spilled, so sorting never densifies the stored frame).
+        ``?sort_by=col_a,col_b`` sorts before slicing ``limit`` rows and
+        ``?descending=1`` flips the order. A spilled frame is sorted
+        externally, so sorting never densifies the stored frame.
         """
         limit = _int_param(request.query, "limit", 20)
         sort_spec = request.query.get("sort_by", "").strip()
@@ -470,7 +484,6 @@ def create_app(
         descending = (
             request.query.get("descending", "").strip().lower() in _TRUTHY
         )
-        strategy = request.query.get("sort_strategy") or None
 
         def work(session: Any) -> dict:
             frame = session.frame
@@ -478,16 +491,9 @@ def create_app(
                 from ..dataframe import sort_by
 
                 try:
-                    frame = sort_by(
-                        frame,
-                        sort_columns,
-                        descending=descending,
-                        strategy=strategy,
-                    )
+                    frame = sort_by(frame, sort_columns, descending=descending)
                 except KeyError as exc:
                     raise HTTPError(422, str(exc.args[0])) from exc
-                except ValueError as exc:
-                    raise HTTPError(422, str(exc)) from exc
             return _frame_preview(frame, limit)
 
         return _read(request, work)
@@ -734,11 +740,11 @@ def create_app(
         """Drift report between two Delta versions (monitoring loop)."""
         from ..profiling import drift_report
 
-        baseline = _int_param(request.query, "baseline", 0)
+        baseline = _int_param(request.query, "baseline", 0, minimum=None)
 
         def work(session) -> dict:
             latest = session.delta.latest_version() or 0
-            current = _int_param(request.query, "current", latest)
+            current = _int_param(request.query, "current", latest, minimum=None)
             return drift_report(
                 session.delta.read(baseline), session.delta.read(current)
             )

@@ -157,13 +157,11 @@ class Router:
     )
 
     def __init__(self) -> None:
-        self._routes: list[tuple[str, re.Pattern, str, Handler]] = []
+        self._routes: list[tuple[str, re.Pattern, Handler]] = []
         self._error_map: list[tuple[type, int, float | None]] = []
 
     def add(self, method: str, template: str, handler: Handler) -> None:
-        self._routes.append(
-            (method.upper(), _compile_template(template), template, handler)
-        )
+        self._routes.append((method.upper(), _compile_template(template), handler))
 
     def get(self, template: str) -> Callable[[Handler], Handler]:
         return self._decorator("GET", template)
@@ -212,7 +210,7 @@ class Router:
         """Route a request; 404 unknown path, 405 wrong method."""
         path = request.path.rstrip("/") or "/"
         path_exists = False
-        for method, pattern, _, handler in self._routes:
+        for method, pattern, handler in self._routes:
             match = pattern.match(path)
             if match is None:
                 continue
@@ -258,9 +256,6 @@ class Router:
         if path_exists:
             return Response(405, {"detail": "method not allowed"})
         return Response(404, {"detail": f"no route for {request.path}"})
-
-    def routes(self) -> list[tuple[str, str]]:
-        return [(method, template) for method, _, template, _ in self._routes]
 
 
 # ----------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .detection import DetectionContext, merge_results
 from .fd import approximate_fds, discover_fds, discover_fds_hyfd
 from .ingestion import PRELOADED, load_clean
 from .profiling import profile
-from .settings import JOIN_STRATEGIES, SORT_STRATEGIES, parse_byte_size
+from .settings import parse_byte_size
 
 
 def _spill_budget(args: argparse.Namespace) -> int | None:
@@ -138,10 +138,7 @@ def _cmd_refcheck(args: argparse.Namespace) -> int:
     child = _load_frame(args)
     parent = _load_frame(args, attr="parent")
     detector = ReferentialIntegrityDetector(
-        on=args.on,
-        parent=parent,
-        parent_on=args.parent_on,
-        strategy=args.strategy,
+        on=args.on, parent=parent, parent_on=args.parent_on
     )
     result = detector.detect(child, DetectionContext())
     meta = result.metadata
@@ -160,17 +157,15 @@ def _cmd_refcheck(args: argparse.Namespace) -> int:
 def _cmd_sort(args: argparse.Namespace) -> int:
     """Sort a CSV by one or more key columns.
 
-    With ``--spill-budget`` (or ``DATALENS_SORT_STRATEGY=external``) the
-    sort runs out-of-core: spilled runs are merged shard-by-shard and the
-    result stays spilled until written out, so peak resident bytes stay
-    within the spill budget.
+    With ``--spill-budget`` (or ``DATALENS_SPILL_BUDGET``) the input is
+    spilled and the sort runs out-of-core: spilled runs are merged
+    shard-by-shard and the result stays spilled until written out, so
+    peak resident bytes stay within the spill budget.
     """
     from .dataframe import sort_by
 
     frame = _load_frame(args)
-    result = sort_by(
-        frame, args.by, descending=args.descending, strategy=args.strategy
-    )
+    result = sort_by(frame, args.by, descending=args.descending)
     print(f"sorted {result.num_rows} rows by {args.by} "
           f"({'descending' if args.descending else 'ascending'})")
     if args.output:
@@ -310,11 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     refcheck_cmd.add_argument("--parent-on", nargs="+",
                               help="key column(s) in the parent table "
                               "(default: same names as --on)")
-    refcheck_cmd.add_argument(
-        "--strategy",
-        choices=JOIN_STRATEGIES,
-        help="force a join strategy (default: planner decides)",
-    )
     refcheck_cmd.add_argument("--strict", action="store_true",
                               help="exit 1 when violations are found")
     refcheck_cmd.add_argument("--output", help="write violating cells as JSON")
@@ -328,11 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     sort_cmd.add_argument("--by", nargs="+", required=True,
                           help="key column(s), highest priority first")
     sort_cmd.add_argument("--descending", action="store_true")
-    sort_cmd.add_argument(
-        "--strategy", choices=SORT_STRATEGIES,
-        help="force a sort strategy (default: DATALENS_SORT_STRATEGY, "
-        "else external iff the input is spilled)",
-    )
     sort_cmd.add_argument("--output", help="write the sorted table as CSV")
     _add_scale_options(sort_cmd)
     sort_cmd.set_defaults(func=_cmd_sort)

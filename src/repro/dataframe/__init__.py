@@ -1,6 +1,5 @@
 """Columnar DataFrame substrate (pandas substitute for this reproduction)."""
 
-from ..settings import JOIN_STRATEGIES, SORT_STRATEGIES
 from .chunked import (
     DEFAULT_CHUNK_SIZE,
     ChunkedColumn,
@@ -20,7 +19,7 @@ from .io import (
 )
 from .joins import join, resolve_join_strategy, semi_join_mask
 from .ops import group_by, sort_by
-from .sort import external_sort_by, resolve_sort_strategy
+from .sort import external_sort_by
 from .spill import (
     SpillCapacityError,
     SpillError,
@@ -56,9 +55,7 @@ __all__ = [
     "DataFrame",
     "FLOAT",
     "INT",
-    "JOIN_STRATEGIES",
     "NULL_TOKENS",
-    "SORT_STRATEGIES",
     "STRING",
     "chunk_lengths_for",
     "coerce",
@@ -77,7 +74,6 @@ __all__ = [
     "read_csv_stream",
     "read_csv_text",
     "resolve_chunk_size",
-    "resolve_sort_strategy",
     "sort_by",
     "SpillCapacityError",
     "SpillError",

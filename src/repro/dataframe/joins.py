@@ -10,25 +10,21 @@ the chunking contract, the inputs stay sharded/spilled.
 Join plans
 ----------
 ``join`` and ``semi_join_mask`` run one plan per residency regime,
-picked by :func:`resolve_join_strategy`:
+picked by :func:`resolve_join_strategy` from the inputs alone:
 
 * ``memory`` — the joint-codes hash join (factorize both key sides
   together, sort the right side once, probe with searchsorted).
-  Densifies both inputs; the plan for resident frames.
+  Densifies both inputs; the plan when both inputs are resident.
 * ``partitioned`` — a Grace-style partitioned hash join: each side's
   chunks are split into buckets by an equality-respecting key hash (the
   bucket count follows from the input size and the store budget),
   bucket pairs are probed independently with the same joint-codes
   kernel, and the per-partition pairs are merged back into global row
-  order. When either input is spilled the buckets themselves spill
-  through the same store, so peak residency stays at the store budget;
-  the plan for out-of-core frames.
-* ``auto`` (default) — ``memory`` when both inputs are resident,
-  ``partitioned`` when either is spilled.
+  order. The buckets spill through the spilled input's store, so peak
+  residency stays at the store budget; the plan when either input is
+  spilled.
 
-``DATALENS_JOIN_STRATEGY`` overrides the default strategy process-wide
-(CI forces ``partitioned`` to run the whole suite through the
-out-of-core path). Both plans produce bit-identical results.
+Both plans produce bit-identical results.
 
 Key-hash partitioning invariants
 --------------------------------
@@ -78,50 +74,40 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from ..settings import resolve
 from . import types as _types
 from .chunked import _concat_payload
 from .column import Column
 from .frame import DataFrame
-from .spill import SpillStore, spill_store_of
+from .spill import ShardHandle, SpillStore, spill_store_of
 
 _JOIN_HOWS = ("inner", "left", "outer")
+
+#: One bucket contribution: the spilled row ids and key payload shards.
+_Contribution = tuple[ShardHandle, list[ShardHandle]]
 
 
 # ----------------------------------------------------------------------
 # Planner
 # ----------------------------------------------------------------------
-def resolve_join_strategy(
-    strategy: str | None, left: DataFrame, right: DataFrame
-) -> str:
-    """Resolve the physical strategy: explicit > environment > auto.
-
-    ``auto`` picks ``partitioned`` when either input is spilled (joining
-    through ``memory`` would densify it) and ``memory`` otherwise.
-    """
-    strategy = resolve("join_strategy", strategy, "strategy")
-    if strategy == "auto":
-        if spill_store_of(left) is not None or spill_store_of(right) is not None:
-            return "partitioned"
-        return "memory"
-    return strategy
+def resolve_join_strategy(left: DataFrame, right: DataFrame) -> str:
+    """The plan for these inputs: ``partitioned`` when either is spilled
+    (joining through ``memory`` would densify it), else ``memory``."""
+    if spill_store_of(left) is not None or spill_store_of(right) is not None:
+        return "partitioned"
+    return "memory"
 
 
 def resolve_join_partitions(
-    left: DataFrame, right: DataFrame, store: SpillStore | None
+    left: DataFrame, right: DataFrame, store: SpillStore
 ) -> int:
     """Partition count of the ``partitioned`` plan, from the input size.
 
-    With a store, partitions are sized so one bucket pair fits well
-    inside the resident budget (~64 bytes of key+row payload per row);
-    without one, roughly one partition per 64k input rows.
+    Partitions are sized so one bucket pair fits well inside the store's
+    resident budget (~64 bytes of key+row payload per row).
     """
-    total = left.num_rows + right.num_rows
-    if store is not None:
-        per_row = 64
-        derived = -(-per_row * max(total, 1) // max(store.budget_bytes, 1))
-        return max(1, min(256, derived))
-    return max(1, min(64, total // 65_536 + 1))
+    per_row = 64
+    total = max(left.num_rows + right.num_rows, 1)
+    return max(1, min(256, -(-per_row * total // store.budget_bytes)))
 
 
 # ----------------------------------------------------------------------
@@ -378,23 +364,23 @@ def _partition_side(
     frame: DataFrame,
     key_names: Sequence[str],
     n_partitions: int,
-    store: SpillStore | None,
-) -> list[list[tuple[Any, list[Any]]]]:
+    store: SpillStore,
+) -> list[list[_Contribution]]:
     """Bucket one side's valid-key rows by key hash, chunk by chunk.
 
     Returns, per partition, a list of contributions
-    ``(rows, [key_payload, ...])`` where each element is a raw ndarray
-    (in-memory run) or a :class:`ShardHandle` spilled through ``store``.
-    Only the key columns are read — one shard at a time through the
-    spill LRU for spilled inputs — so partitioning never densifies.
+    ``(rows, [key_payload, ...])``, each a shard spilled through
+    ``store``. Only the key columns are read — one shard at a time
+    through the spill LRU for spilled inputs — so partitioning never
+    densifies.
 
-    With a store, consecutive chunks are bucketed together until they
-    hold about one budget of row ids and key payload: every bucket
-    shard costs a record write and a load, so an input cut into many
-    small chunks (an external sort's output) must not spill one tiny
-    shard per chunk and partition.
+    Consecutive chunks are bucketed together until they hold about one
+    budget of row ids and key payload: every bucket shard costs a record
+    write and a load, so an input cut into many small chunks (an
+    external sort's output) must not spill one tiny shard per chunk and
+    partition.
     """
-    buckets: list[list[tuple[Any, list[Any]]]] = [
+    buckets: list[list[_Contribution]] = [
         [] for _ in range(n_partitions)
     ]
     batch: list[tuple[np.ndarray, np.ndarray, list[np.ndarray]]] = []
@@ -415,7 +401,7 @@ def _partition_side(
         batch.append((base + keep, pids[keep], payloads))
         batch_bytes += len(keep) * _row_bytes(payloads)
         base += length
-        if store is None or batch_bytes >= store.budget_bytes:
+        if batch_bytes >= store.budget_bytes:
             _bucket_batch(batch, buckets, store)
             batch, batch_bytes = [], 0
     if batch:
@@ -425,17 +411,16 @@ def _partition_side(
 
 def _bucket_batch(
     batch: list[tuple[np.ndarray, np.ndarray, list[np.ndarray]]],
-    buckets: list[list[tuple[Any, list[Any]]]],
-    store: SpillStore | None,
+    buckets: list[list[_Contribution]],
+    store: SpillStore,
 ) -> None:
     """Append one batch of ``(rows, pids, payloads)`` chunk parts to buckets.
 
-    With a store, each partition's rows spill in shards bounded well
-    under the store budget, so loading one back cannot push residency
-    past the budget (a monolithic input arrives as one huge chunk;
-    slicing here is what keeps the ≤-budget guarantee input-shape
-    independent). Pickle overhead on object payloads rides in the
-    remaining 3/4 headroom.
+    Each partition's rows spill in shards bounded well under the store
+    budget, so loading one back cannot push residency past the budget
+    (a monolithic input arrives as one huge chunk; slicing here is what
+    keeps the ≤-budget guarantee input-shape independent). Pickle
+    overhead on object payloads rides in the remaining 3/4 headroom.
     """
     rows = np.concatenate([part[0] for part in batch]).astype(
         np.int64, copy=False
@@ -445,16 +430,11 @@ def _bucket_batch(
         _concat_payload([part[2][j] for part in batch])
         for j in range(len(batch[0][2]))
     ]
-    step = len(rows)
-    if store is not None and store.budget_bytes:
-        step = max(1, store.budget_bytes // (4 * _row_bytes(payloads)))
+    step = max(1, store.budget_bytes // (4 * _row_bytes(payloads)))
     for p in np.unique(pids).tolist():
         local = np.flatnonzero(pids == p)
         p_rows = rows[local]
         pieces = [payload[local] for payload in payloads]
-        if store is None:
-            buckets[p].append((p_rows, pieces))
-            continue
         for start in range(0, len(local), step):
             rows_slice = p_rows[start : start + step]
             zeros = np.zeros(len(rows_slice), dtype=bool)
@@ -469,23 +449,19 @@ def _bucket_batch(
             )
 
 
-def _bucket_array(item: Any, store: SpillStore | None) -> np.ndarray:
-    return item if isinstance(item, np.ndarray) else store.load(item)[0]
-
-
 def _load_bucket(
-    contribs: list[tuple[Any, list[Any]]],
+    contribs: list[_Contribution],
     key_names: Sequence[str],
     key_dtypes: Sequence[str],
-    store: SpillStore | None,
+    store: SpillStore,
 ) -> tuple[np.ndarray, list[Column]]:
     """Concatenate one partition's contributions into probe-ready columns."""
     rows_parts: list[np.ndarray] = []
     col_parts: list[list[np.ndarray]] = [[] for _ in key_names]
     for rows_item, piece_items in contribs:
-        rows_parts.append(_bucket_array(rows_item, store))
+        rows_parts.append(store.load(rows_item)[0])
         for j, item in enumerate(piece_items):
-            col_parts[j].append(_bucket_array(item, store))
+            col_parts[j].append(store.load(item)[0])
     rows = (
         rows_parts[0]
         if len(rows_parts) == 1
@@ -503,10 +479,8 @@ def _load_bucket(
 
 
 def _release_contribs(
-    contribs: list[tuple[Any, list[Any]]], store: SpillStore | None
+    contribs: list[_Contribution], store: SpillStore
 ) -> None:
-    if store is None:
-        return
     for rows_item, piece_items in contribs:
         store.release(rows_item)
         for item in piece_items:
@@ -521,11 +495,11 @@ def _bucket_pairs(
 ) -> Iterator[tuple[np.ndarray, list[Column], np.ndarray, list[Column]]]:
     """Yield ``(l_rows, l_cols, r_rows, r_cols)`` per bucket pair to probe.
 
-    Both sides' valid-key rows are hash-partitioned; buckets spill only
-    when an input is spilled, through that input's own store. A bucket
-    pair with rows on both sides is loaded for the consumer to probe,
-    and every bucket's spilled shards are released before the next pair
-    loads, so bucket shards of at most one pair are held at a time.
+    Both sides' valid-key rows are hash-partitioned and the buckets
+    spill through the spilled input's own store. A bucket pair with rows
+    on both sides is loaded for the consumer to probe, and every
+    bucket's shards are released before the next pair loads, so bucket
+    shards of at most one pair are held at a time.
     ``l_rows``/``r_rows`` map bucket positions back to input row ids.
     """
     store = spill_store_of(left) or spill_store_of(right)
@@ -729,13 +703,11 @@ def join(
     on: Sequence[str],
     how: str = "inner",
     suffix: str = "_right",
-    strategy: str | None = None,
 ) -> DataFrame:
-    """Equality join with a pluggable physical strategy.
+    """Equality join, planned from the inputs' residency.
 
     See the module docstring for the plan and null contracts. Partition
-    buckets spill only when an input is already spilled, through that
-    input's own store.
+    buckets spill through the spilled input's own store.
     """
     key_names = list(on)
     if how not in _JOIN_HOWS:
@@ -745,7 +717,7 @@ def join(
     for name in key_names:
         left.column(name)
         right.column(name)
-    if resolve_join_strategy(strategy, left, right) == "memory":
+    if resolve_join_strategy(left, right) == "memory":
         lp, rp = _probe_pairs(
             [left.column(name) for name in key_names],
             [right.column(name) for name in key_names],
@@ -765,15 +737,14 @@ def semi_join_mask(
     right: DataFrame,
     on: Sequence[str],
     right_on: Sequence[str] | None = None,
-    strategy: str | None = None,
 ) -> np.ndarray:
     """Per left row, True when its key exists among the right rows.
 
     Rows with a missing key cell are False (they match nothing). The
     key columns pair positionally with ``right_on`` (default: the same
     names). Runs the same ``memory``/``partitioned`` plans as
-    :func:`join`; under ``auto`` spilled inputs take ``partitioned``
-    and stay spilled.
+    :func:`join`, so spilled inputs take ``partitioned`` and stay
+    spilled.
     """
     left_names = list(on)
     right_names = list(right_on) if right_on is not None else left_names
@@ -785,7 +756,7 @@ def semi_join_mask(
     for l_name, r_name in zip(left_names, right_names):
         left.column(l_name)
         right.column(r_name)
-    if resolve_join_strategy(strategy, left, right) == "memory":
+    if resolve_join_strategy(left, right) == "memory":
         return _membership(
             [left.column(name) for name in left_names],
             [right.column(name) for name in right_names],

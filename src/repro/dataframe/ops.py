@@ -9,12 +9,12 @@ Both operations run on the integer group codes exposed by
   codes* (codes remapped so their integer order matches the documented
   value order: numbers before strings, missing last). ``descending=True``
   negates each column's codes independently, which reverses the value
-  order while keeping ties in original row order (stable). A
-  ``strategy`` seam (explicit > ``DATALENS_SORT_STRATEGY`` > auto)
-  routes spilled inputs through the external merge sort in
-  :mod:`repro.dataframe.sort`. Both plans order rows with the one
-  kernel :func:`_sort_order` (the external sort per run and per merge
-  window), so they are bit-identical.
+  order while keeping ties in original row order (stable). A spilled
+  input goes through the external merge sort in
+  :mod:`repro.dataframe.sort`, a resident one is sorted in memory. Both
+  plans order rows with the one kernel :func:`_sort_order` (the
+  external sort per run and per merge window), so they are
+  bit-identical.
 * ``group_by`` — streams the frame chunk by chunk (a monolithic frame is
   one chunk). Within a chunk one stable argsort of the composite key
   codes finds the groups; a registry keyed by the group's key tuple
@@ -56,6 +56,7 @@ import numpy as np
 from . import types as _types
 from .column import Column
 from .frame import DataFrame
+from .spill import spill_store_of
 
 
 class _MissingKeySentinel:
@@ -114,9 +115,9 @@ def _order_codes(column: Column) -> np.ndarray:
     n_valid = n_groups - 1 if has_missing else n_groups
     if n_valid <= 1:
         return codes
-    # A range read, not values_array(): ordering a spilled column (the
-    # memory plan over a spilled frame) must not densify it.
-    data = column.row_range(0, len(column))[0]
+    # Never a spilled column: sort_by orders only resident frames here,
+    # and the external sort orders arrays it has already read.
+    data = column.values_array()
     if data.dtype != object:
         return codes
     payload = data[valid]
@@ -137,7 +138,6 @@ def sort_by(
     frame: DataFrame,
     columns: Sequence[str],
     descending: bool = False,
-    strategy: str | None = None,
 ) -> DataFrame:
     """Return the frame sorted by the given columns (stable).
 
@@ -145,20 +145,20 @@ def sort_by(
     ``descending=True`` negates each column's order codes rather than
     reversing the sorted output, so stability is preserved.
 
-    ``strategy`` picks the physical plan (explicit >
-    ``DATALENS_SORT_STRATEGY`` > auto): ``memory`` orders the dense
-    frame with :func:`_sort_order`; ``external`` routes through
-    :func:`repro.dataframe.sort.external_sort_by`, the spill-aware
-    merge sort whose output is a spilled ChunkedFrame and which orders
-    its runs and merge windows with the same kernel. ``auto`` picks
-    ``external`` exactly when an input column is spilled (the memory
-    plan would densify it). Both plans are bit-identical — same values,
-    order, dtypes — differing only in the output's storage class.
+    The plan follows residency: when an input column is spilled (the
+    memory plan would densify it) the frame goes through
+    :func:`repro.dataframe.sort.external_sort_by`, the spill-aware merge
+    sort whose output is a spilled ChunkedFrame of the same store and
+    which orders its runs and merge windows with :func:`_sort_order`; a
+    resident frame is ordered in memory with that kernel. Both plans are
+    bit-identical — same values, order, dtypes — differing only in the
+    output's storage class.
     """
-    from .sort import external_sort_by, resolve_sort_strategy
+    store = spill_store_of(frame)
+    if store is not None:
+        from .sort import external_sort_by
 
-    if resolve_sort_strategy(strategy, frame) == "external":
-        return external_sort_by(frame, columns, descending=descending)
+        return external_sort_by(frame, columns, descending=descending, store=store)
     keys = [frame.column(name) for name in columns]
     return frame.take(_sort_order(keys, frame.num_rows, descending))
 

@@ -32,13 +32,11 @@ make that hold:
 * **A row is emitted only when no unread row can precede it** (the emit
   rule below).
 
-Strategy seam
--------------
-``ops.sort_by(..., strategy=...)`` routes through
-:func:`resolve_sort_strategy`: an explicit argument wins, then the
-``DATALENS_SORT_STRATEGY`` environment override, then ``auto`` —
-``external`` when any input column is spilled (the memory plan would
-densify it), ``memory`` otherwise.
+Plan choice
+-----------
+``ops.sort_by`` calls :func:`external_sort_by` exactly when an input
+column is spilled (the memory plan would densify it); a resident frame
+is sorted in memory.
 
 Cost model
 ----------
@@ -84,7 +82,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..settings import resolve
 from . import types as _types
 from .chunked import ChunkedFrame, _concat_payload, chunk_lengths_for
 from .column import Column
@@ -101,19 +98,6 @@ _OBJECT_ROW_BYTES = 64
 #: traffic, and the output chunk under assembly never sum past the
 #: budget; a merge's windows hold about budget/4 of key rows.
 _RUN_BUDGET_FRACTION = 4
-
-
-def resolve_sort_strategy(strategy: str | None, frame: DataFrame) -> str:
-    """Resolve the physical sort strategy: explicit > environment > auto.
-
-    ``auto`` picks ``external`` when any input column is spilled
-    (sorting through the memory kernel would densify it and release its
-    shards), else ``memory``.
-    """
-    strategy = resolve("sort_strategy", strategy, "strategy")
-    if strategy == "auto":
-        return "external" if spill_store_of(frame) is not None else "memory"
-    return strategy
 
 
 def _row_bytes(dtypes: Mapping[str, str], names: Sequence[str]) -> int:

@@ -40,17 +40,14 @@ class ReferentialIntegrityDetector(Detector):
         on: Sequence[str] = (),
         parent: DataFrame | None = None,
         parent_on: Sequence[str] | None = None,
-        strategy: str | None = None,
     ) -> None:
         super().__init__(
             on=list(on),
             parent_on=list(parent_on) if parent_on is not None else None,
-            strategy=strategy,
         )
         self.on = list(on)
         self.parent = parent
         self.parent_on = list(parent_on) if parent_on is not None else None
-        self.strategy = strategy
 
     def _detect(
         self, frame: DataFrame, context: DetectionContext
@@ -63,13 +60,7 @@ class ReferentialIntegrityDetector(Detector):
             )
         if not self.on:
             raise ValueError("referential_integrity requires key columns (on=)")
-        matched = semi_join_mask(
-            frame,
-            parent,
-            self.on,
-            right_on=self.parent_on,
-            strategy=self.strategy,
-        )
+        matched = semi_join_mask(frame, parent, self.on, right_on=self.parent_on)
         # Rows with a missing key cell assert no reference — skip them.
         checkable = np.ones(frame.num_rows, dtype=bool)
         for name in self.on:

@@ -23,9 +23,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
 
-JOIN_STRATEGIES = ("auto", "memory", "partitioned")
-SORT_STRATEGIES = ("auto", "memory", "external")
-
 _SIZE_SUFFIXES = {"k": 1024, "m": 1024**2, "g": 1024**3}
 _FALSEY = frozenset({"0", "false", "off", "no"})
 
@@ -75,18 +72,6 @@ def _seconds(raw: Any, source: str) -> float:
     return value
 
 
-def _choice(what: str, options: tuple[str, ...]) -> Callable[[Any, str], str]:
-    def parse(raw: Any, source: str) -> str:
-        value = str(raw).lower()
-        if value not in options:
-            raise ValueError(
-                f"{source}: unknown {what} {raw!r}; expected one of {list(options)}"
-            )
-        return value
-
-    return parse
-
-
 def _flag(raw: str, source: str) -> bool:
     return raw.lower() not in _FALSEY
 
@@ -112,12 +97,6 @@ VARIABLES: dict[str, Variable] = {
     ),
     "io_retries": Variable("DATALENS_IO_RETRIES", _integer(0), 4),
     "fault_inject": Variable("DATALENS_FAULT_INJECT", _text, None),
-    "join_strategy": Variable(
-        "DATALENS_JOIN_STRATEGY", _choice("join strategy", JOIN_STRATEGIES), "auto"
-    ),
-    "sort_strategy": Variable(
-        "DATALENS_SORT_STRATEGY", _choice("sort strategy", SORT_STRATEGIES), "auto"
-    ),
     "server_workers": Variable("DATALENS_SERVER_WORKERS", _integer(1), 4),
     "job_queue_depth": Variable("DATALENS_JOB_QUEUE_DEPTH", _integer(1), 256),
     "job_retries": Variable("DATALENS_JOB_RETRIES", _integer(0), 2),
@@ -156,10 +135,6 @@ class Settings:
     fault_inject           ``DATALENS_FAULT_INJECT``: the fault  none; maybe_fire, on
                            plan (grammar in                      every fire through
                            :mod:`repro.core.faults`)             :func:`read`
-    join_strategy          ``DATALENS_JOIN_STRATEGY``: ``auto``  auto;
-                           / ``memory`` / ``partitioned``        resolve_join_strategy
-    sort_strategy          ``DATALENS_SORT_STRATEGY``: ``auto``  auto;
-                           / ``memory`` / ``external``           resolve_sort_strategy
     server_workers         ``DATALENS_SERVER_WORKERS``, int      4; JobQueue,
                            >= 1: job-pool and HTTP threads       AsyncHTTPServer
     job_queue_depth        ``DATALENS_JOB_QUEUE_DEPTH``, int     256; JobQueue
@@ -172,9 +147,9 @@ class Settings:
                            then 503 + ``Retry-After``
     =====================  ====================================  =====================
 
-    Values are stripped of surrounding whitespace, and strategy names
-    ignore case. The fault plan stays text here: :mod:`repro.core.faults`
-    parses it at the next fire and again whenever the text changes.
+    Values are stripped of surrounding whitespace. The fault plan stays
+    text here: :mod:`repro.core.faults` parses it at the next fire and
+    again whenever the text changes.
     """
 
     default_chunk_size: int | None
@@ -184,8 +159,6 @@ class Settings:
     artifact_cache_bytes: int | None
     io_retries: int
     fault_inject: str | None
-    join_strategy: str
-    sort_strategy: str
     server_workers: int
     job_queue_depth: int
     job_retries: int

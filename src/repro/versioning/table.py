@@ -32,7 +32,11 @@ _NO_HARD_LINKS = frozenset(
 
 
 class VersionNotFoundError(KeyError):
-    """Requested version does not exist in the transaction log."""
+    """Requested version does not exist in the transaction log (the REST
+    layer maps this to HTTP 404)."""
+
+    def __str__(self) -> str:  # KeyError.__str__ would repr-quote the message
+        return self.args[0]
 
 
 @dataclass(frozen=True)

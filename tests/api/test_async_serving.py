@@ -239,6 +239,84 @@ class TestTenancy:
         assert first.body == second.body
 
 
+class TestNames:
+    """Tenant and dataset names are one path component each: letters,
+    digits, '.', '_' and '-', not starting with '.'."""
+
+    BAD = ["..", ".", ".hidden", "a/b", "../escape", "../default", ""]
+
+    def _dirty_files(self, lens):
+        root = lens.workspace_dir
+        return sorted(str(path.relative_to(root)) for path in root.rglob("dirty.csv"))
+
+    @pytest.mark.parametrize("tenant", [name for name in BAD if name])
+    def test_tenant_must_be_a_name(self, client, tenant):
+        for request in (
+            {"headers": {"X-Tenant": tenant}},
+            {"query": {"tenant": tenant}},
+        ):
+            response = client.get("/datasets", **request)
+            assert response.status == 422
+            assert "'tenant'" in response.body["detail"]
+
+    def test_dot_dot_tenant_sees_none_of_default(self, client):
+        """``..`` would root the tenant's workspace at the default one."""
+        for path in ("/datasets", "/health", "/datasets/nasa"):
+            response = client.get(path, headers={"X-Tenant": ".."})
+            assert response.status == 422
+            assert "nasa" not in str(response.body)
+
+    @pytest.mark.parametrize("name", BAD + [5])
+    def test_ingest_name_must_be_a_name(self, lens, client, name):
+        response = client.post("/datasets", {"name": name, "records": [{"a": 1}]})
+        assert response.status == 422
+        assert "'name'" in response.body["detail"]
+        assert self._dirty_files(lens) == ["datasets/nasa/dirty.csv"]
+
+    @pytest.mark.parametrize("encoded", ["..", "%2E%2E", ".hidden", "..%2Fescape"])
+    def test_upload_name_must_be_a_name(self, lens, client, encoded):
+        response = client.post_csv(f"/datasets/{encoded}/upload", "a\n1\n")
+        assert response.status == 422
+        assert "'name'" in response.body["detail"]
+        assert self._dirty_files(lens) == ["datasets/nasa/dirty.csv"]
+
+    def test_names_with_inner_dots_are_accepted(self, client):
+        response = client.post(
+            "/datasets",
+            {"name": "v1.2_final-a", "records": [{"a": 1}]},
+            headers={"X-Tenant": "team.a"},
+        )
+        assert response.status == 200
+        listing = client.get("/datasets", headers={"X-Tenant": "team.a"})
+        assert listing.body["datasets"] == ["v1.2_final-a"]
+
+
+class TestClientErrors:
+    """Unknown versions and preloaded names are client errors, not 500s."""
+
+    @pytest.mark.parametrize("version", [99, -1])
+    def test_restore_of_unknown_version_is_404(self, client, version):
+        response = client.post(
+            "/datasets/nasa/versions/restore", {"version": version}
+        )
+        assert response.status == 404
+        assert response.body == {"detail": f"version {version} not found"}
+
+    @pytest.mark.parametrize("parameter", ["baseline", "current"])
+    @pytest.mark.parametrize("version", ["99", "-1"])
+    def test_drift_against_unknown_version_is_404(self, client, parameter, version):
+        response = client.get("/datasets/nasa/drift", query={parameter: version})
+        assert response.status == 404
+        assert response.body == {"detail": f"version {version} not found"}
+
+    @pytest.mark.parametrize("preloaded", ["nope", "../nasa", 7])
+    def test_unknown_preloaded_name_is_422(self, lens, client, preloaded):
+        response = client.post("/datasets", {"preloaded": preloaded})
+        assert response.status == 422
+        assert "'preloaded'" in response.body["detail"]
+        assert lens.list_datasets() == ["nasa"]
+
+
 class TestStreamingUpload:
     CSV = "city,pop\nparis,100\nlyon,50\nnice,\n"
 

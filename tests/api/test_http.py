@@ -136,11 +136,6 @@ class TestRouter:
     def test_trailing_slash_tolerated(self, router):
         assert TestClient(router).get("/items/").status == 200
 
-    def test_routes_listing(self, router):
-        routes = router.routes()
-        assert ("GET", "/items") in routes
-        assert ("POST", "/items") in routes
-
     def test_unexpected_exception_is_500_json(self, router, caplog):
         """A handler bug maps to a 500 JSON body, not an escaped exception."""
         import logging

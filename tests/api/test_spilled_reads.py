@@ -89,7 +89,7 @@ def test_no_get_route_densifies_a_spilled_session(spilled_app, monkeypatch):
         ("/datasets/d", {"limit": "5"}),
         ("/datasets/d", {"sort_by": "Score,City"}),
         ("/datasets/d", {"sort_by": "City", "descending": "1"}),
-        ("/datasets/d", {"sort_by": "City,Score", "sort_strategy": "memory"}),
+        ("/datasets/d", {"sort_by": "City,Score"}),
         ("/datasets/d/profile", {}),
         ("/datasets/d/quality", {}),
         ("/datasets/d/cache", {}),

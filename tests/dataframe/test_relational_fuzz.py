@@ -4,10 +4,12 @@ operators (:mod:`repro.dataframe.joins`).
 Seeded random schemas — mixed dtypes, varying null rates, narrow key
 cardinalities (forcing collisions), adversarial chunk sizes (1, 2, 257,
 n±1) and spilled legs at a 512-byte budget — drive every join variant
-(inner/left/outer × memory/partitioned), semi-join membership, the external
-merge sort (every leg bit-identical to the in-memory ``ops.sort_by``
-kernel, including descending, multi-key, signed-zero and all-None
-keys), and the grouped aggregation pushdown, asserting each leg
+(inner/left/outer, each leg pair through the plan its residency picks:
+``memory`` when both sides are resident, ``partitioned`` when either is
+spilled), semi-join membership, the external merge sort (every leg
+bit-identical to the in-memory ``ops.sort_by`` kernel, including
+descending, multi-key, signed-zero and all-None keys), and the grouped
+aggregation pushdown, asserting each leg
 bit-identical to the retained pure-Python reference in
 ``test_relational_equivalence``: same values, same Python types, same
 dtypes, same ordering — and for invalid inputs, the same exception
@@ -19,7 +21,7 @@ shards by design, so the order matters.
 
 from __future__ import annotations
 
-import re
+import os
 
 import numpy as np
 import pytest
@@ -32,10 +34,14 @@ from repro.dataframe import (
     external_sort_by,
     group_by,
     join,
+    read_csv,
+    read_csv_chunked,
     resolve_join_strategy,
     semi_join_mask,
     sort_by,
     spill_frame,
+    spill_store_of,
+    write_csv,
 )
 from repro.dataframe import joins
 from repro.dataframe.joins import (
@@ -101,6 +107,15 @@ def _legs(frame):
     return legs
 
 
+#: Join leg pairs: each leg with itself, then a resident side with a
+#: spilled one and a spilled side with a chunked one.
+LEG_PAIRS = [
+    (name, name)
+    for name in ("mono", "chunk1", "chunk2", "chunk257", "chunk_n-1",
+                 "chunk_n+1", "spilled")
+] + [("mono", "spilled"), ("spilled", "chunk_n-1")]
+
+
 def _assert_still_spilled(frame, label):
     """The out-of-core contract: reading through an operator must not
     pin a spilled column resident. values_array() would; take() and the
@@ -109,6 +124,24 @@ def _assert_still_spilled(frame, label):
         return  # nothing to spill: empty frames carry plain columns
     for name in frame.column_names:
         assert getattr(frame.column(name), "spilled", False), (label, name)
+
+
+def _assert_residency_plan(legs, label):
+    """A leg pair joins ``partitioned`` exactly when a side is spilled,
+    else ``memory``."""
+    spilled = any(store is not None for _, store in legs)
+    (left, _), (right, _) = legs
+    assert resolve_join_strategy(left, right) == (
+        "partitioned" if spilled else "memory"
+    ), label
+
+
+def _assert_stays_spilled(legs, label):
+    """Each spilled leg is still spilled and peaked within its budget."""
+    for frame, store in legs:
+        if store is not None:
+            _assert_still_spilled(frame, label)
+            assert store.stats()["peak_resident_bytes"] <= SPILL_BUDGET, label
 
 
 def _fix_partitions(monkeypatch, count):
@@ -173,49 +206,25 @@ class TestJoinFuzz:
         _fix_partitions(monkeypatch, 3)
         for how, reference_join in REFERENCE_JOINS.items():
             expected = reference_join(left, right, on=keys)
-            # Fresh legs per strategy: the memory strategy densifies key
-            # columns (releasing their spill, by design); partitioned is
-            # the strategy that must leave the inputs spilled.
-            for strategy in ("memory", "partitioned"):
-                left_legs = _legs(left)
-                right_legs = _legs(right)
-                pairs = [(name, name) for name in left_legs]
-                pairs += [("mono", "spilled"), ("spilled", "chunk_n-1")]
-                for left_name, right_name in pairs:
-                    left_frame, left_store = left_legs[left_name]
-                    right_frame, right_store = right_legs[right_name]
-                    actual = join(
-                        left_frame,
-                        right_frame,
-                        keys,
-                        how=how,
-                        strategy=strategy,
-                    )
-                    ref._assert_frames_identical(actual, expected)
-                    if strategy != "partitioned":
-                        continue
-                    for frame, name, store in (
-                        (left_frame, left_name, left_store),
-                        (right_frame, right_name, right_store),
-                    ):
-                        if store is not None:
-                            label = (how, left_name, right_name, name)
-                            _assert_still_spilled(frame, label)
-                            stats = store.stats()
-                            assert stats["peak_resident_bytes"] <= SPILL_BUDGET
+            left_legs = _legs(left)
+            right_legs = _legs(right)
+            for left_name, right_name in LEG_PAIRS:
+                legs = (left_legs[left_name], right_legs[right_name])
+                label = (how, left_name, right_name)
+                _assert_residency_plan(legs, label)
+                actual = join(legs[0][0], legs[1][0], keys, how=how)
+                _assert_stays_spilled(legs, label)
+                ref._assert_frames_identical(actual, expected)
 
     def test_presorted_spilled_inputs_route_partitioned(
-        self, random_values, seed, n_left, n_right, n_keys, monkeypatch
+        self, random_values, seed, n_left, n_right, n_keys
     ):
         """Spilled inputs presorted on the key take the partitioned plan.
 
-        Sortedness plays no part in planning: under ``auto`` spilled
-        inputs route to ``partitioned``, both sides stay spilled within
-        the store budget, and each join variant matches the reference.
-        The subject is the auto-router, so the CI legs that force a
-        strategy via the environment are neutralized here.
+        Sortedness plays no part in planning: spilled inputs route to
+        ``partitioned``, both sides stay spilled within the store
+        budget, and each join variant matches the reference.
         """
-        monkeypatch.delenv("DATALENS_JOIN_STRATEGY", raising=False)
         left, right, keys = self._tables(
             random_values, seed, n_left, n_right, n_keys
         )
@@ -228,10 +237,7 @@ class TestJoinFuzz:
                 store = SpillStore(budget_bytes=SPILL_BUDGET)
                 legs.append((spill_frame(frame, store, chunk_size=7), store))
             (left_leg, _), (right_leg, _) = legs
-            assert (
-                resolve_join_strategy(None, left_leg, right_leg)
-                == "partitioned"
-            )
+            assert resolve_join_strategy(left_leg, right_leg) == "partitioned"
             actual = join(left_leg, right_leg, keys, how=how)
             for leg, store in legs:
                 _assert_still_spilled(leg, how)
@@ -267,34 +273,18 @@ class TestJoinFuzz:
         for i in range(left.num_rows):
             key = tuple(left.at(i, name) for name in keys)
             expected.append(None not in key and key in groups)
-        for strategy in ("memory", "partitioned"):
-            left_legs = _legs(left)
-            right_legs = _legs(right)
-            pairs = [(name, name) for name in left_legs]
-            pairs += [("mono", "spilled"), ("spilled", "chunk_n-1")]
-            for left_name, right_name in pairs:
-                left_frame, left_store = left_legs[left_name]
-                right_frame, right_store = right_legs[right_name]
-                mask = semi_join_mask(
-                    left_frame,
-                    right_frame,
-                    keys,
-                    right_on=right_keys,
-                    strategy=strategy,
-                )
-                label = (strategy, left_name, right_name)
-                assert mask.dtype == np.bool_, label
-                assert mask.tolist() == expected, label
-                if strategy != "partitioned":
-                    continue
-                for frame, store in (
-                    (left_frame, left_store),
-                    (right_frame, right_store),
-                ):
-                    if store is not None:
-                        _assert_still_spilled(frame, label)
-                        stats = store.stats()
-                        assert stats["peak_resident_bytes"] <= SPILL_BUDGET
+        left_legs = _legs(left)
+        right_legs = _legs(right)
+        for left_name, right_name in LEG_PAIRS:
+            legs = (left_legs[left_name], right_legs[right_name])
+            label = (left_name, right_name)
+            _assert_residency_plan(legs, label)
+            mask = semi_join_mask(
+                legs[0][0], legs[1][0], keys, right_on=right_keys
+            )
+            _assert_stays_spilled(legs, label)
+            assert mask.dtype == np.bool_, label
+            assert mask.tolist() == expected, label
 
     def test_partition_count_never_changes_result(
         self, random_values, seed, n_left, n_right, n_keys, monkeypatch
@@ -313,31 +303,15 @@ class TestJoinFuzz:
         }
         left_legs = _legs(left)
         right_legs = _legs(right)
-        pairs = [("spilled", "spilled"), ("chunk1", "spilled"), ("mono", "chunk2")]
+        pairs = [("spilled", "spilled"), ("chunk1", "spilled"), ("spilled", "chunk2")]
         for n_partitions in (1, 7, 64, None):
             _fix_partitions(monkeypatch, n_partitions)
             for left_name, right_name in pairs:
-                left_frame, left_store = left_legs[left_name]
-                right_frame, right_store = right_legs[right_name]
+                legs = (left_legs[left_name], right_legs[right_name])
                 for how in REFERENCE_JOINS:
-                    actual = join(
-                        left_frame,
-                        right_frame,
-                        keys,
-                        how=how,
-                        strategy="partitioned",
-                    )
+                    actual = join(legs[0][0], legs[1][0], keys, how=how)
                     label = (n_partitions, left_name, right_name, how)
-                    for frame, store in (
-                        (left_frame, left_store),
-                        (right_frame, right_store),
-                    ):
-                        if store is not None:
-                            _assert_still_spilled(frame, label)
-                            stats = store.stats()
-                            assert (
-                                stats["peak_resident_bytes"] <= SPILL_BUDGET
-                            ), label
+                    _assert_stays_spilled(legs, label)
                     ref._assert_frames_identical(actual, expected[how])
 
     def test_partitioned_plan_releases_bucket_shards(
@@ -361,9 +335,9 @@ class TestJoinFuzz:
         before = files()
         spilled_before = store.stats()["spilled_shards"]
         for how in REFERENCE_JOINS:
-            join(left_leg, right_leg, keys, how=how, strategy="partitioned")
+            join(left_leg, right_leg, keys, how=how)
             assert files() == before, how
-        semi_join_mask(left_leg, right_leg, keys, strategy="partitioned")
+        semi_join_mask(left_leg, right_leg, keys)
         assert files() == before
         if n_left and n_right:
             # The buckets did go through the store.
@@ -421,17 +395,23 @@ class TestExternalSortFuzz:
     def test_strategy_seam_routes_spilled_frames_externally(
         self, random_values, seed, n_left, n_right, n_keys
     ):
+        """``sort_by`` sorts a leg externally exactly when it holds
+        spilled rows: input and output then stay spilled in the leg's
+        store within its budget, and every leg matches the reference."""
         frame, keys = self._frame_and_keys(
             random_values, seed, n_left, n_keys
         )
         expected = sort_by(frame, keys)
-        store = SpillStore(budget_bytes=SPILL_BUDGET)
-        spilled = spill_frame(frame, store, chunk_size=7)
-        actual = sort_by(spilled, keys)  # auto → external on spilled
-        _assert_still_spilled(spilled, "auto-input")
-        _assert_still_spilled(actual, "auto-output")
-        assert store.stats()["peak_resident_bytes"] <= SPILL_BUDGET
-        ref._assert_frames_identical(actual, expected)
+        for name, (leg, store) in _legs(frame).items():
+            actual = sort_by(leg, keys)
+            if store is not None:
+                _assert_still_spilled(leg, name)
+                _assert_still_spilled(actual, name)
+                assert spill_store_of(actual) is store, name
+                assert store.stats()["peak_resident_bytes"] <= SPILL_BUDGET
+            else:
+                assert spill_store_of(actual) is None, name
+            ref._assert_frames_identical(actual, expected)
 
 
 class TestExternalSortEdges:
@@ -538,16 +518,9 @@ class TestSameExceptionOutcomes:
 
     def test_suffix_collision_raises_valueerror_everywhere(self):
         left, right = self._frame_pair()
-        for how, strategy in (
-            ("inner", "memory"),
-            ("inner", "partitioned"),
-            ("left", "memory"),
-            ("outer", "partitioned"),
-        ):
+        for how in REFERENCE_JOINS:
             anchor = self._assert_all_legs(
-                lambda l, r, how=how, strategy=strategy: lambda: join(
-                    l, r, ["k"], how=how, strategy=strategy
-                )
+                lambda l, r, how=how: lambda: join(l, r, ["k"], how=how)
             )
             assert anchor == ("raise", ValueError)
         # The left/outer references validate the suffix identically.
@@ -555,11 +528,9 @@ class TestSameExceptionOutcomes:
             with pytest.raises(ValueError, match="colliding output column"):
                 REFERENCE_JOINS[how](left, right, on=["k"])
 
-    def test_unknown_strategy_and_how_raise_valueerror(self):
+    def test_unknown_how_raises_valueerror(self):
         left, right = self._frame_pair()
-        with pytest.raises(ValueError, match="join strategy"):
-            join(left, right, ["k"], strategy="quantum")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown join type 'anti'"):
             join(left, right, ["k"], how="anti")
 
     def test_group_by_bad_specs_raise_everywhere(self):
@@ -588,63 +559,39 @@ class TestSameExceptionOutcomes:
 
 
 class TestJoinPlanner:
-    """Two plans, one per residency regime; any other name fails loudly."""
+    """Two plans, one per residency regime, and no option to pick one."""
 
     def _pair(self):
         left = DataFrame.from_dict({"k": [1, 2, 2], "a": ["x", "y", "z"]})
         right = DataFrame.from_dict({"k": [2, 5], "b": [1.0, 2.0]})
         return left, right
 
-    def _rejects(self, name):
-        return pytest.raises(
-            ValueError,
-            match=f"unknown join strategy '{name}'; expected one of "
-            + re.escape("['auto', 'memory', 'partitioned']"),
-        )
-
-    def test_join_rejects_merge(self):
-        left, right = self._pair()
-        with self._rejects("merge"):
-            join(left, right, ["k"], strategy="merge")
-
-    def test_semi_join_rejects_sortmerge(self):
-        left, right = self._pair()
-        with self._rejects("sortmerge"):
-            semi_join_mask(left, right, ["k"], strategy="sortmerge")
-
-    def test_env_rejects_sortmerge(self, monkeypatch):
-        monkeypatch.setenv("DATALENS_JOIN_STRATEGY", "sortmerge")
-        left, right = self._pair()
-        with self._rejects("sortmerge"):
-            join(left, right, ["k"], how="inner")
-
-    def test_auto_routes_by_residency(self, monkeypatch):
-        monkeypatch.delenv("DATALENS_JOIN_STRATEGY", raising=False)
+    def test_auto_routes_by_residency(self):
         left, right = self._pair()
         spilled = spill_frame(
             right, SpillStore(budget_bytes=SPILL_BUDGET), chunk_size=1
         )
-        assert resolve_join_strategy(None, left, right) == "memory"
-        assert resolve_join_strategy(None, left, spilled) == "partitioned"
-        assert resolve_join_strategy(None, spilled, left) == "partitioned"
+        assert resolve_join_strategy(left, right) == "memory"
+        assert resolve_join_strategy(left, spilled) == "partitioned"
+        assert resolve_join_strategy(spilled, left) == "partitioned"
 
-    def test_strategy_names_are_case_insensitive(self, monkeypatch):
+    @pytest.mark.parametrize("operator", ["join", "semi_join_mask", "sort_by"])
+    def test_no_operator_takes_a_plan_option(self, operator):
         left, right = self._pair()
-        monkeypatch.setenv("DATALENS_JOIN_STRATEGY", " Partitioned ")
-        assert resolve_join_strategy(None, left, right) == "partitioned"
-        assert resolve_join_strategy("MEMORY", left, right) == "memory"
-
-    def test_blank_env_means_auto(self, monkeypatch):
-        monkeypatch.setenv("DATALENS_JOIN_STRATEGY", "  ")
-        left, right = self._pair()
-        assert resolve_join_strategy(None, left, right) == "memory"
+        calls = {
+            "join": lambda: join(left, right, ["k"], strategy="memory"),
+            "semi_join_mask": lambda: semi_join_mask(
+                left, right, ["k"], strategy="memory"
+            ),
+            "sort_by": lambda: sort_by(left, ["k"], strategy="memory"),
+        }
+        with pytest.raises(TypeError, match="strategy"):
+            calls[operator]()
 
     def test_derived_partition_count_follows_store_budget(self):
         left, right = self._pair()
-        # Without a store: one partition per 64k input rows.
-        assert resolve_join_partitions(left, right, None) == 1
-        # With one: ~64 B per input row, so 5 rows in a 64 B budget
-        # need 5 partitions and fit one partition of a 1 MiB budget.
+        # ~64 B per input row, so 5 rows in a 64 B budget need 5
+        # partitions and fit one partition of a 1 MiB budget.
         small = SpillStore(budget_bytes=64)
         large = SpillStore(budget_bytes=1 << 20)
         assert resolve_join_partitions(left, right, small) == 5
@@ -668,7 +615,7 @@ class TestJoinPlanner:
         left = spill_frame(frame, store, chunk_size=1)
         spilled_before = store.stats()["spilled_shards"]
         _fix_partitions(monkeypatch, 2)
-        actual = join(left, right, ["k"], strategy="partitioned")
+        actual = join(left, right, ["k"])
         written = store.stats()["spilled_shards"] - spilled_before
         _assert_still_spilled(left, "batched")
         assert store.stats()["peak_resident_bytes"] <= 4096
@@ -737,60 +684,95 @@ class TestPartitionHash:
                 _fix_partitions(monkeypatch, n_partitions)
                 store = SpillStore(budget_bytes=SPILL_BUDGET)
                 left_leg = spill_frame(left, store, chunk_size=2)
-                actual = join(
-                    left_leg,
-                    right,
-                    ["k"],
-                    how=how,
-                    strategy="partitioned",
-                )
+                actual = join(left_leg, right, ["k"], how=how)
                 ref._assert_frames_identical(actual, expected)
-        for strategy in ("memory", "partitioned"):
-            store = SpillStore(budget_bytes=SPILL_BUDGET)
-            left_leg = spill_frame(left, store, chunk_size=2)
-            mask = semi_join_mask(left_leg, right, ["k"], strategy=strategy)
-            assert mask.tolist() == expected_mask, strategy
+        store = SpillStore(budget_bytes=SPILL_BUDGET)
+        left_leg = spill_frame(left, store, chunk_size=2)
+        assert semi_join_mask(left_leg, right, ["k"]).tolist() == expected_mask
+        assert semi_join_mask(left, right, ["k"]).tolist() == expected_mask
 
 
-class TestEnvStrategyOverride:
-    def test_env_forces_partitioned(self, monkeypatch):
-        monkeypatch.setenv("DATALENS_JOIN_STRATEGY", "partitioned")
-        left = DataFrame.from_dict({"k": [1, 2, 2], "a": ["x", "y", "z"]})
-        right = DataFrame.from_dict({"k": [2, 5], "b": [1.0, 2.0]})
+class TestEnvironmentPicksPlansThroughResidency:
+    """No variable names a plan: ``DATALENS_DEFAULT_CHUNK_SIZE`` and
+    ``DATALENS_SPILL_BUDGET`` decide whether the chunked reader spills
+    what it loads, and each operator then plans from the loaded frames.
+    """
+
+    LEFT = {"k": [3, 1, None, 2, 2, 5], "a": ["x", "y", "z", "w", "v", "u"]}
+    RIGHT = {"k": [2, 5, 3, None], "b": [1.0, 2.0, None, 4.0]}
+
+    @pytest.fixture
+    def load(self, monkeypatch, tmp_path):
+        """Load a table through the chunked reader under the test's
+        environment; also return it read monolithic, as the reference."""
+        for key in list(os.environ):
+            if key.startswith("DATALENS_"):
+                monkeypatch.delenv(key)
+        monkeypatch.setenv("DATALENS_SPILL_DIR", str(tmp_path / "spill"))
+
+        def load(columns, name):
+            path = tmp_path / f"{name}.csv"
+            write_csv(DataFrame.from_dict(columns), path)
+            return read_csv_chunked(path), read_csv(path)
+
+        return load
+
+    def test_spill_budget_routes_joins_partitioned(self, load, monkeypatch):
+        monkeypatch.setenv("DATALENS_DEFAULT_CHUNK_SIZE", "2")
+        monkeypatch.setenv("DATALENS_SPILL_BUDGET", "1k")
+        left, left_reference = load(self.LEFT, "left")
+        right, right_reference = load(self.RIGHT, "right")
+        assert resolve_join_strategy(left, right) == "partitioned"
+        for how, reference_join in REFERENCE_JOINS.items():
+            ref._assert_frames_identical(
+                join(left, right, ["k"], how=how),
+                reference_join(left_reference, right_reference, on=["k"]),
+            )
+        assert semi_join_mask(left, right, ["k"]).tolist() == [
+            True, False, False, True, True, True,
+        ]
+        _assert_still_spilled(left, "left")
+        _assert_still_spilled(right, "right")
+
+    def test_spill_budget_routes_sorts_external(self, load, monkeypatch):
+        monkeypatch.setenv("DATALENS_DEFAULT_CHUNK_SIZE", "2")
+        monkeypatch.setenv("DATALENS_SPILL_BUDGET", "1k")
+        frame, reference = load(self.LEFT, "left")
+        store = spill_store_of(frame)
+        assert store is not None
+        actual = sort_by(frame, ["k"], descending=True)
+        assert spill_store_of(actual) is store
+        _assert_still_spilled(frame, "input")
+        _assert_still_spilled(actual, "output")
         ref._assert_frames_identical(
-            join(left, right, ["k"], how="inner"),
-            ref.reference_inner_join(left, right, on=["k"]),
+            actual, sort_by(reference, ["k"], descending=True)
         )
 
-    def test_env_rejects_unknown_strategy(self, monkeypatch):
-        monkeypatch.setenv("DATALENS_JOIN_STRATEGY", "bogus")
-        left = DataFrame.from_dict({"k": [1]})
-        right = DataFrame.from_dict({"k": [1], "b": [2]})
-        with pytest.raises(ValueError, match="join strategy"):
-            join(left, right, ["k"], how="inner")
+    def test_chunk_size_alone_keeps_memory_plans(self, load, monkeypatch):
+        monkeypatch.setenv("DATALENS_DEFAULT_CHUNK_SIZE", "2")
+        left, left_reference = load(self.LEFT, "left")
+        right, right_reference = load(self.RIGHT, "right")
+        assert left.n_chunks == 3
+        assert resolve_join_strategy(left, right) == "memory"
+        ref._assert_frames_identical(
+            join(left, right, ["k"]),
+            ref.reference_inner_join(left_reference, right_reference, on=["k"]),
+        )
+        actual = sort_by(left, ["k"])
+        assert spill_store_of(actual) is None
+        ref._assert_frames_identical(actual, sort_by(left_reference, ["k"]))
 
-    def test_explicit_strategy_beats_env(self, monkeypatch):
-        monkeypatch.setenv("DATALENS_JOIN_STRATEGY", "bogus")
-        left = DataFrame.from_dict({"k": [1, 2]})
-        right = DataFrame.from_dict({"k": [2], "b": [3]})
-        joined = join(left, right, ["k"], strategy="memory")
-        assert joined.num_rows == 1
-
-    def test_sort_env_forces_external(self, monkeypatch):
-        monkeypatch.setenv("DATALENS_SORT_STRATEGY", "external")
-        frame = DataFrame.from_dict({"k": [3, 1, None, 2], "v": [0, 1, 2, 3]})
-        actual = sort_by(frame, ["k"])
-        # Forced-external output of a dense input is still spill-backed.
-        _assert_still_spilled(actual, "env-external")
-        ref._assert_frames_identical(actual, sort_by(frame, ["k"], strategy="memory"))
-
-    def test_sort_env_rejects_unknown_strategy(self, monkeypatch):
+    def test_retired_strategy_variables_are_ignored(self, load, monkeypatch):
+        """``DATALENS_JOIN_STRATEGY`` / ``DATALENS_SORT_STRATEGY`` are no
+        longer read: a stale value neither fails nor forces a plan."""
+        monkeypatch.setenv("DATALENS_JOIN_STRATEGY", "partitioned")
         monkeypatch.setenv("DATALENS_SORT_STRATEGY", "bogus")
-        frame = DataFrame.from_dict({"k": [2, 1]})
-        with pytest.raises(ValueError, match="sort strategy"):
-            sort_by(frame, ["k"])
-
-    def test_sort_explicit_strategy_beats_env(self, monkeypatch):
-        monkeypatch.setenv("DATALENS_SORT_STRATEGY", "bogus")
-        frame = DataFrame.from_dict({"k": [2, 1]})
-        assert sort_by(frame, ["k"], strategy="memory").column("k").values() == [1, 2]
+        left, right = DataFrame.from_dict(self.LEFT), DataFrame.from_dict(self.RIGHT)
+        assert resolve_join_strategy(left, right) == "memory"
+        ref._assert_frames_identical(
+            join(left, right, ["k"], how="outer"),
+            ref.reference_outer_join(left, right, on=["k"]),
+        )
+        actual = sort_by(left, ["k"])
+        assert spill_store_of(actual) is None
+        assert actual.column("k").values() == [1, 2, 2, 3, 5, None]

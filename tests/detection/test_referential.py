@@ -66,9 +66,7 @@ class TestReferentialIntegrityDetector:
         orders, customers = orders_and_customers
         store = SpillStore(budget_bytes=512)
         spilled_orders = spill_frame(orders, store, chunk_size=2)
-        detector = ReferentialIntegrityDetector(
-            on=["cust"], parent=customers, strategy="partitioned"
-        )
+        detector = ReferentialIntegrityDetector(on=["cust"], parent=customers)
         result = detector.detect(spilled_orders, DetectionContext())
         assert result.cells == {(2, "cust"), (5, "cust")}
         for name in spilled_orders.column_names:
@@ -91,6 +89,22 @@ class TestReferentialIntegrityDetector:
         assert detector.config["on"] == ["cust"]
         result = detector.detect(orders, DetectionContext())
         assert result.metadata["violating_rows"] == 2
+
+    def test_takes_no_plan_option(self, orders_and_customers):
+        """The semi join plans from residency, so neither the detector
+        nor its config carries a join strategy."""
+        _, customers = orders_and_customers
+        with pytest.raises(TypeError, match="strategy"):
+            ReferentialIntegrityDetector(
+                on=["cust"], parent=customers, strategy="partitioned"
+            )
+        with pytest.raises(TypeError, match="strategy"):
+            make_detector(
+                "referential_integrity", on=["cust"], parent=customers,
+                strategy="memory",
+            )
+        detector = ReferentialIntegrityDetector(on=["cust"], parent=customers)
+        assert detector.config == {"on": ["cust"], "parent_on": None}
 
 
 class TestSessionWiring:

@@ -1,7 +1,5 @@
 """Full-pipeline integration tests spanning every subsystem."""
 
-import pytest
-
 from repro.core import DataLens, DataSheet, SimulatedUser
 from repro.ingestion import make_dirty
 from repro.ml import detection_scores
@@ -107,7 +105,6 @@ class TestFullPipeline:
         sheet = client.get("/datasets/nasa/datasheet")
         assert sheet.body["repair"]["tools"][0]["name"] == "ml_imputer"
 
-    @pytest.mark.slow
     def test_iterative_cleaning_approaches_ground_truth(self, tmp_path, nasa_dirty):
         lens = DataLens(tmp_path / "ws", seed=0)
         session = lens.ingest_frame("nasa", nasa_dirty.dirty)

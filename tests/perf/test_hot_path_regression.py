@@ -165,15 +165,10 @@ def test_inner_join_stays_vectorized(synthetic_frame):
 
 
 def test_sort_by_stays_vectorized(synthetic_frame):
-    # Pinned to the memory kernel: this budget guards the vectorized
-    # in-RAM path even when DATALENS_SORT_STRATEGY=external is forced
-    # suite-wide (the external plan has its own budget below).
-    elapsed = _best_of(
-        lambda: sort_by(synthetic_frame, ["group", "code"], strategy="memory")
-    )
-    ordered = sort_by(
-        synthetic_frame, ["group", "code"], descending=True, strategy="memory"
-    )
+    # The frame is resident, so this budget guards the vectorized in-RAM
+    # plan (the external plan has its own budget below).
+    elapsed = _best_of(lambda: sort_by(synthetic_frame, ["group", "code"]))
+    ordered = sort_by(synthetic_frame, ["group", "code"], descending=True)
     assert ordered.num_rows == N_ROWS
     # Vectorized: ~0.023s here; per-row key tuples cost several times more.
     assert elapsed < 0.12, f"sort_by took {elapsed:.3f}s on 50k rows"

@@ -1,18 +1,24 @@
 """CLI tests (python -m repro ...)."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import main
-from repro.dataframe import (
-    JOIN_STRATEGIES,
-    SORT_STRATEGIES,
-    DataFrame,
-    read_csv,
-    write_csv,
-)
+from repro.dataframe import DataFrame, joins, read_csv, sort, write_csv
 from repro.ingestion import make_dirty
+
+#: Residency legs of the frame-loading commands: scale flags, the
+#: environment they run under, and whether the loaded frames spill.
+RESIDENCY = {
+    "resident": ((), {}, False),
+    "chunked": (("--chunk-size", "2"), {}, False),
+    "spilled": (("--chunk-size", "2", "--spill-budget", "1k"), {}, True),
+    "spilled-by-env": (
+        ("--chunk-size", "2"), {"DATALENS_SPILL_BUDGET": "1k"}, True,
+    ),
+}
 
 
 @pytest.fixture
@@ -21,6 +27,42 @@ def dirty_csv(tmp_path):
     path = tmp_path / "nasa.csv"
     write_csv(bundle.dirty, path)
     return path
+
+
+@pytest.fixture(params=list(RESIDENCY))
+def residency(request, monkeypatch, tmp_path):
+    """One residency leg: its flags and spill expectation, with exactly
+    its variables set (CI legs export others)."""
+    flags, environment, spilled = RESIDENCY[request.param]
+    for key in list(os.environ):
+        if key.startswith("DATALENS_"):
+            monkeypatch.delenv(key)
+    monkeypatch.setenv("DATALENS_SPILL_DIR", str(tmp_path / "spill"))
+    for key, value in environment.items():
+        monkeypatch.setenv(key, value)
+    return flags, spilled
+
+
+@pytest.fixture
+def plans(monkeypatch):
+    """Every join plan the planner picks, and ``external`` for every
+    external sort. Both seams are looked up by module-level name at
+    call time, so wrapping them records what the commands run."""
+    recorded = []
+    resolve = joins.resolve_join_strategy
+    external_sort_by = sort.external_sort_by
+
+    def record_join(left, right):
+        recorded.append(resolve(left, right))
+        return recorded[-1]
+
+    def record_sort(*args, **kwargs):
+        recorded.append("external")
+        return external_sort_by(*args, **kwargs)
+
+    monkeypatch.setattr(joins, "resolve_join_strategy", record_join)
+    monkeypatch.setattr(sort, "external_sort_by", record_sort)
+    return recorded
 
 
 class TestProfileCommand:
@@ -111,39 +153,27 @@ class TestRefcheckCommand:
         assert main(["refcheck", child, parent, "--on", "k", "--strict"]) == 1
         assert "2 violating row(s)" in capsys.readouterr().out
 
-    def test_partitioned_reports_same_rows_as_default(self, tables, tmp_path):
-        default = self._violations(tables, tmp_path)
-        partitioned = self._violations(
-            tables, tmp_path, "--strategy", "partitioned"
-        )
-        assert default == [
+    def test_every_residency_reports_same_rows(
+        self, tables, tmp_path, residency, plans
+    ):
+        """Each leg reports the resident rows, through the plan its
+        residency picks."""
+        flags, spilled = residency
+        assert self._violations(tables, tmp_path, *flags) == [
             {"row": 2, "column": "k"},
             {"row": 5, "column": "k"},
         ]
-        assert partitioned == default
+        assert plans == ["partitioned" if spilled else "memory"]
 
-    def test_retired_strategy_is_rejected(self, tables, capsys):
+    def test_strategy_flag_is_gone(self, tables, capsys):
         child, parent = tables
         with pytest.raises(SystemExit) as exit_info:
             main(
                 ["refcheck", child, parent, "--on", "k",
-                 "--strategy", "sortmerge"]
+                 "--strategy", "partitioned"]
             )
         assert exit_info.value.code == 2
-        assert "invalid choice: 'sortmerge'" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("strategy", JOIN_STRATEGIES)
-    def test_every_strategy_reports_same_rows_on_spilled_inputs(
-        self, tables, tmp_path, strategy
-    ):
-        violations = self._violations(
-            tables, tmp_path,
-            "--strategy", strategy, "--chunk-size", "2", "--spill-budget", "1k",
-        )
-        assert violations == [
-            {"row": 2, "column": "k"},
-            {"row": 5, "column": "k"},
-        ]
+        assert "unrecognized arguments: --strategy" in capsys.readouterr().err
 
     def test_parent_on_pairs_keys_by_position(self, tables, tmp_path, capsys):
         child, _ = tables
@@ -176,13 +206,6 @@ class TestSortCommand:
         frame = read_csv(out_path)
         return frame.column("k").values(), frame.column("v").values()
 
-    @pytest.mark.parametrize("strategy", SORT_STRATEGIES)
-    def test_every_strategy_writes_same_order(self, table, tmp_path, strategy):
-        assert self._sorted(table, tmp_path, "--strategy", strategy) == (
-            [1, 1, 2, 3, 3, None],
-            ["v1", "v4", "v3", "v0", "v5", "v2"],
-        )
-
     def test_descending_keeps_ties_in_input_order(self, table, tmp_path):
         # Descending reverses the whole order, so missing keys lead.
         assert self._sorted(table, tmp_path, "--descending") == (
@@ -190,10 +213,34 @@ class TestSortCommand:
             ["v2", "v0", "v5", "v3", "v1", "v4"],
         )
 
-    def test_spilled_input_sorts_out_of_core(self, table, tmp_path):
+    def test_every_residency_writes_same_order(
+        self, table, tmp_path, residency, plans
+    ):
+        """Each leg writes the resident order; spilled legs sort
+        externally, resident ones in memory."""
+        flags, spilled = residency
+        assert self._sorted(table, tmp_path, *flags) == (
+            [1, 1, 2, 3, 3, None],
+            ["v1", "v4", "v3", "v0", "v5", "v2"],
+        )
+        assert plans == (["external"] if spilled else [])
+
+    def test_spilled_input_sorts_out_of_core(self, table, tmp_path, monkeypatch):
+        """The external sort runs in the input's store, within its budget."""
+        stores = []
+        external_sort_by = sort.external_sort_by
+
+        def record_store(*args, store, **kwargs):
+            stores.append(store)
+            return external_sort_by(*args, store=store, **kwargs)
+
+        monkeypatch.setattr(sort, "external_sort_by", record_store)
         assert self._sorted(
             table, tmp_path, "--chunk-size", "2", "--spill-budget", "1k"
         ) == ([1, 1, 2, 3, 3, None], ["v1", "v4", "v3", "v0", "v5", "v2"])
+        [store] = stores
+        assert store.budget_bytes == 1024
+        assert 0 < store.stats()["peak_resident_bytes"] <= 1024
 
     def test_preview_without_output(self, table, capsys):
         assert main(["sort", table, "--by", "k", "--descending"]) == 0
@@ -203,11 +250,11 @@ class TestSortCommand:
             "k,v", ",v2", "3,v0", "3,v5", "2,v3", "1,v1", "1,v4",
         ]
 
-    def test_join_strategy_is_not_a_sort_strategy(self, table, capsys):
+    def test_strategy_flag_is_gone(self, table, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main(["sort", table, "--by", "k", "--strategy", "partitioned"])
+            main(["sort", table, "--by", "k", "--strategy", "external"])
         assert exit_info.value.code == 2
-        assert "invalid choice: 'partitioned'" in capsys.readouterr().err
+        assert "unrecognized arguments: --strategy" in capsys.readouterr().err
 
 
 class TestRulesCommand:

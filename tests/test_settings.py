@@ -26,19 +26,10 @@ from repro.api import JobQueue, Router
 from repro.api.http import AsyncHTTPServer
 from repro.core import ArtifactStore, faults
 from repro.core.faults import TransientFaultError, with_transient_retries
-from repro.dataframe import (
-    DataFrame,
-    SpillStore,
-    resolve_chunk_size,
-    resolve_join_strategy,
-    resolve_sort_strategy,
-)
+from repro.dataframe import SpillStore, resolve_chunk_size
 from repro.settings import VARIABLES, Settings
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
-
-_LEFT = DataFrame.from_dict({"k": [1, 2]})
-_RIGHT = DataFrame.from_dict({"k": [2], "b": [3]})
 
 
 def _job_queue(attr: str, **kwargs: Any) -> Any:
@@ -147,28 +138,6 @@ CASES: dict[str, Case] = {
         {},
         None,
     ),
-    "join_strategy": Case(
-        "DATALENS_JOIN_STRATEGY",
-        "auto",
-        {"auto": "auto", "memory": "memory", "partitioned": "partitioned",
-         " Partitioned ": "partitioned", "MEMORY": "memory"},
-        {"sortmerge": "unknown join strategy", "merge": "unknown join strategy"},
-        Explicit(
-            lambda value: resolve_join_strategy(value, _LEFT, _RIGHT),
-            "memory", "partitioned", bad="quantum", source="strategy",
-        ),
-    ),
-    "sort_strategy": Case(
-        "DATALENS_SORT_STRATEGY",
-        "auto",
-        {"auto": "auto", "memory": "memory", "external": "external",
-         " External ": "external"},
-        {"bogus": "unknown sort strategy"},
-        Explicit(
-            lambda value: resolve_sort_strategy(value, _LEFT),
-            "memory", "external", bad="bogus", source="strategy",
-        ),
-    ),
     "server_workers": Case(
         "DATALENS_SERVER_WORKERS",
         4,
@@ -229,13 +198,13 @@ def clean_environment(monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
 
 
-def test_table_covers_the_thirteen_variables():
+def test_table_covers_the_eleven_variables():
     assert [field.name for field in dataclasses.fields(Settings)] == list(VARIABLES)
     assert list(VARIABLES) == list(CASES)
     assert [variable.env for variable in VARIABLES.values()] == [
         case.env for case in CASES.values()
     ]
-    assert len(set(case.env for case in CASES.values())) == 13
+    assert len(set(case.env for case in CASES.values())) == 11
 
 
 @pytest.mark.parametrize("name", list(CASES))
@@ -278,18 +247,6 @@ def test_explicit_value_checked_by_the_same_parser(name):
     assert repr(explicit.bad) in str(excinfo.value)
 
 
-def test_strategy_errors_list_the_choices(monkeypatch):
-    monkeypatch.setenv("DATALENS_JOIN_STRATEGY", "sortmerge")
-    with pytest.raises(
-        ValueError,
-        match=re.escape(
-            "unknown join strategy 'sortmerge'; expected one of "
-            "['auto', 'memory', 'partitioned']"
-        ),
-    ):
-        Settings.from_env()
-
-
 @pytest.mark.parametrize(
     "spec,literal",
     [
@@ -317,11 +274,7 @@ def test_malformed_variable_fails_any_settings_read(name, raw, monkeypatch):
     """Every reader parses the whole table, so a bad value surfaces in
     the first consumer that reads any setting, not only its owner."""
     monkeypatch.setenv(CASES[name].env, raw)
-    unrelated = (
-        (lambda: resolve_join_strategy(None, _LEFT, _RIGHT))
-        if name == "default_chunk_size"
-        else resolve_chunk_size
-    )
+    unrelated = ArtifactStore if name == "default_chunk_size" else resolve_chunk_size
     with pytest.raises(ValueError, match=re.escape(CASES[name].env)):
         unrelated()
 

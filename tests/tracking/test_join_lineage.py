@@ -1,5 +1,5 @@
-"""Lineage tracking for join-derived outputs: runs record which inputs,
-keys, and strategy produced a joined frame, and failures mark the run."""
+"""Lineage tracking for join-derived outputs: runs record which inputs
+and keys produced a joined frame, and failures mark the run."""
 
 from __future__ import annotations
 
@@ -27,10 +27,8 @@ class TestJoinLineage:
     def test_run_records_join_lineage(self, client, tables):
         left, right = tables
         with client.start_run("Joins", "orders⋈customers") as run:
-            joined = join(left, right, ["k"], how="inner", strategy="memory")
-            client.log_params(
-                {"how": "inner", "on": ["k"], "strategy": "memory"}
-            )
+            joined = join(left, right, ["k"], how="inner")
+            client.log_params({"how": "inner", "on": ["k"]})
             client.log_metric("left_rows", float(left.num_rows))
             client.log_metric("right_rows", float(right.num_rows))
             client.log_metric("output_rows", float(joined.num_rows))

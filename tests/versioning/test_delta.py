@@ -47,6 +47,17 @@ class TestWriteRead:
         with pytest.raises(VersionNotFoundError):
             DeltaTable(tmp_path).read()
 
+    def test_version_errors_read_plainly(self, tmp_path):
+        """A ``KeyError`` subclass whose message is not repr-quoted."""
+        table = DeltaTable(tmp_path)
+        with pytest.raises(KeyError) as empty:
+            table.read()
+        assert str(empty.value) == "table has no committed versions"
+        table.write(small(0))
+        with pytest.raises(VersionNotFoundError) as unknown:
+            table.restore(99)
+        assert str(unknown.value) == "version 99 not found"
+
     def test_exists(self, tmp_path):
         assert not DeltaTable.exists(tmp_path / "nothing")
         table = DeltaTable(tmp_path / "t")
