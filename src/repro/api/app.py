@@ -123,10 +123,14 @@ Multi-tenancy
     parameter), defaulting to ``default``. Each tenant gets an isolated
     :class:`~repro.core.DataLens` workspace (``tenants/<name>/`` under
     the base workspace) — datasets, sessions, versions, and jobs are
-    invisible across tenants. The content-addressed
-    :class:`~repro.core.ArtifactStore` is deliberately *shared*:
-    artifact keys are column fingerprints, so identical columns
-    uploaded by different tenants hit the same cache entries.
+    invisible across tenants. Only an ingest creates a tenant; other
+    routes answer an unknown one as empty and create nothing. Both
+    stores are deliberately *shared* by every tenant and dataset: the
+    :class:`~repro.core.ArtifactStore`, whose keys are column
+    fingerprints, so identical columns uploaded by different tenants hit
+    the same cache entries, and the :class:`~repro.dataframe.SpillStore`.
+    So the budgets bound the server, and ``GET /datasets/{name}/spill``
+    counts the whole server's spilled shards.
 
 Error semantics
     ``404`` unknown dataset/version/job (typed ``DatasetNotFoundError``
@@ -149,9 +153,10 @@ from __future__ import annotations
 import heapq
 import io
 import re
+import threading
 from typing import Any, Callable
 
-from ..core import ArtifactStore, DataLens, DatasetNotFoundError
+from ..core import DataLens, DatasetNotFoundError
 from ..core.artifacts import ArtifactCapacityError
 from ..core.faults import TransientFaultError
 from ..dataframe import DataFrame, read_csv_text
@@ -175,42 +180,32 @@ _TRUTHY = {"1", "true", "yes", "on"}
 
 
 class TenantRegistry:
-    """Per-tenant controllers over one shared, fingerprint-keyed cache.
+    """Tenant lenses, all sharing the stores of the ``default`` one.
 
-    The ``default`` tenant is the controller handed to
-    :func:`create_app`; any other tenant lazily gets its own
-    :class:`~repro.core.DataLens` rooted at
-    ``<base>/tenants/<tenant>`` with the same chunk/spill/seed
-    configuration. All controllers share one
-    :class:`~repro.core.ArtifactStore` — see the module docstring.
+    Another tenant's lens is ``DataLens.tenant`` of the lens handed to
+    :func:`create_app`. Only :meth:`create` (an ingest) makes a tenant;
+    :meth:`lens_for` finds one made by this server or left on disk by an
+    earlier one, and answers None for any other name.
     """
 
     def __init__(self, base: DataLens) -> None:
-        import threading
-
-        if base.artifact_store is None:
-            base.artifact_store = ArtifactStore()
-        self.shared_artifacts = base.artifact_store
         self._base = base
         self._tenants: dict[str, DataLens] = {DEFAULT_TENANT: base}
         self._lock = threading.Lock()
 
-    def lens_for(self, tenant: str) -> DataLens:
+    def lens_for(self, tenant: str) -> DataLens | None:
         with self._lock:
-            lens = self._tenants.get(tenant)
-            if lens is None:
-                base = self._base
-                lens = DataLens(
-                    base.workspace_dir / "tenants" / tenant,
-                    seed=base.seed,
-                    chunk_size=base.loader.chunk_size,
-                    profile_jobs=base.profile_jobs,
-                    spill_budget=base.loader.spill_budget,
-                    spill_dir=base.loader.spill_dir,
-                    artifact_store=self.shared_artifacts,
-                )
-                self._tenants[tenant] = lens
-            return lens
+            if tenant not in self._tenants:
+                if not (self._base.workspace_dir / "tenants" / tenant).is_dir():
+                    return None
+                self._tenants[tenant] = self._base.tenant(tenant)
+            return self._tenants[tenant]
+
+    def create(self, tenant: str) -> DataLens:
+        with self._lock:
+            if tenant not in self._tenants:
+                self._tenants[tenant] = self._base.tenant(tenant)
+            return self._tenants[tenant]
 
     def tenants(self) -> list[str]:
         with self._lock:
@@ -324,7 +319,7 @@ def create_app(
     attributes: ``router.job_queue`` (bounded worker pool for
     ``?async=1`` submissions), ``router.locks`` (per-(tenant, dataset)
     reader/writer locks), and ``router.tenants`` (the
-    :class:`TenantRegistry` with the shared artifact store). The job
+    :class:`TenantRegistry` of lenses sharing ``lens``'s stores). The job
     pool has ``workers`` threads, else ``DATALENS_SERVER_WORKERS``; its
     depth and retry budget, like every other ``DATALENS_*`` variable,
     come from :class:`repro.settings.Settings`.
@@ -359,8 +354,14 @@ def create_app(
         """Resolve (tenant, name, session); 404s before any job submit."""
         tenant = _tenant_of(request)
         name = request.path_params["name"]
-        session = registry.lens_for(tenant).session(name)
-        return tenant, name, session
+        lens_t = registry.lens_for(tenant)
+        if lens_t is None:
+            raise DatasetNotFoundError(name)
+        return tenant, name, lens_t.session(name)
+
+    def _datasets(request: Request) -> list[str]:
+        lens_t = registry.lens_for(_tenant_of(request))
+        return [] if lens_t is None else lens_t.list_datasets()
 
     def _read(request: Request, fn: Callable[[Any], Any]):
         tenant, name, session = _session(request)
@@ -397,22 +398,19 @@ def create_app(
     # ------------------------------------------------------------------
     @router.get("/health")
     def health(request: Request) -> dict:
-        tenant = _tenant_of(request)
         return {
             "status": "ok",
-            "datasets": registry.lens_for(tenant).list_datasets(),
+            "datasets": _datasets(request),
             "workers": queue.workers,
         }
 
     @router.get("/datasets")
     def list_datasets(request: Request) -> dict:
-        tenant = _tenant_of(request)
-        return {"datasets": registry.lens_for(tenant).list_datasets()}
+        return {"datasets": _datasets(request)}
 
     @router.post("/datasets")
     def ingest(request: Request) -> dict:
         tenant = _tenant_of(request)
-        lens_t = registry.lens_for(tenant)
         body = request.body
         if "preloaded" in (body or {}):
             target = body["preloaded"]
@@ -425,18 +423,21 @@ def create_app(
         else:
             target = _checked_name(_require(body, "name"), "name")
         with locks.of(tenant, target).write_lock():
+            frame = None
             if "records" in body:
                 frame = DataFrame.from_records(body["records"])
-                session = lens_t.ingest_frame(target, frame)
             elif "csv_text" in body:
                 frame = read_csv_text(body["csv_text"])
-                session = lens_t.ingest_frame(target, frame)
-            elif "preloaded" in body:
-                session = lens_t.ingest_preloaded(body["preloaded"])
-            else:
+            elif "preloaded" not in body:
                 raise HTTPError(
                     422, "provide 'records', 'csv_text', or 'preloaded'"
                 )
+            lens_t = registry.create(tenant)
+            session = (
+                lens_t.ingest_preloaded(target)
+                if frame is None
+                else lens_t.ingest_frame(target, frame)
+            )
             return {"dataset": session.name, "shape": list(session.frame.shape)}
 
     @router.post("/datasets/{name}/upload")
@@ -460,9 +461,8 @@ def create_app(
             raise HTTPError(
                 422, "provide a non-empty text/csv request body"
             )
-        lens_t = registry.lens_for(tenant)
         with locks.of(tenant, name).write_lock():
-            session = lens_t.ingest_csv_stream(name, lines)
+            session = registry.create(tenant).ingest_csv_stream(name, lines)
             payload = {
                 "dataset": session.name,
                 "shape": list(session.frame.shape),
@@ -523,7 +523,7 @@ def create_app(
 
     @router.get("/datasets/{name}/spill")
     def get_spill_stats(request: Request) -> dict:
-        """Spill-store residency counters for the session's working frame."""
+        """The server's spill-store counters, while this frame is spilled."""
         return _read(request, lambda session: session.spill_stats())
 
     # ------------------------------------------------------------------

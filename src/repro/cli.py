@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .core import DataSheet, make_detector, make_repairer
 from .dataframe import SpillStore, read_csv, read_csv_chunked, write_csv
+from .dataframe.spill import resolve_spill_store
 from .detection import DetectionContext, merge_results
 from .fd import approximate_fds, discover_fds, discover_fds_hyfd
 from .ingestion import PRELOADED, load_clean
@@ -35,24 +36,31 @@ def _spill_budget(args: argparse.Namespace) -> int | None:
     return None if raw is None else parse_byte_size(raw, "--spill-budget")
 
 
-def _load_frame(args: argparse.Namespace, attr: str = "data"):
-    """Read the data argument, chunked only when a scale flag is given.
+def _load_frames(args: argparse.Namespace, *attrs: str) -> list:
+    """Read each named path argument, chunked only when a scale flag is given.
 
-    The chunked reader takes any scale setting not flagged from the
-    environment.
+    All inputs load into one spill store, so its budget bounds the
+    command: the flagged one, else (``--chunk-size`` alone) the one
+    ``DATALENS_SPILL_BUDGET`` asks for.
     """
-    source = Path(getattr(args, attr))
-    if not source.exists() and source.stem in PRELOADED:
-        return load_clean(source.stem)
     chunk_size = getattr(args, "chunk_size", None)
     spill_budget = _spill_budget(args)
     spill_dir = getattr(args, "spill_dir", None)
+    spill: SpillStore | bool | None = None  # None: a monolithic read
     if spill_budget is not None or spill_dir is not None:
-        store = SpillStore(budget_bytes=spill_budget, directory=spill_dir)
-        return read_csv_chunked(source, chunk_size=chunk_size, spill=store)
-    if chunk_size is not None:
-        return read_csv_chunked(source, chunk_size=chunk_size)
-    return read_csv(source)
+        spill = SpillStore(budget_bytes=spill_budget, directory=spill_dir)
+    elif chunk_size is not None:
+        spill = resolve_spill_store(None) or False
+
+    def read(attr: str):
+        source = Path(getattr(args, attr))
+        if not source.exists() and source.stem in PRELOADED:
+            return load_clean(source.stem)
+        if spill is None:
+            return read_csv(source)
+        return read_csv_chunked(source, chunk_size=chunk_size, spill=spill)
+
+    return [read(attr) for attr in attrs]
 
 
 def _add_scale_options(command: argparse.ArgumentParser) -> None:
@@ -73,7 +81,7 @@ def _add_scale_options(command: argparse.ArgumentParser) -> None:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    frame = _load_frame(args)
+    (frame,) = _load_frames(args, "data")
     report = profile(frame)
     if args.json:
         print(report.to_json())
@@ -105,7 +113,7 @@ def _run_detection(frame, tools: list[str]):
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    frame = _load_frame(args)
+    (frame,) = _load_frames(args, "data")
     results, cells = _run_detection(frame, args.tools)
     for result in results:
         print(f"{result.tool:18s} {len(result.cells):6d} cells "
@@ -119,7 +127,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    frame = _load_frame(args)
+    (frame,) = _load_frames(args, "data")
     _, cells = _run_detection(frame, args.tools)
     repairer = make_repairer(args.repairer)
     result = repairer.repair(frame, cells)
@@ -135,8 +143,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
 def _cmd_refcheck(args: argparse.Namespace) -> int:
     from .detection import ReferentialIntegrityDetector
 
-    child = _load_frame(args)
-    parent = _load_frame(args, attr="parent")
+    child, parent = _load_frames(args, "data", "parent")
     detector = ReferentialIntegrityDetector(
         on=args.on, parent=parent, parent_on=args.parent_on
     )
@@ -164,7 +171,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
     """
     from .dataframe import sort_by
 
-    frame = _load_frame(args)
+    (frame,) = _load_frames(args, "data")
     result = sort_by(frame, args.by, descending=args.descending)
     print(f"sorted {result.num_rows} rows by {args.by} "
           f"({'descending' if args.descending else 'ascending'})")
@@ -181,7 +188,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
 
 
 def _cmd_rules(args: argparse.Namespace) -> int:
-    frame = _load_frame(args)
+    (frame,) = _load_frames(args, "data")
     if args.algorithm == "tane":
         rules = discover_fds(frame, max_lhs_size=args.max_lhs)
     elif args.algorithm == "hyfd":
@@ -201,7 +208,7 @@ def _cmd_datasheet(args: argparse.Namespace) -> int:
         print("only 'replay' is supported", file=sys.stderr)
         return 2
     sheet = DataSheet.load(args.sheet)
-    frame = _load_frame(args)
+    (frame,) = _load_frames(args, "data")
     repaired = sheet.replay(frame)
     print(f"replayed {len(sheet.detection_tools)} detector(s) + "
           f"{len(sheet.repair_tools)} repairer(s) from {args.sheet}")

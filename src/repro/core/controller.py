@@ -10,11 +10,13 @@ DataSheets, with every detection/repair run logged to the "Detection" /
 
 from __future__ import annotations
 
+import copy
 import threading
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
-from ..dataframe import Cell, DataFrame, sweep_orphaned_spill_dirs
+from ..dataframe import Cell, DataFrame, SpillStore, sweep_orphaned_spill_dirs
+from ..dataframe.spill import resolve_spill_store
 from ..detection import (
     DetectionContext,
     DetectionResult,
@@ -62,7 +64,7 @@ class DatasetNotFoundError(KeyError):
 class DataLensSession:
     """All state the dashboard holds for one ingested dataset.
 
-    The session owns a content-addressed :class:`ArtifactStore`
+    The session uses its lens's content-addressed :class:`ArtifactStore`
     (``self.artifacts``): profiling, detection, quality scoring, and FD
     discovery all publish/reuse per-column and per-pair artifacts keyed
     by column fingerprints, so the paper's interactive loop (profile →
@@ -90,20 +92,10 @@ class DataLensSession:
             frame if frame is not None else controller.loader.load(name)
         )
         self.delta = DeltaTable(self.workspace.delta_path)
-        if self.delta.latest_version() is None:
-            self.delta.write(self.frame, operation="upload")
         self.rule_set = RuleSet()
         self.tags = TagRegistry()
         self.labels: dict[Cell, bool] = {}
-        # The controller may inject a store shared across sessions (and,
-        # in the REST layer, across tenants): artifact keys are content
-        # fingerprints, so identical columns uploaded by different users
-        # deduplicate into the same cache entries.
-        self.artifacts = (
-            controller.artifact_store
-            if controller.artifact_store is not None
-            else ArtifactStore()
-        )
+        self.artifacts = controller.artifact_store
         self.profile_report: ProfileReport | None = None
         self.detection_results: dict[str, DetectionResult] = {}
         self.detected_cells: set[Cell] = set()
@@ -138,15 +130,15 @@ class DataLensSession:
         self.repair_result = None
 
     def cache_stats(self) -> dict[str, Any]:
-        """Hit/miss/eviction counters of the session's artifact store."""
+        """Hit/miss/eviction counters of the lens's artifact store."""
         return self.artifacts.stats()
 
     def spill_stats(self) -> dict[str, Any]:
-        """Residency counters of the working frame's spill store.
+        """Counters of the lens's spill store, shared by all it serves.
 
-        ``{"enabled": False}`` when the frame is not spilled — never
-        loaded with a spill configuration, or already materialized by a
-        dense access.
+        ``{"enabled": False}`` when the working frame is not spilled —
+        never loaded with a spill configuration, or already materialized
+        by a dense access.
         """
         from ..dataframe import spill_store_of
 
@@ -444,12 +436,18 @@ class DataLens:
 
     ``chunk_size`` makes every session load its dataset as a streamed
     :class:`~repro.dataframe.ChunkedFrame` (sharded storage, per-chunk
-    profiling partials); ``spill_budget`` / ``spill_dir`` additionally
-    spill the shards to disk behind a byte-bounded resident cache (see
-    :mod:`repro.dataframe.spill`), which is how a dataset larger than
-    RAM is served; ``profile_jobs`` sets the default thread count for
+    profiling partials); ``spill_budget`` / ``spill_dir``, else
+    ``DATALENS_SPILL_BUDGET`` (read here, not on each load), build its
+    :class:`~repro.dataframe.SpillStore`, which keeps shards on disk
+    behind a byte-bounded resident cache so data larger than RAM is
+    served; ``profile_jobs`` sets the default thread count for
     :meth:`DataLensSession.profile` (None/1 = serial, -1 = all cores).
     All default to off, and results are bit-identical either way.
+
+    Every session, load and :meth:`tenant` lens shares that one spill
+    store and one :class:`ArtifactStore`, so the budgets bound the
+    process. Building a lens first sweeps orphaned spill directories
+    where its store is (or would be) built.
     """
 
     def __init__(
@@ -460,34 +458,36 @@ class DataLens:
         profile_jobs: int | None = None,
         spill_budget: int | None = None,
         spill_dir: str | Path | None = None,
-        artifact_store: ArtifactStore | None = None,
     ) -> None:
-        self.workspace_dir = Path(workspace_dir)
-        self.loader = DataLoader(
-            self.workspace_dir / "datasets",
-            chunk_size=chunk_size,
-            spill_budget=spill_budget,
-            spill_dir=spill_dir,
-        )
-        self.tracking = TrackingClient(self.workspace_dir / "mlruns")
         self.seed = seed
         self.profile_jobs = profile_jobs
-        #: When set, every session shares this store instead of owning
-        #: one — the multi-tenant REST layer passes the same store to
-        #: every tenant's controller so identical column content
-        #: deduplicates across users (keys are content fingerprints).
-        self.artifact_store = artifact_store
+        try:  # startup hygiene, never a reason not to start
+            sweep_orphaned_spill_dirs(spill_dir)
+        except Exception:  # noqa: BLE001 — sweeping is opportunistic
+            pass
+        spills = spill_budget is not None or spill_dir is not None
+        store = SpillStore(spill_budget, spill_dir) if spills else None
+        self.spill_store = resolve_spill_store(store)
+        self.artifact_store = ArtifactStore()
+        self._root(workspace_dir, chunk_size)
+
+    def _root(self, workspace_dir: str | Path, chunk_size: int | None) -> None:
+        self.workspace_dir = Path(workspace_dir)
+        self.loader = DataLoader(
+            self.workspace_dir / "datasets", chunk_size, self.spill_store
+        )
+        self.tracking = TrackingClient(self.workspace_dir / "mlruns")
         self._sessions: dict[str, DataLensSession] = {}
         # Guards lazy session opening: two concurrent requests touching
         # a dataset for the first time must share one session object,
-        # not race ``_open`` into two divergent copies of its state.
+        # not race into two divergent copies of its state.
         self._session_lock = threading.RLock()
-        # Startup hygiene: reclaim spill directories abandoned by
-        # crashed sessions (best-effort; never blocks startup).
-        try:
-            sweep_orphaned_spill_dirs()
-        except Exception:  # noqa: BLE001 — sweeping is opportunistic
-            pass
+
+    def tenant(self, name: str) -> "DataLens":
+        """A lens rooted at ``tenants/<name>`` with this one's stores and settings."""
+        lens = copy.copy(self)
+        lens._root(self.workspace_dir / "tenants" / name, self.loader.chunk_size)
+        return lens
 
     # ------------------------------------------------------------------
     def ingest_frame(self, name: str, frame: DataFrame) -> DataLensSession:
@@ -521,17 +521,20 @@ class DataLens:
         return self._open(workspace.name, frame=frame)
 
     def _open(self, name: str, frame: DataFrame | None = None) -> DataLensSession:
+        """A session on an ingest, committed as a new upload version."""
         with self._session_lock:
             session = DataLensSession(self, name, frame=frame)
+            session.delta.write(session.frame, operation="upload")
             self._sessions[name] = session
             return session
 
     def session(self, name: str) -> DataLensSession:
+        """The dataset's session, reopened from disk without a commit."""
         with self._session_lock:
             if name not in self._sessions:
-                if name in self.loader.list_datasets():
-                    return self._open(name)
-                raise DatasetNotFoundError(name)
+                if name not in self.loader.list_datasets():
+                    raise DatasetNotFoundError(name)
+                self._sessions[name] = DataLensSession(self, name)
             return self._sessions[name]
 
     def list_datasets(self) -> list[str]:

@@ -1,8 +1,8 @@
 """Out-of-core shard spilling — disk-backed ChunkedColumns.
 
 A :class:`SpillStore` appends ``(values, mask)`` shard pairs as records
-to segment files in a per-session spill directory and reads them back
-on demand, keeping an LRU cache of resident shards bounded by a byte
+to segment files in its own spill directory and reads them back on
+demand, keeping an LRU cache of resident shards bounded by a byte
 budget. A :class:`SpilledChunkedColumn` is a :class:`~repro.dataframe.
 chunked.ChunkedColumn` whose shards live in such a store instead of
 RAM, so a table far larger than the budget can be ingested, profiled,
@@ -59,10 +59,10 @@ raises the typed :class:`SpillCapacityError`, which the ingestion paths
 catch to fall back to resident shards. Transient I/O faults (see
 :mod:`repro.core.faults`) are absorbed by bounded internal retries
 (``DATALENS_IO_RETRIES``, read when a store is built); a retried write
-rewrites the same offset. Crashed sessions leave ``datalens-spill-*``
-directories behind; :func:`sweep_orphaned_spill_dirs` (run at
-:class:`~repro.core.controller.DataLens` startup) removes those whose
-owning pid is dead.
+rewrites the same offset. Crashed processes leave ``datalens-spill-*``
+directories behind; :func:`sweep_orphaned_spill_dirs` (run when a
+:class:`~repro.core.controller.DataLens` is built, over the directory
+its store is created in) removes those whose owning pid is dead.
 
 Residency contract
 ------------------
@@ -83,13 +83,14 @@ resident ≡ monolithic.
 
 Configuration
 -------------
-``DATALENS_SPILL_BUDGET`` turns spilling on for the ingestion paths
-(:func:`~repro.dataframe.io.read_csv_chunked`, the
-:class:`~repro.ingestion.loader.DataLoader`) and sets the resident
-budget; ``DATALENS_SPILL_DIR`` and ``DATALENS_IO_RETRIES`` apply to
-every store. See :class:`repro.settings.Settings` for their grammar
-and defaults. Spilling an already in-memory frame cannot lower its peak
-RSS, so ``to_chunked()`` and ``profile()`` never spill implicitly — use
+``DATALENS_SPILL_BUDGET`` turns spilling on for the chunked readers
+(:func:`~repro.dataframe.io.read_csv_chunked`) and for a
+:class:`~repro.core.controller.DataLens` built without spill arguments,
+and sets the resident budget; ``DATALENS_SPILL_DIR`` and
+``DATALENS_IO_RETRIES`` apply to every store. See
+:class:`repro.settings.Settings` for their grammar and defaults.
+Spilling an already in-memory frame cannot lower its peak RSS, so
+``to_chunked()`` and ``profile()`` never spill implicitly — use
 :func:`spill_frame` or the explicit ``spill=`` parameters.
 
 Residency of spilled columns
@@ -282,9 +283,11 @@ class ShardHandle:
 class SpillStore:
     """Segment-file store for shard pairs with a byte-bounded LRU cache.
 
-    One store backs one ingestion session (all columns of a frame share
-    it), owning a private spill directory that is removed when the store
-    is garbage-collected or explicitly :meth:`close`\\ d.
+    A :class:`~repro.core.controller.DataLens` builds one store that
+    every session and tenant it serves spills into, so the budget bounds
+    the server; records are reference counted, so a dropped frame gives
+    back only its own. The store owns a private spill directory that is
+    removed when it is garbage-collected or explicitly :meth:`close`\\ d.
 
     Thread safety: all cache, reference-count, segment, and counter
     state is mutated under one lock; record writes and reads happen

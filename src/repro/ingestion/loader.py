@@ -56,48 +56,33 @@ class DataLoader:
     into a :class:`~repro.dataframe.ChunkedFrame` of that many rows per
     shard without materializing the full table as Python rows.
 
-    ``spill_budget`` / ``spill_dir`` additionally spill the packed
-    shards to disk (see :mod:`repro.dataframe.spill`), bounding resident
-    shard bytes during and after the load — this is the beyond-RAM
-    ingestion path. Either setting implies chunked loads.
-
-    Arguments not given fall back to ``DATALENS_DEFAULT_CHUNK_SIZE`` and
-    ``DATALENS_SPILL_BUDGET`` / ``DATALENS_SPILL_DIR`` (see
-    :class:`repro.settings.Settings`); when neither a chunk size nor a
-    spill budget is set, loads stay monolithic.
+    ``spill_store`` (a :class:`~repro.core.DataLens` passes its own)
+    additionally spills every load's shards into that one store (see
+    :mod:`repro.dataframe.spill`), bounding resident shard bytes during
+    and after the load: the beyond-RAM ingestion path. It implies
+    chunked loads; without it no load spills. An unset chunk size falls
+    back to ``DATALENS_DEFAULT_CHUNK_SIZE``; with neither, loads stay
+    monolithic.
     """
 
     def __init__(
         self,
         base_dir: str | Path,
         chunk_size: int | None = None,
-        spill_budget: int | None = None,
-        spill_dir: str | Path | None = None,
+        spill_store: SpillStore | None = None,
     ) -> None:
         self.base_dir = Path(base_dir)
         self.base_dir.mkdir(parents=True, exist_ok=True)
         self.chunk_size = chunk_size
-        self.spill_budget = spill_budget
-        self.spill_dir = spill_dir
+        self.spill_store = spill_store
 
     def _chunked_read(self) -> dict | None:
-        """Chunked-reader arguments, or None for a monolithic load.
-
-        The readers resolve whatever is not set here from the
-        environment. An explicit spill setting gets a fresh store per
-        load (sessions must not share spill files).
-        """
-        spill = self.spill_budget is not None or self.spill_dir is not None
-        if not spill and self.chunk_size is None:
-            settings = Settings.from_env()
-            if settings.default_chunk_size is None and settings.spill_budget is None:
+        """Chunked-reader arguments, or None for a monolithic load."""
+        store = self.spill_store
+        if store is None and self.chunk_size is None:
+            if Settings.from_env().default_chunk_size is None:
                 return None
-        store = (
-            SpillStore(budget_bytes=self.spill_budget, directory=self.spill_dir)
-            if spill
-            else None
-        )
-        return {"chunk_size": self.chunk_size, "spill": store}
+        return {"chunk_size": self.chunk_size, "spill": store or False}
 
     # ------------------------------------------------------------------
     def workspace_for(self, dataset_name: str) -> DatasetWorkspace:

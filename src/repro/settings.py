@@ -118,8 +118,8 @@ class Settings:
     spill_budget           ``DATALENS_SPILL_BUDGET``, bytes      no spilling, a
                            with a ``k``/``m``/``g`` suffix:      store holds 256 MiB;
                            resident bytes of a spill store.      SpillStore,
-                           When set, chunked ingestion spills    resolve_spill_store,
-                                                                 DataLoader
+                           When set, chunked reads spill and a   resolve_spill_store,
+                           DataLens builds its one store         DataLens when built
     spill_dir              ``DATALENS_SPILL_DIR``: where spill   system temp dir;
                            directories are created               SpillStore,
                                                                  the orphan sweep

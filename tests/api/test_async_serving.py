@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from repro.api import TestClient, create_app
-from repro.core import ArtifactStore, DataLens
+from repro.core import DataLens
 from repro.dataframe import to_csv_text
 
 
@@ -196,12 +196,11 @@ class TestTenancy:
         assert listing.body["datasets"] == ["q"]
 
     @pytest.fixture
-    def cached_app(self, tmp_path):
-        """An app whose shared store is enabled explicitly, so sharing is
-        tested even where ``DATALENS_ARTIFACT_CACHE=0`` disables stores."""
-        store = ArtifactStore(enabled=True)
-        lens = DataLens(tmp_path / "shared", seed=0, artifact_store=store)
-        router = create_app(lens, workers=2)
+    def cached_app(self, tmp_path, monkeypatch):
+        """An app whose lens builds an enabled artifact store, so sharing
+        is tested even where ``DATALENS_ARTIFACT_CACHE=0`` disables stores."""
+        monkeypatch.setenv("DATALENS_ARTIFACT_CACHE", "1")
+        router = create_app(DataLens(tmp_path / "shared", seed=0), workers=2)
         yield router
         router.job_queue.shutdown()
 
@@ -219,7 +218,10 @@ class TestTenancy:
                 headers={"X-Tenant": tenant},
             )
             assert response.status == 200
-        store = app.tenants.shared_artifacts
+        store = app.tenants.lens_for("alice").artifact_store
+        assert store.enabled
+        assert app.tenants.lens_for("bob").artifact_store is store
+        assert app.tenants.lens_for("default").artifact_store is store
         before = store.stats()
         first = client.get(
             "/datasets/shared/profile", headers={"X-Tenant": "alice"}

@@ -123,3 +123,19 @@ def hospital_dirty():
 @pytest.fixture(scope="session")
 def beers_dirty():
     return make_dirty("beers", seed=3)
+
+
+@pytest.fixture
+def built_stores(monkeypatch):
+    """Every :class:`SpillStore` constructed while the test runs."""
+    from repro.dataframe import SpillStore
+
+    stores = []
+    original = SpillStore.__init__
+
+    def record(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        stores.append(self)
+
+    monkeypatch.setattr(SpillStore, "__init__", record)
+    return stores

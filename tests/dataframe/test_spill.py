@@ -11,6 +11,7 @@ controller, CLI, and REST endpoint.
 from __future__ import annotations
 
 import gc
+import io
 import shutil
 import sys
 import threading
@@ -27,6 +28,7 @@ from repro.dataframe import (
     read_csv_chunked,
     spill_frame,
     spill_store_of,
+    to_csv_text,
     write_csv,
 )
 from repro.core import faults
@@ -653,21 +655,29 @@ class TestSpillWiring:
         explicit = _frame().to_chunked(7, spill=True)
         assert explicit.column("x").spilled
 
-    def test_loader_spill_budget_wiring(self, tmp_path, monkeypatch):
+    def test_loader_spill_store_wiring(self, tmp_path, monkeypatch):
         from repro.ingestion import DataLoader
 
-        monkeypatch.delenv(SPILL_BUDGET_ENV, raising=False)
+        monkeypatch.setenv(SPILL_BUDGET_ENV, "1k")
         monkeypatch.delenv("DATALENS_DEFAULT_CHUNK_SIZE", raising=False)
-        loader = DataLoader(tmp_path, spill_budget=2048)
+        store = SpillStore(budget_bytes=2048)
+        loader = DataLoader(tmp_path, spill_store=store)
         loader.ingest_frame("d", _frame())
         loaded = loader.load("d")
         assert isinstance(loaded, ChunkedFrame)
         column = loaded.column("x")
         assert isinstance(column, SpilledChunkedColumn) and column.spilled
-        assert column.spill_store.budget_bytes == 2048
-        # Each load gets a fresh store (sessions must not share files).
-        again = loader.load("d")
-        assert spill_store_of(again) is not spill_store_of(loaded)
+        # Every load spills into the one store the loader was given...
+        assert spill_store_of(loaded) is store
+        assert spill_store_of(loader.load("d")) is store
+        _, streamed = loader.ingest_csv_stream(
+            "e", io.StringIO(to_csv_text(_frame()))
+        )
+        assert spill_store_of(streamed) is store
+        assert store.stats()["peak_resident_bytes"] <= 2048
+        # ...and a loader without one never spills, whatever the variable.
+        plain = DataLoader(tmp_path).load("d")
+        assert spill_store_of(plain) is None and plain == loaded
 
     def test_controller_session_spill_stats(self, tmp_path, monkeypatch):
         from repro.core.controller import DataLens

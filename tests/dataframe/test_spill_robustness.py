@@ -334,6 +334,17 @@ class TestReleaseErrors:
 # ----------------------------------------------------------------------
 # Orphaned spill directories
 # ----------------------------------------------------------------------
+def _dead_pid() -> int:
+    """The pid of a process that has already exited."""
+    dead = subprocess.run(
+        [sys.executable, "-c", "import os; print(os.getpid())"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return int(dead.stdout)
+
+
 class TestOrphanSweeper:
     def test_store_advertises_its_owner_pid(self):
         store = SpillStore(budget_bytes=1024)
@@ -341,16 +352,9 @@ class TestOrphanSweeper:
         assert owner["pid"] == os.getpid()
 
     def test_dead_owner_is_swept_live_owner_is_kept(self, tmp_path):
-        dead = subprocess.run(
-            [sys.executable, "-c", "import os; print(os.getpid())"],
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        dead_pid = int(dead.stdout)
         orphan = tmp_path / "datalens-spill-orphan"
         orphan.mkdir()
-        (orphan / "owner.json").write_text(json.dumps({"pid": dead_pid}))
+        (orphan / "owner.json").write_text(json.dumps({"pid": _dead_pid()}))
         (orphan / "shard-000000.values.npy").write_bytes(b"junk")
         mine = tmp_path / "datalens-spill-mine"
         mine.mkdir()
@@ -379,7 +383,13 @@ class TestOrphanSweeper:
         assert sweep_orphaned_spill_dirs(base=tmp_path) == []
         assert other.exists()
 
-    def test_controller_startup_sweeps_spill_base(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("configured", ["environment", "argument"])
+    def test_controller_startup_sweeps_spill_base(
+        self, tmp_path, monkeypatch, configured
+    ):
+        """A lens sweeps where its store is built: ``DATALENS_SPILL_DIR``,
+        or an explicit ``spill_dir``, which a server's ``--spill-dir``
+        passes."""
         from repro.core import DataLens
 
         base = tmp_path / "spillbase"
@@ -388,6 +398,16 @@ class TestOrphanSweeper:
         stale.mkdir()
         old = time.time() - 7200
         os.utime(stale, (old, old))
-        monkeypatch.setenv("DATALENS_SPILL_DIR", str(base))
-        DataLens(tmp_path / "workspace")
+        dead = base / "datalens-spill-dead"
+        dead.mkdir()
+        (dead / "owner.json").write_text(json.dumps({"pid": _dead_pid()}))
+        if configured == "environment":
+            monkeypatch.setenv("DATALENS_SPILL_DIR", str(base))
+            DataLens(tmp_path / "workspace")
+        else:
+            monkeypatch.delenv("DATALENS_SPILL_DIR", raising=False)
+            lens = DataLens(tmp_path / "workspace", spill_dir=base)
+            assert lens.spill_store.directory.parent == base
+            assert lens.spill_store.directory.exists()
         assert not stale.exists()
+        assert not dead.exists()

@@ -154,16 +154,35 @@ class TestRefcheckCommand:
         assert "2 violating row(s)" in capsys.readouterr().out
 
     def test_every_residency_reports_same_rows(
-        self, tables, tmp_path, residency, plans
+        self, tables, tmp_path, residency, plans, built_stores
     ):
         """Each leg reports the resident rows, through the plan its
-        residency picks."""
+        residency picks; a spilled leg loads both tables into one store
+        and stays within its 1 KiB budget."""
         flags, spilled = residency
         assert self._violations(tables, tmp_path, *flags) == [
             {"row": 2, "column": "k"},
             {"row": 5, "column": "k"},
         ]
         assert plans == ["partitioned" if spilled else "memory"]
+        assert len(built_stores) == (1 if spilled else 0)
+        for store in built_stores:
+            assert 0 < store.stats()["peak_resident_bytes"] <= 1024
+
+    def test_spilled_inputs_share_one_budget(self, tmp_path, built_stores):
+        """Two inputs that each fill most of a 4 KiB budget peak within
+        it together: the command has one store, not one per input."""
+        child = tmp_path / "child.csv"
+        parent = tmp_path / "parent.csv"
+        write_csv(DataFrame.from_dict({"k": list(range(2000))}), child)
+        write_csv(DataFrame.from_dict({"k": list(range(0, 2000, 2))}), parent)
+        assert main(
+            ["refcheck", str(child), str(parent), "--on", "k",
+             "--chunk-size", "64", "--spill-budget", "4k"]
+        ) == 0
+        [store] = built_stores
+        assert store.budget_bytes == 4096
+        assert 0 < store.stats()["peak_resident_bytes"] <= 4096
 
     def test_strategy_flag_is_gone(self, tables, capsys):
         child, parent = tables
