@@ -1,17 +1,15 @@
-"""Ablation — chunked & parallel profiling vs. the monolithic engine.
+"""Ablation — chunked profiling vs. the monolithic engine.
 
-Times the full profile report at growing row counts in three modes
-(monolithic frame, chunked serial, chunked thread-parallel) and the
-streaming chunked CSV reader against the monolithic reader, recording
-the scaling trajectory the chunked execution layer delivers. Results are
-asserted bit-identical across modes — the speed modes are the *same*
-engine, not an approximation.
+Times the full profile report at growing row counts in two modes
+(monolithic frame, chunked) and the streaming chunked CSV reader against
+the monolithic reader, recording the scaling trajectory the chunked
+execution layer delivers. Results are asserted bit-identical across
+modes — the chunked mode is the *same* engine, not an approximation.
 """
 
 from __future__ import annotations
 
 import io
-import os
 import time
 
 import numpy as np
@@ -54,8 +52,6 @@ def _timed(fn) -> float:
 
 
 def test_chunked_profiling_scaling(benchmark):
-    workers = min(4, os.cpu_count() or 1)
-
     def run() -> list[dict]:
         rows = []
         for n_rows in ROW_COUNTS:
@@ -63,45 +59,30 @@ def test_chunked_profiling_scaling(benchmark):
             chunked = frame.to_chunked(CHUNK_SIZE)
             mono_time = _timed(lambda: profile(frame))
             serial_time = _timed(lambda: profile(chunked))
-            parallel_time = _timed(lambda: profile(chunked, n_jobs=workers))
-            assert (
-                profile(chunked, n_jobs=workers).to_dict()
-                == profile(frame).to_dict()
-            )
+            assert profile(chunked).to_dict() == profile(frame).to_dict()
             rows.append(
-                {
-                    "rows": n_rows,
-                    "mono": mono_time,
-                    "serial": serial_time,
-                    "parallel": parallel_time,
-                }
+                {"rows": n_rows, "mono": mono_time, "serial": serial_time}
             )
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
     print_table(
-        f"Chunked profiling ({CHUNK_SIZE}-row chunks, {workers} workers)",
-        ["rows", "monolithic [s]", "chunked serial [s]", "parallel [s]",
-         "serial overhead", "parallel speedup"],
+        f"Chunked profiling ({CHUNK_SIZE}-row chunks)",
+        ["rows", "monolithic [s]", "chunked [s]", "chunked overhead"],
         [
             [
                 row["rows"],
                 f"{row['mono']:.3f}",
                 f"{row['serial']:.3f}",
-                f"{row['parallel']:.3f}",
                 f"{row['serial'] / row['mono']:.2f}x",
-                f"{row['serial'] / row['parallel']:.2f}x",
             ]
             for row in rows
         ],
     )
     for row in rows:
-        # The chunk layer must stay within noise of monolithic serially.
+        # The chunk layer must stay within noise of monolithic.
         assert row["serial"] < row["mono"] * 1.5 + 0.05
         benchmark.extra_info[f"serial_{row['rows']}"] = round(row["serial"], 3)
-        benchmark.extra_info[f"parallel_{row['rows']}"] = round(
-            row["parallel"], 3
-        )
 
 
 def test_streaming_csv_ingestion(benchmark):

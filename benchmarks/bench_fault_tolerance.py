@@ -3,9 +3,9 @@
 Boots the real asyncio HTTP server over a spill-configured workspace
 (chunked NASA, tight spill budget so the storage sites actually fire),
 then measures the same concurrent read workload twice: fault-free
-baseline vs. ~5%% seeded transient faults on every ``spill.*`` and
-``artifact.*`` site. The internal retry layer must absorb the faults,
-so the chaos leg is held to the acceptance bar:
+baseline vs. ~5%% seeded transient faults on every ``spill.*`` site.
+The internal retry layer must absorb the faults, so the chaos leg is
+held to the acceptance bar:
 
 * zero 5xx / dead sockets (clients retry on 5xx, but none should occur
   for absorbed transient faults);
@@ -39,10 +39,7 @@ CLIENTS = int(os.environ.get("DATALENS_BENCH_CLIENTS", "8"))
 REQUESTS_PER_CLIENT = 20
 #: ~5% per-invocation transient faults on every storage site, seeded so
 #: both benchmark runs inject the identical sequence.
-CHAOS_PLAN = (
-    "site=spill.*,error=transient,prob=0.05,seed=11;"
-    "site=artifact.*,error=transient,prob=0.05,seed=13"
-)
+CHAOS_PLAN = "site=spill.*,error=transient,prob=0.05,seed=11"
 #: The sorted preview runs the external sort through the spill store
 #: (the frame stays spilled), so the ``spill.*`` rule has sites to hit.
 READ_PATHS = (

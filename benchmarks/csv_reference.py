@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Any, Mapping
+from typing import Any
 
 from repro.dataframe import DataFrame
 from repro.dataframe import types as _types
@@ -51,11 +51,7 @@ def reference_to_csv_text(frame: DataFrame, delimiter: str = ",") -> str:
     return buffer.getvalue()
 
 
-def reference_read_csv_text(
-    text: str,
-    delimiter: str = ",",
-    dtypes: Mapping[str, str] | None = None,
-) -> DataFrame:
+def reference_read_csv_text(text: str, delimiter: str = ",") -> DataFrame:
     """Parse every cell with ``parse_token``, then build the whole frame."""
     reader = csv.reader(io.StringIO(text), delimiter=delimiter)
     rows = list(reader)
@@ -63,4 +59,4 @@ def reference_read_csv_text(
         raise ValueError("CSV input is empty (no header row)")
     header = [name.strip() for name in rows[0]]
     parsed = [[_types.parse_token(token) for token in row] for row in rows[1:]]
-    return DataFrame.from_rows(parsed, header, dtypes)
+    return DataFrame.from_rows(parsed, header)

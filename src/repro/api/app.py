@@ -75,9 +75,8 @@ Overload & degradation
       before the handler finished, the server is draining for
       shutdown, or a transient fault surfaced; all are safe to retry.
     * ``507`` — storage exhaustion: the spill directory
-      (:class:`~repro.dataframe.spill.SpillCapacityError`) or artifact
-      cache (:class:`~repro.core.artifacts.ArtifactCapacityError`) is
-      out of space.
+      (:class:`~repro.dataframe.spill.SpillCapacityError`) is out of
+      space.
     * ``500`` — a spilled shard failed its checksum
       (:class:`~repro.dataframe.spill.SpillError` names the shard and
       path): the server *refuses* to serve data it cannot verify.
@@ -90,16 +89,16 @@ Overload & degradation
 
 Fault injection (chaos testing)
     Setting ``DATALENS_FAULT_INJECT`` activates deterministic fault
-    injection at named sites (``spill.read``, ``spill.write``,
-    ``spill.evict``, ``artifact.get``, ``artifact.put``,
-    ``ingest.chunk``, ``job.run``, ``http.write``). The spec grammar is
-    ``rule(;rule)*`` with comma-separated ``key=value`` fields:
+    injection at named sites (``spill.write``, ``spill.read``,
+    ``ingest.chunk``, ``job.run``, ``http.write``); a rule whose
+    ``site=`` pattern matches none of them is rejected. The spec
+    grammar is ``rule(;rule)*`` with comma-separated ``key=value`` fields:
     ``site=<fnmatch pattern>`` (required), ``error=transient|fault|
     oserror|enospc|timeout|connection``, ``prob=<0..1>`` (seeded RNG),
     ``count=<max fires>``, ``after=<skip first N>``,
     ``latency=<seconds>``, ``seed=<int>`` — e.g.
     ``site=spill.*,error=transient,prob=0.01,seed=7``. Transient faults
-    at storage sites are absorbed by bounded internal retries
+    at the spill sites are absorbed by bounded internal retries
     (``DATALENS_IO_RETRIES``), so responses stay bit-identical to a
     fault-free run; see :mod:`repro.core.faults`.
 
@@ -157,7 +156,6 @@ import threading
 from typing import Any, Callable
 
 from ..core import DataLens, DatasetNotFoundError
-from ..core.artifacts import ArtifactCapacityError
 from ..core.faults import TransientFaultError
 from ..dataframe import DataFrame, read_csv_text
 from ..dataframe.spill import SpillCapacityError, SpillError
@@ -346,7 +344,6 @@ def create_app(
         TransientFaultError, 503, retry_after=RETRY_AFTER_SECONDS
     )
     router.map_exception(SpillCapacityError, 507)
-    router.map_exception(ArtifactCapacityError, 507)
     router.map_exception(SpillError, 500)
 
     # -- shared plumbing ------------------------------------------------

@@ -1,6 +1,6 @@
 """DataLens core: controller, iterative cleaning, user-in-the-loop, DataSheets."""
 
-from .artifacts import ArtifactCapacityError, ArtifactStore, estimate_artifact_bytes
+from .artifacts import ArtifactStore, estimate_artifact_bytes
 from .controller import DataLens, DataLensSession, DatasetNotFoundError
 from .faults import (
     FAULT_INJECT_ENV,
@@ -53,7 +53,6 @@ from .registry import (
 from .tagging import TagRegistry
 
 __all__ = [
-    "ArtifactCapacityError",
     "ArtifactStore",
     "FAULT_INJECT_ENV",
     "FaultError",

@@ -75,8 +75,6 @@ in both modes.
 from __future__ import annotations
 
 import copy as _copy
-import errno as _errno
-import logging
 import sys
 import threading
 from collections import OrderedDict
@@ -85,9 +83,6 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from ..settings import Settings, resolve
-from . import faults as _faults
-
-_logger = logging.getLogger(__name__)
 
 #: Default entry bound: generous for interactive sessions (a 20-column
 #: profile run populates well under 300 entries) while keeping pathological
@@ -155,17 +150,6 @@ def _estimate_bytes(value: Any, seen: set[int]) -> int:
     return total
 
 
-class ArtifactCapacityError(RuntimeError):
-    """The artifact cache's backing storage is out of space.
-
-    Raised by :meth:`ArtifactStore.put` when a (real or injected) ENOSPC
-    surfaces while persisting an artifact. :meth:`ArtifactStore.cached`
-    absorbs it — the computed value is still returned, the cache just
-    could not keep it — so sessions degrade to cold recomputation
-    instead of failing requests.
-    """
-
-
 Key = tuple[str, tuple[str, ...], tuple]
 
 
@@ -177,12 +161,15 @@ class ArtifactStore:
     parameters and only call :meth:`get` / :meth:`put`), so analysis
     modules carry no import dependency on the core package.
 
+    The store lives in memory only: nothing is persisted, so no lookup
+    or publish can meet an I/O fault, and the store has no fault sites.
+
     Thread safety: :meth:`get` / :meth:`put` / :meth:`stats` /
-    :meth:`clear` hold an internal lock, so one session store can be
-    shared by the threaded REST server and the thread-parallel profile
-    path. The lock is never held while an artifact is *computed* —
-    concurrent misses on one key may compute twice and last-put wins,
-    which is harmless because values are pure functions of the key.
+    :meth:`clear` hold an internal lock, so one store can be shared by
+    the threaded REST server's handlers and jobs. The lock is never held
+    while an artifact is *computed* — concurrent misses on one key may
+    compute twice and last-put wins, which is harmless because values
+    are pure functions of the key.
 
     The bound is entry-count *and* byte aware: ``max_entries`` caps how
     many artifacts stay resident, ``max_bytes`` (default:
@@ -207,7 +194,6 @@ class ArtifactStore:
             "artifact_cache_bytes", max_bytes, "max_bytes", settings
         )
         self.enabled = settings.artifact_cache if enabled is None else bool(enabled)
-        self._io_retries = settings.io_retries
         #: key -> (value, deepcopy_on_get, estimated_bytes)
         self._entries: OrderedDict[Key, tuple[Any, bool, int]] = OrderedDict()
         self._lock = threading.Lock()
@@ -217,11 +203,6 @@ class ArtifactStore:
         self.evictions = 0
         self.total_bytes = 0
         self.evicted_bytes = 0
-        self.get_errors = 0
-        self.put_errors = 0
-        self.capacity_errors = 0
-        self.transient_retries = 0
-        self._degradation_logged = False
         self._by_kind: dict[str, dict[str, int]] = {}
 
     # ------------------------------------------------------------------
@@ -238,23 +219,6 @@ class ArtifactStore:
             stats = self._by_kind[kind] = {"hits": 0, "misses": 0, "puts": 0}
         return stats
 
-    def _record_degradation(
-        self, counter: str, operation: str, error: BaseException
-    ) -> None:
-        with self._lock:
-            setattr(self, counter, getattr(self, counter) + 1)
-            first = not self._degradation_logged
-            self._degradation_logged = True
-        if first:
-            _logger.warning(
-                "artifact cache %s failed (%s: %s); degrading to cold "
-                "recomputation — further failures for this store are "
-                "only counted in stats()",
-                operation,
-                type(error).__name__,
-                error,
-            )
-
     # ------------------------------------------------------------------
     def get(
         self,
@@ -266,22 +230,9 @@ class ArtifactStore:
 
         Hits refresh LRU recency. Values stored with ``copy=True`` come
         back as deep copies, so callers may mutate them freely.
-
-        Fault site ``artifact.get``: transient faults are absorbed by
-        internal retries (results and counters stay identical to a
-        fault-free run); a persistent fault degrades the lookup to a
-        miss — counted in ``get_errors``, never surfaced to callers.
         """
         if not self.enabled:
             return False, None
-        try:
-            retried = _faults.absorb_transient("artifact.get", self._io_retries)
-        except BaseException as error:  # noqa: BLE001 — degrade, don't fail
-            self._record_degradation("get_errors", "lookup", error)
-            return False, None
-        if retried:
-            with self._lock:
-                self.transient_retries += retried
         key = self.make_key(kind, fingerprints, params)
         with self._lock:
             entry = self._entries.get(key)
@@ -312,35 +263,9 @@ class ArtifactStore:
         copies back out — use it for mutable artifacts (dicts, lists).
         Immutable artifacts (floats, tuples, read-mostly partitions) skip
         the copies.
-
-        Fault site ``artifact.put``: transient faults are absorbed by
-        internal retries; an ENOSPC/EDQUOT raises the typed
-        :class:`ArtifactCapacityError` naming the cache; any other
-        persistent fault drops the put (counted in ``put_errors``) —
-        the cache is best-effort, the computed value is never lost.
         """
         if not self.enabled:
             return
-        try:
-            retried = _faults.absorb_transient("artifact.put", self._io_retries)
-        except OSError as error:
-            if error.errno in (_errno.ENOSPC, getattr(_errno, "EDQUOT", -1)):
-                with self._lock:
-                    self.put_errors += 1
-                    self.capacity_errors += 1
-                raise ArtifactCapacityError(
-                    f"artifact cache (max_entries={self.max_entries}, "
-                    f"max_bytes={self.max_bytes}) is out of space while "
-                    f"storing a {kind!r} artifact: {error}"
-                ) from error
-            self._record_degradation("put_errors", "publish", error)
-            return
-        except BaseException as error:  # noqa: BLE001 — degrade, don't fail
-            self._record_degradation("put_errors", "publish", error)
-            return
-        if retried:
-            with self._lock:
-                self.transient_retries += retried
         key = self.make_key(kind, fingerprints, params)
         snapshot = _copy.deepcopy(value) if copy else value
         # Size (and snapshot) outside the lock — only bookkeeping inside.
@@ -384,21 +309,7 @@ class ArtifactStore:
         if hit:
             return value
         value = compute()
-        try:
-            self.put(kind, fingerprints, params, value, copy=copy)
-        except ArtifactCapacityError as error:
-            # The artifact was computed; losing the cache entry is a
-            # performance problem, not a correctness one. put() already
-            # counted the capacity error.
-            with self._lock:
-                first = not self._degradation_logged
-                self._degradation_logged = True
-            if first:
-                _logger.warning(
-                    "artifact cache out of space; serving uncached "
-                    "results (%s)",
-                    error,
-                )
+        self.put(kind, fingerprints, params, value, copy=copy)
         return value
 
     # ------------------------------------------------------------------
@@ -425,7 +336,14 @@ class ArtifactStore:
             self.total_bytes = 0
 
     def stats(self) -> dict[str, Any]:
-        """Counters for the dashboard / REST cache endpoint."""
+        """Counters for the dashboard and ``GET /datasets/{name}/cache``.
+
+        Exactly these keys: ``enabled``, ``entries``, ``max_entries``,
+        ``max_bytes``, ``total_bytes``, ``evicted_bytes``, ``hits``,
+        ``misses``, ``puts``, ``evictions``, ``hit_rate`` and
+        ``by_kind`` (per artifact kind, its ``hits``, ``misses`` and
+        ``puts``).
+        """
         with self._lock:
             lookups = self.hits + self.misses
             return {
@@ -439,10 +357,6 @@ class ArtifactStore:
                 "misses": self.misses,
                 "puts": self.puts,
                 "evictions": self.evictions,
-                "get_errors": self.get_errors,
-                "put_errors": self.put_errors,
-                "capacity_errors": self.capacity_errors,
-                "transient_retries": self.transient_retries,
                 "hit_rate": self.hits / lookups if lookups else 0.0,
                 "by_kind": {
                     kind: dict(counts)

@@ -153,20 +153,13 @@ class DataLensSession:
     # ------------------------------------------------------------------
     # Profiling and rule extraction (§3)
     # ------------------------------------------------------------------
-    def profile(self, n_jobs: int | None = None) -> ProfileReport:
-        """Profile the working frame (chunk-aware, optionally parallel).
+    def profile(self) -> ProfileReport:
+        """Profile the working frame (chunk-aware).
 
-        ``n_jobs`` defaults to the controller-level ``profile_jobs``
-        setting; frames ingested through a chunked loader profile via
-        per-chunk partial aggregates either way. Runs through the
-        session artifact store, so after a repair only artifacts
-        touching patched columns recompute (bit-identically).
+        Runs through the session artifact store, so after a repair only
+        artifacts touching patched columns recompute (bit-identically).
         """
-        if n_jobs is None:
-            n_jobs = self.controller.profile_jobs
-        self.profile_report = profile(
-            self.frame, n_jobs=n_jobs, store=self.artifacts
-        )
+        self.profile_report = profile(self.frame, store=self.artifacts)
         return self.profile_report
 
     def discover_rules(
@@ -435,14 +428,13 @@ class DataLens:
     """Workspace-level entry point: ingestion plus shared services.
 
     ``chunk_size`` makes every session load its dataset as a streamed
-    :class:`~repro.dataframe.ChunkedFrame` (sharded storage, per-chunk
-    profiling partials); ``spill_budget`` / ``spill_dir``, else
-    ``DATALENS_SPILL_BUDGET`` (read here, not on each load), build its
+    :class:`~repro.dataframe.ChunkedFrame` (sharded storage);
+    ``spill_budget`` / ``spill_dir``, else ``DATALENS_SPILL_BUDGET``
+    (read here, not on each load), build its
     :class:`~repro.dataframe.SpillStore`, which keeps shards on disk
     behind a byte-bounded resident cache so data larger than RAM is
-    served; ``profile_jobs`` sets the default thread count for
-    :meth:`DataLensSession.profile` (None/1 = serial, -1 = all cores).
-    All default to off, and results are bit-identical either way.
+    served. Both default to off, and results are bit-identical either
+    way.
 
     Every session, load and :meth:`tenant` lens shares that one spill
     store and one :class:`ArtifactStore`, so the budgets bound the
@@ -455,12 +447,10 @@ class DataLens:
         workspace_dir: str | Path,
         seed: int = 0,
         chunk_size: int | None = None,
-        profile_jobs: int | None = None,
         spill_budget: int | None = None,
         spill_dir: str | Path | None = None,
     ) -> None:
         self.seed = seed
-        self.profile_jobs = profile_jobs
         try:  # startup hygiene, never a reason not to start
             sweep_orphaned_spill_dirs(spill_dir)
         except Exception:  # noqa: BLE001 — sweeping is opportunistic

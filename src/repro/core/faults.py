@@ -4,24 +4,21 @@ Production failures — a flaky disk read, a full filesystem, a slow
 network peer, an overloaded worker — are inputs the system must handle,
 not surprises. This module makes them *first-class test inputs*: named
 **injection sites** are wired into the storage and serving layers
-(:mod:`repro.dataframe.spill`, :mod:`repro.core.artifacts`,
-:mod:`repro.dataframe.io`, :mod:`repro.api.jobs`,
-:mod:`repro.api.http`), and a **fault plan** decides, deterministically,
-which site invocations raise an error or stall.
+(:mod:`repro.dataframe.spill`, :mod:`repro.dataframe.io`,
+:mod:`repro.api.jobs`, :mod:`repro.api.http`), and a **fault plan**
+decides, deterministically, which site invocations raise an error or
+stall.
 
 Injection sites
 ---------------
 A site is a dotted name fired via :func:`maybe_fire` at the exact point
-a real fault would surface:
+a real fault would surface. :data:`SITES` lists them all:
 
 ==================  ====================================================
 Site                Fired when
 ==================  ====================================================
 ``spill.write``     a shard pair is serialized to the spill directory
 ``spill.read``      a spilled shard is read back (cache miss)
-``spill.evict``     the resident LRU evicts shards to make room
-``artifact.get``    an artifact-cache lookup runs
-``artifact.put``    an artifact-cache publish runs
 ``ingest.chunk``    the streaming CSV reader packs one chunk of rows
 ``job.run``         a queued job attempt starts executing
 ``http.write``      an HTTP response is about to be written
@@ -43,13 +40,16 @@ A plan is one or more rules separated by ``;``; each rule is
     seed=<int>               RNG seed for ``prob`` draws (default 0)
 
 Example — 5%% transient faults on every spill read, plus one injected
-disk-full on the third artifact publish::
+disk-full on the third spill write::
 
-    DATALENS_FAULT_INJECT='site=spill.read,error=transient,prob=0.05,seed=7;site=artifact.put,error=enospc,after=2,count=1'
+    DATALENS_FAULT_INJECT='site=spill.read,error=transient,prob=0.05,seed=7;site=spill.write,error=enospc,after=2,count=1'
 
 Activation is either the environment variable (re-read on every fire,
 so ``monkeypatch.setenv`` works) or the :func:`inject` context manager,
-which composes with — and stacks on top of — the environment plan.
+which composes with — and stacks on top of — the environment plan. The
+environment plan comes from outside the program, so a rule of it whose
+``site=`` pattern matches none of :data:`SITES` fails the next fire
+with a ``ValueError``; a plan passed to :func:`inject` is not checked.
 
 Transient vs. persistent faults
 -------------------------------
@@ -57,15 +57,13 @@ Transient vs. persistent faults
 stand-in for faults that succeed on retry (EINTR-ish I/O hiccups,
 connection resets, worker blips). :func:`is_transient` classifies them
 (plus ``ConnectionError`` / ``TimeoutError`` / anything with a truthy
-``transient`` attribute), and the storage layers *absorb* them: spill
-and artifact operations retry transient faults internally
+``transient`` attribute), and the spill store *absorbs* them: its writes
+and reads retry transient faults internally
 (:func:`with_transient_retries`, bounded by ``DATALENS_IO_RETRIES`` as
 read when the store was built), so low-probability transient injection
-leaves results — and cache counters — bit-identical to a fault-free
-run. Persistent faults (``enospc``, checksum corruption) are never
-retried; they surface as typed errors
-(:class:`~repro.dataframe.spill.SpillCapacityError`,
-:class:`~repro.core.artifacts.ArtifactCapacityError`,
+leaves results bit-identical to a fault-free run. Persistent faults
+(``enospc``, checksum corruption) are never retried; they surface as
+typed errors (:class:`~repro.dataframe.spill.SpillCapacityError`,
 :class:`~repro.dataframe.spill.SpillError`).
 
 Besides the standard library this module imports only
@@ -91,6 +89,9 @@ FAULT_INJECT_ENV = VARIABLES["fault_inject"].env
 
 #: Base delay for the exponential backoff between internal retries.
 DEFAULT_RETRY_BASE_DELAY = 0.002
+
+#: Every site passed to :func:`maybe_fire`, in the module docstring's order.
+SITES = ("spill.write", "spill.read", "ingest.chunk", "job.run", "http.write")
 
 
 class FaultError(RuntimeError):
@@ -317,6 +318,12 @@ def _plan_from_env() -> FaultPlan | None:
         if spec == cached_spec:
             return cached_plan
         plan = FaultPlan.parse(spec) if spec else None
+        for rule in plan.rules if plan is not None else ():
+            if not any(fnmatch.fnmatchcase(site, rule.site) for site in SITES):
+                raise ValueError(
+                    f"fault rule site={rule.site!r} in {FAULT_INJECT_ENV} "
+                    f"matches no injection site (sites: {', '.join(SITES)})"
+                )
         _env_plan = (spec, plan)
         return plan
 
@@ -369,7 +376,7 @@ def fault_stats() -> list[dict[str, Any]]:
 
 
 # ----------------------------------------------------------------------
-# Transient-fault absorption helpers
+# Transient-fault absorption
 # ----------------------------------------------------------------------
 def with_transient_retries(
     operation: Callable[[], Any],
@@ -381,10 +388,10 @@ def with_transient_retries(
     Returns ``(result, retries_used)``. Non-transient failures (ENOSPC,
     corruption, programming errors) propagate immediately; transient
     ones (see :func:`is_transient`) are retried up to ``retries`` times
-    (the stores pass ``DATALENS_IO_RETRIES`` as read when they were
+    (the spill store passes ``DATALENS_IO_RETRIES`` as read when it was
     built) with exponential backoff, after which the last error
-    propagates. This is how the storage layers absorb injected/real
-    transient I/O faults without changing results or cache counters.
+    propagates. This is how the spill store absorbs injected/real
+    transient I/O faults without changing results.
     """
     attempt = 0
     while True:
@@ -395,21 +402,3 @@ def with_transient_retries(
                 raise
             time.sleep(base_delay * (2**attempt))
             attempt += 1
-
-
-def absorb_transient(
-    site: str,
-    retries: int,
-    base_delay: float = DEFAULT_RETRY_BASE_DELAY,
-) -> int:
-    """Fire ``site``, absorbing transient faults by re-firing.
-
-    For sites guarding pure in-memory operations (artifact cache): a
-    transient injection is retried — each attempt re-rolls the rule RNG —
-    so the operation proceeds unless the plan persistently fails.
-    Returns the number of retries absorbed; persistent errors propagate.
-    """
-    _, used = with_transient_retries(
-        lambda: maybe_fire(site), retries=retries, base_delay=base_delay
-    )
-    return used

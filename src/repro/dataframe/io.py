@@ -31,10 +31,9 @@ tokens are classified as a whole:
 * **Per-token fallback** when no probe classifies a block exactly: a
   bool or string token defeats both probes; an int too large for a
   float makes ``coerce`` raise where the float probe would read
-  ``inf``; and float tokens under a declared int, bool or string dtype,
-  or in a column already widened to string, need ``coerce``'s rules
-  value by value. The fallback is the distinct path with one code per
-  distinct token, however many there are.
+  ``inf``; and float tokens in a column already widened to string need
+  ``coerce``'s rules value by value. The fallback is the distinct path
+  with one code per distinct token, however many there are.
 
 The probes call only the functions ``parse_token`` calls, on the same
 stripped text, so a block's values, its missing cells and the dtype
@@ -43,10 +42,8 @@ flags fold over the ``bool < int < float < string`` lattice like
 :func:`~repro.dataframe.types.infer_dtype`. Shards keep the storage
 contract: ``str`` in object arrays (never numpy ``U`` arrays, which
 would change fingerprints), int64 with an object fallback on overflow,
-float64 with ``0.0`` fills, and ``bool_``. A cell that a declared dtype
-cannot hold is raised when the scan ends, for the first such column in
-header order, so every reader fails on the same cell as a whole-table
-pass (a ragged row still fails at once, as it does there).
+float64 with ``0.0`` fills, and ``bool_``. A ragged row fails at once,
+as it does in a whole-table pass.
 
 Widening
 --------
@@ -77,15 +74,17 @@ than RAM.
 
 Rendering
 ---------
-:func:`write_csv` and :func:`to_csv_text` stream chunk by chunk and
-render each column of a chunk once: ``repr`` for floats, ``str`` for
-ints, ``true``/``false`` for bools and ``""`` for missing cells. Rows are
-joined with the delimiter directly. A chunk goes through ``csv.writer``
-only when some cell holds the delimiter, a quote or a line break, or the
-frame has a single column, whose empty fields ``csv.writer`` writes as
-``""`` so they do not read back as blank lines. Without those cells
-``csv.writer`` quotes nothing, so the bytes equal formatting every
-row through it, as the reference does.
+:func:`write_csv` and :func:`to_csv_text` stream chunk by chunk, and
+each chunk in slices of at most :data:`_BLOCK_ROWS` rows read with
+``row_range``, so a monolithic frame (one chunk) never has all its cells
+rendered at once. Each column of a slice is rendered once: ``repr`` for
+floats, ``str`` for ints, ``true``/``false`` for bools and ``""`` for
+missing cells. Rows are joined with the delimiter directly. A slice goes
+through ``csv.writer`` only when some cell holds the delimiter, a quote
+or a line break, or the frame has a single column, whose empty fields
+``csv.writer`` writes as ``""`` so they do not read back as blank lines.
+Without those cells ``csv.writer`` quotes nothing, so the bytes equal
+formatting every row through it, as the reference does.
 """
 
 from __future__ import annotations
@@ -95,7 +94,7 @@ import io
 import logging
 from itertools import compress, islice
 from pathlib import Path
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -105,8 +104,9 @@ from .frame import DataFrame
 
 _logger = logging.getLogger(__name__)
 
-#: Rows per block for the monolithic readers. It bounds the tokens held
-#: at once and does not follow the chunk-size environment override.
+#: Rows per block for the monolithic readers, and per rendered slice for
+#: every writer. It bounds the tokens or texts held at once and does not
+#: follow the chunk-size environment override.
 _BLOCK_ROWS = 16_384
 
 #: A block with at most one distinct token per this many rows (in its
@@ -118,11 +118,7 @@ _SAMPLE_ROWS = 1024
 _EXACT_INT = 2**53
 
 
-def read_csv(
-    path: str | Path,
-    delimiter: str = ",",
-    dtypes: Mapping[str, str] | None = None,
-) -> DataFrame:
+def read_csv(path: str | Path, delimiter: str = ",") -> DataFrame:
     """Read a CSV file with a header row into a DataFrame.
 
     Values are parsed with dtype inference; tokens in
@@ -130,18 +126,12 @@ def read_csv(
     """
     # newline="\n" splits lines exactly as io.StringIO does over the text.
     with open(path, "r", newline="\n", encoding="utf-8") as handle:
-        return _parse_csv(handle, delimiter, dtypes, _BLOCK_ROWS).to_monolithic()
+        return _parse_csv(handle, delimiter, _BLOCK_ROWS).to_monolithic()
 
 
-def read_csv_text(
-    text: str,
-    delimiter: str = ",",
-    dtypes: Mapping[str, str] | None = None,
-) -> DataFrame:
+def read_csv_text(text: str, delimiter: str = ",") -> DataFrame:
     """Parse CSV content held in a string."""
-    return _parse_csv(
-        io.StringIO(text), delimiter, dtypes, _BLOCK_ROWS
-    ).to_monolithic()
+    return _parse_csv(io.StringIO(text), delimiter, _BLOCK_ROWS).to_monolithic()
 
 
 def _object_array(values: list) -> np.ndarray:
@@ -370,9 +360,8 @@ class _StreamingColumnBuilder:
     column ends up ``float``.
     """
 
-    def __init__(self, name: str, declared: str | None, store=None):
+    def __init__(self, name: str, store=None):
         self.name = name
-        self.declared = declared
         #: (data, mask) pairs, or ShardHandles when spilling to a store.
         self.shards: list = []
         #: Per shard: the dtype it was packed at and its widening record
@@ -385,12 +374,6 @@ class _StreamingColumnBuilder:
         #: the builder then degrades to resident shards (see
         #: :meth:`_normalize_degraded`).
         self.degraded: Exception | None = None
-        #: The first error of a declared dtype: unknown, or a value it
-        #: cannot hold. finish() raises it, so the first failing column
-        #: in header order fails, as in a whole-table pass.
-        self.error: Exception | None = None
-        if declared is not None and declared not in _types.DTYPES:
-            self.error = ValueError(f"unknown dtype {declared!r}")
         #: The OverflowError of an int packed while the fold read float;
         #: raised by finish() if the column ends up float.
         self.overflow: OverflowError | None = None
@@ -412,24 +395,15 @@ class _StreamingColumnBuilder:
 
     def flush(self, tokens: Sequence[str]) -> None:
         """Parse and pack one block of this column's tokens into a shard."""
-        if self.error is not None:
-            return
         block = _classify(tokens)
-        dtype = self.declared
-        if dtype is None:
-            self._saw_bool |= block.saw_bool
-            self._saw_int |= block.saw_int
-            self._saw_float |= block.saw_float
-            self._is_string |= block.is_string
-            dtype = self._fold_dtype()
+        self._saw_bool |= block.saw_bool
+        self._saw_int |= block.saw_int
+        self._saw_float |= block.saw_float
+        self._is_string |= block.is_string
+        dtype = self._fold_dtype()
         try:
             packed = block.pack(dtype) or _TokenBlock(tokens).pack(dtype)
-        except (ValueError, OverflowError) as error:
-            if self.declared is not None:
-                self.error = error
-                return
-            if not isinstance(error, OverflowError):
-                raise
+        except OverflowError as error:
             self.overflow = self.overflow or error
             dtype = _types.STRING
             packed = _TokenBlock(tokens).pack(dtype)
@@ -514,9 +488,7 @@ class _StreamingColumnBuilder:
     def finish(self):
         from .chunked import ChunkedColumn
 
-        if self.error is not None:
-            raise self.error
-        dtype = self.declared or self._fold_dtype()
+        dtype = self._fold_dtype()
         if dtype == _types.FLOAT and self.overflow is not None:
             raise self.overflow
         records, self.records = self.records, []
@@ -574,7 +546,6 @@ def _convert_shard(
 def read_csv_chunked(
     path: str | Path,
     delimiter: str = ",",
-    dtypes: Mapping[str, str] | None = None,
     chunk_size: int | None = None,
     spill=None,
 ):
@@ -587,13 +558,12 @@ def read_csv_chunked(
     spills when ``DATALENS_SPILL_BUDGET`` is set.
     """
     with open(path, "r", newline="", encoding="utf-8") as handle:
-        return _read_csv_stream(handle, delimiter, dtypes, chunk_size, spill)
+        return _read_csv_stream(handle, delimiter, chunk_size, spill)
 
 
 def read_csv_stream(
     lines: Iterable[str],
     delimiter: str = ",",
-    dtypes: Mapping[str, str] | None = None,
     chunk_size: int | None = None,
     spill=None,
 ):
@@ -605,13 +575,12 @@ def read_csv_stream(
     chunk at a time. Same parsing/inference/coercion as
     :func:`read_csv`, bit for bit.
     """
-    return _read_csv_stream(lines, delimiter, dtypes, chunk_size, spill)
+    return _read_csv_stream(lines, delimiter, chunk_size, spill)
 
 
 def _read_csv_stream(
     handle: Iterable[str],
     delimiter: str,
-    dtypes: Mapping[str, str] | None,
     chunk_size: int | None,
     spill=None,
 ):
@@ -622,13 +591,12 @@ def _read_csv_stream(
     faults = _faults()
     size = resolve_chunk_size(chunk_size)
     store = resolve_spill_store(spill)
-    return _parse_csv(handle, delimiter, dtypes, size, store, faults)
+    return _parse_csv(handle, delimiter, size, store, faults)
 
 
 def _parse_csv(
     handle: Iterable[str],
     delimiter: str,
-    dtypes: Mapping[str, str] | None,
     size: int,
     store=None,
     faults=None,
@@ -636,16 +604,12 @@ def _parse_csv(
     """The parse kernel: ``size``-row blocks of ``handle`` into a ChunkedFrame."""
     from .chunked import ChunkedFrame
 
-    dtypes = dtypes or {}
     reader = csv.reader(handle, delimiter=delimiter)
     header_row = next(reader, None)
     if header_row is None:
         raise ValueError("CSV input is empty (no header row)")
     header = [name.strip() for name in header_row]
-    builders = [
-        _StreamingColumnBuilder(name, dtypes.get(name), store=store)
-        for name in header
-    ]
+    builders = [_StreamingColumnBuilder(name, store=store) for name in header]
     while rows := list(islice(reader, size)):
         if set(map(len, rows)) != {len(header)}:
             width = next(len(row) for row in rows if len(row) != len(header))
@@ -677,27 +641,28 @@ def to_csv_text(frame: DataFrame, delimiter: str = ",") -> str:
 
 
 def _render_csv(frame: DataFrame, handle, delimiter: str) -> None:
-    """The render kernel: each column of each chunk is formatted once."""
+    """The render kernel: each column of each slice is formatted once."""
     writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
     writer.writerow(frame.column_names)
     for chunk in frame.iter_chunks():
-        if not chunk.num_rows:
-            continue
-        columns = [_render_column(chunk.column(name)) for name in chunk.column_names]
-        if len(columns) == 1 or any(
-            _needs_quoting(texts, delimiter) for texts in columns
-        ):
-            writer.writerows(zip(*columns))
-        else:
-            handle.write("\n".join(map(delimiter.join, zip(*columns))))
-            handle.write("\n")
+        columns = [chunk.column(name) for name in chunk.column_names]
+        for start in range(0, chunk.num_rows, _BLOCK_ROWS):
+            stop = min(start + _BLOCK_ROWS, chunk.num_rows)
+            texts = [_render_rows(column, start, stop) for column in columns]
+            if len(texts) == 1 or any(
+                _needs_quoting(cells, delimiter) for cells in texts
+            ):
+                writer.writerows(zip(*texts))
+            else:
+                handle.write("\n".join(map(delimiter.join, zip(*texts))))
+                handle.write("\n")
 
 
-def _render_column(column) -> list[str]:
-    """Every cell's text: ``repr`` for floats and ints, ``true``/``false``
-    for bools, strings as they are, ``""`` for missing cells."""
-    data = np.asarray(column.values_array())
-    missing = np.asarray(column.mask())
+def _render_rows(column, start: int, stop: int) -> list[str]:
+    """The text of rows ``[start, stop)``: ``repr`` for floats and ints,
+    ``true``/``false`` for bools, strings as they are, ``""`` for missing
+    cells."""
+    data, missing = column.row_range(start, stop)
     if column.dtype == _types.BOOL:
         texts = np.where(data, "true", "false").astype(object)
     elif column.dtype == _types.STRING:

@@ -452,8 +452,6 @@ class SpillStore:
 
         def miss() -> tuple[np.ndarray, np.ndarray]:
             with self._lock:
-                if self._resident and self.resident_bytes > room:
-                    faults.maybe_fire("spill.evict")
                 self._evict_down_to(room)
             return self._read(handle)
 

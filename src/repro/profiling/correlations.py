@@ -1,13 +1,5 @@
 """Correlation measures between columns (numeric and categorical).
 
-The matrix builders accept an optional executor (any object with a
-``map(fn, iterable)`` preserving input order, e.g. a
-``concurrent.futures.ThreadPoolExecutor``): per-column preparation and
-per-pair correlation tasks then run concurrently. Each pair is computed
-independently with the same kernel on the same arrays, and results are
-written back in deterministic pair order, so parallel output is
-bit-identical to serial output.
-
 With a ``store`` (:class:`~repro.core.artifacts.ArtifactStore`), pair
 values are cached by the two columns' content fingerprints and Spearman
 full-column ranks are cached per column — after a repair dirties one
@@ -20,23 +12,9 @@ bit-identical to a cold run.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
-
 import numpy as np
 
 from ..dataframe import DataFrame
-
-
-class _SerialExecutor:
-    """Fallback executor: plain in-thread map."""
-
-    def map(self, fn: Callable, *iterables: Iterable):
-        return map(fn, *iterables)
-
-
-def _ordered_map(executor, fn: Callable, items: Sequence) -> list:
-    """Run ``fn`` over ``items`` (possibly in parallel), preserving order."""
-    return list((executor or _SerialExecutor()).map(fn, items))
 
 
 def _rank(values: np.ndarray) -> np.ndarray:
@@ -158,17 +136,16 @@ def _assemble_matrix(
 
 
 def correlation_matrix(
-    frame: DataFrame, method: str = "pearson", executor=None, store=None
+    frame: DataFrame, method: str = "pearson", store=None
 ) -> tuple[list[str], np.ndarray]:
     """Numeric correlation matrix by Pearson or Spearman.
 
     Validity masks are computed once per column, and Spearman ranks are
     reused for every pair without missing values — only pairwise-
-    incomplete pairs pay for a re-rank. With ``executor``, column
-    preparation and pair correlations run concurrently. With ``store``,
-    pair values are served by content fingerprint and full-column ranks
-    persist across calls; preparation is lazy, touching only columns
-    that appear in an uncached pair.
+    incomplete pairs pay for a re-rank. With ``store``, pair values are
+    served by content fingerprint and full-column ranks persist across
+    calls; preparation is lazy, touching only columns that appear in an
+    uncached pair.
     """
     if method not in ("pearson", "spearman"):
         raise ValueError("method must be 'pearson' or 'spearman'")
@@ -185,16 +162,7 @@ def correlation_matrix(
             store, f"corr:{method}", pairs, fingerprints
         )
     needed = list(dict.fromkeys(name for pair in todo for name in pair))
-    arrays = dict(
-        zip(
-            needed,
-            _ordered_map(
-                executor,
-                lambda name: _float_samples(frame.column(name)),
-                needed,
-            ),
-        )
-    )
+    arrays = {name: _float_samples(frame.column(name)) for name in needed}
     valid = {name: ~np.isnan(arrays[name]) for name in needed}
     full_ranks: dict[str, np.ndarray] = {}
     if method == "spearman":
@@ -209,16 +177,12 @@ def correlation_matrix(
                     ranked.append(name)
         else:
             ranked = complete_names
-        computed_ranks = _ordered_map(
-            executor, lambda name: _rank(arrays[name]), ranked
-        )
-        for name, ranks in zip(ranked, computed_ranks):
-            full_ranks[name] = ranks
+        for name in ranked:
+            ranks = full_ranks[name] = _rank(arrays[name])
             if store:
                 store.put("corr:rank", (fingerprints[name],), (), ranks)
 
-    def _pair_value(pair: tuple[str, str]) -> float:
-        a, b = pair
+    def _pair_value(a: str, b: str) -> float:
         mask = valid[a] & valid[b]
         if int(mask.sum()) < 2:
             return 0.0
@@ -228,9 +192,8 @@ def correlation_matrix(
             return _pearson_core(full_ranks[a], full_ranks[b])
         return _pearson_core(_rank(arrays[a][mask]), _rank(arrays[b][mask]))
 
-    values = _ordered_map(executor, _pair_value, todo)
-    for (a, b), value in zip(todo, values):
-        values_by_pair[(a, b)] = value
+    for a, b in todo:
+        value = values_by_pair[(a, b)] = _pair_value(a, b)
         if store:
             store.put(
                 f"corr:{method}", (fingerprints[a], fingerprints[b]), (), value
@@ -239,15 +202,15 @@ def correlation_matrix(
 
 
 def categorical_association_matrix(
-    frame: DataFrame, executor=None, store=None
+    frame: DataFrame, store=None
 ) -> tuple[list[str], np.ndarray]:
     """Cramér's V matrix across categorical columns.
 
     Runs on the columns' cached integer codes and null masks; each pair
     costs one boolean filter, two code compressions, and one bincount.
-    With ``executor``, pairs are computed concurrently; with ``store``,
-    pair values are served by content fingerprint and codes/masks are
-    pulled only for columns appearing in an uncached pair.
+    With ``store``, pair values are served by content fingerprint and
+    codes/masks are pulled only for columns appearing in an uncached
+    pair.
     """
     names = frame.categorical_column_names()
     pairs = _all_pairs(names)
@@ -265,8 +228,7 @@ def categorical_association_matrix(
     codes = {name: frame.column(name).codes() for name in needed}
     masks = {name: np.asarray(frame.column(name).mask()) for name in needed}
 
-    def _pair_value(pair: tuple[str, str]) -> float:
-        a, b = pair
+    def _pair_value(a: str, b: str) -> float:
         keep = ~(masks[a] | masks[b])
         if int(keep.sum()) < 2:
             return 0.0
@@ -274,9 +236,8 @@ def categorical_association_matrix(
         right_codes, n_right = _compress_codes(codes[b][0][keep], codes[b][1])
         return _cramers_from_codes(left_codes, n_left, right_codes, n_right)
 
-    values = _ordered_map(executor, _pair_value, todo)
-    for (a, b), value in zip(todo, values):
-        values_by_pair[(a, b)] = value
+    for a, b in todo:
+        value = values_by_pair[(a, b)] = _pair_value(a, b)
         if store:
             store.put(
                 "corr:cramers_v", (fingerprints[a], fingerprints[b]), (), value

@@ -1,12 +1,9 @@
 """Histogram computation for the profile report's distribution plots.
 
-Numeric histograms merge across chunks exactly: one partial pass finds
-the global value range, the bin edges are derived from it with numpy's
-own edge rule, and per-chunk integer bin counts over those shared edges
-add up to precisely the monolithic ``np.histogram`` result (numpy's
-uniform-bin fast path corrects rounding against the explicit edges, so
-both binning routes agree element for element). Categorical histograms
-ride on the chunk-merged ``value_counts`` frequency tables.
+A numeric histogram is one ``np.histogram`` call over the column's
+non-missing values, gathered from its chunks in row order, so every
+chunk layout bins exactly like the monolithic column. Categorical
+histograms ride on the chunk-merged ``value_counts`` frequency tables.
 """
 
 from __future__ import annotations
@@ -16,25 +13,17 @@ from typing import Any
 import numpy as np
 
 from ..dataframe import Column
-from ..dataframe.chunked import compressed_chunks
+from ..dataframe.chunked import compressed_chunks, gather_compressed
 
 
 def numeric_histogram(column: Column, bins: int = 20) -> dict[str, Any]:
     """Equal-width histogram of a numeric column's non-missing values."""
-    parts = [part for part in compressed_chunks(column) if len(part)]
-    if not parts:
+    values = gather_compressed(compressed_chunks(column))
+    if len(values) == 0:
         return {"bin_edges": [], "counts": []}
     if bins < 1:
         raise ValueError("bins must be >= 1")
-    if len(parts) == 1:
-        counts, edges = np.histogram(parts[0], bins=bins)
-    else:
-        low = min(float(np.min(part)) for part in parts)
-        high = max(float(np.max(part)) for part in parts)
-        edges = np.histogram_bin_edges(np.array([low, high]), bins=bins)
-        counts = np.zeros(bins, dtype=np.int64)
-        for part in parts:
-            counts += np.histogram(part, bins=edges)[0]
+    counts, edges = np.histogram(values, bins=bins)
     return {
         "bin_edges": [float(edge) for edge in edges],
         "counts": [int(count) for count in counts],

@@ -1,12 +1,9 @@
 """The profile report object — DataLens's "Data Profile" tab payload.
 
-``profile()`` is chunk-aware and optionally thread-parallel: frames are
-profiled through their chunk iterator (with the
-``DATALENS_DEFAULT_CHUNK_SIZE`` environment override auto-chunking plain
-frames), per-column summaries/histograms and correlation pairs are
-submitted to a ``ThreadPoolExecutor`` when ``n_jobs`` asks for more than
-one worker, and every result is assembled in deterministic column/pair
-order — parallel output is bit-identical to serial output.
+``profile()`` is chunk-aware: frames are profiled through their chunk
+iterator (with the ``DATALENS_DEFAULT_CHUNK_SIZE`` environment override
+auto-chunking plain frames), and every result is assembled in
+deterministic column/pair order, bit-identical to the monolithic frame.
 
 With a ``store`` (an :class:`~repro.core.artifacts.ArtifactStore`),
 profiling becomes *incremental*: per-column sections, correlation pairs,
@@ -21,13 +18,9 @@ column content.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from html import escape
 from typing import Any
-
-import numpy as np
 
 from ..dataframe import DataFrame
 from ..settings import Settings
@@ -112,81 +105,31 @@ def duplicate_row_artifact(frame: DataFrame, store) -> tuple[int, ...]:
     as an immutable tuple with ``copy=False``: cache hits cost nothing,
     and consumers needing a list take a shallow copy.
 
-    The compute path is itself incremental: the per-column row codes are
-    cached under ``frame:rowcodes`` keyed on each column's content
-    fingerprint, and combined exactly like
-    :meth:`DataFrame.column_codes(dense=False)
-    <repro.dataframe.frame.DataFrame.column_codes>`. Repairing one
-    column therefore re-encodes only that column — the other partials
-    replay from cache and the recombination is pure numpy arithmetic.
+    A miss runs :meth:`DataFrame.duplicate_row_indices
+    <repro.dataframe.frame.DataFrame.duplicate_row_indices>`, whose
+    per-column codes each column caches itself; a repaired copy keeps
+    them on every column it did not patch, so only the patched columns
+    re-encode.
     """
-
-    def compute() -> tuple[int, ...]:
-        if frame.num_rows == 0 or frame.num_columns == 0:
-            return ()
-        codes: np.ndarray | None = None
-        span = 0
-        for name in frame.column_names:
-            column = frame.column(name)
-            extra, extra_span = store.cached(
-                "frame:rowcodes",
-                (column.fingerprint(),),
-                (),
-                column.codes,
-            )
-            if codes is None:
-                codes, span = extra, extra_span
-                continue
-            if extra_span and span > (2**62) // max(extra_span, 1):
-                # Composite key would overflow int64 — re-densify first,
-                # mirroring DataFrame.column_codes exactly so the result
-                # stays bit-identical to the monolithic kernel.
-                uniques, inverse = np.unique(codes, return_inverse=True)
-                codes = inverse.astype(np.int64, copy=False)
-                span = len(uniques)
-            codes = codes * extra_span + extra
-            span = span * extra_span
-        _, first_index = np.unique(codes, return_index=True)
-        is_first = np.zeros(frame.num_rows, dtype=bool)
-        is_first[first_index] = True
-        return tuple(np.flatnonzero(~is_first).tolist())
-
     return store.cached(
-        "frame:duplicates", frame.column_fingerprints(), (), compute
+        "frame:duplicates",
+        frame.column_fingerprints(),
+        (),
+        lambda: tuple(frame.duplicate_row_indices()),
     )
 
 
-def resolve_jobs(n_jobs: int | None) -> int:
-    """Worker count: None/0/1 → serial, -1 → all cores, n → n.
-
-    Public seam of the PR-3 executor pattern — shared by every consumer
-    that offers thread-parallel per-column work (profiling, ML repair).
-    """
-    if n_jobs is None or n_jobs == 0:
-        return 1
-    if n_jobs < 0:
-        return os.cpu_count() or 1
-    return n_jobs
-
-
 def profile(
-    frame: DataFrame,
-    histogram_bins: int = 20,
-    n_jobs: int | None = None,
-    store=None,
+    frame: DataFrame, histogram_bins: int = 20, store=None
 ) -> ProfileReport:
     """Profile a frame: the automated data profiling module of Figure 1.
-
-    With ``n_jobs`` > 1 (or ``-1`` for all cores), per-column work and
-    correlation pairs run on a thread pool; numpy releases the GIL in
-    the reduction/sort kernels that dominate, so wide or chunked frames
-    profile in parallel. Results are identical to the serial path.
 
     ``store`` enables incremental profiling through a content-addressed
     :class:`~repro.core.artifacts.ArtifactStore`: unchanged columns (and
     pairs of unchanged columns) are served from cache bit-identically.
     """
     env_chunk = Settings.from_env().default_chunk_size
+    caller_frame = frame
     if env_chunk is not None and frame.n_chunks == 1 and frame.num_rows:
         # A disabled store is falsy (ArtifactStore.__bool__): every store
         # check below is a truthiness check, so the kill-switch path is
@@ -197,16 +140,7 @@ def profile(
             # a session frame hash each column once, not once per call.
             frame.column_fingerprints()
         frame = frame.to_chunked(env_chunk)
-    workers = resolve_jobs(n_jobs)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as executor:
-            return _build_report(frame, histogram_bins, executor, store)
-    return _build_report(frame, histogram_bins, None, store)
 
-
-def _build_report(
-    frame: DataFrame, histogram_bins: int, executor, store=None
-) -> ProfileReport:
     def _column_section(name: str) -> dict[str, Any]:
         summary = column_summary(frame.column(name))
         summary["histogram"] = histogram(frame.column(name), bins=histogram_bins)
@@ -227,11 +161,8 @@ def _build_report(
                 sections[name] = value
             else:
                 todo.append(name)
-    if executor is not None:
-        computed = list(executor.map(_column_section, todo))
-    else:
-        computed = [_column_section(name) for name in todo]
-    for name, summary in zip(todo, computed):
+    for name in todo:
+        summary = _column_section(name)
         if store:
             store.put(
                 "profile:column",
@@ -245,18 +176,20 @@ def _build_report(
     summaries_by_name = dict(zip(names, columns))
 
     pearson_names, pearson_matrix = correlation_matrix(
-        frame, "pearson", executor=executor, store=store
+        frame, "pearson", store=store
     )
     spearman_names, spearman_matrix = correlation_matrix(
-        frame, "spearman", executor=executor, store=store
+        frame, "spearman", store=store
     )
     cramers_names, cramers_matrix = categorical_association_matrix(
-        frame, executor=executor, store=store
+        frame, store=store
     )
     if store:
         # Alerts expect the historical list, so take a shallow copy of
-        # the immutable shared artifact.
-        duplicates = list(duplicate_row_artifact(frame, store))
+        # the immutable shared artifact. It is computed on the caller's
+        # frame, not a chunked copy of it, so the column codes it caches
+        # stay on columns that a repaired copy() carries them from.
+        duplicates = list(duplicate_row_artifact(caller_frame, store))
         # Missing tables depend only on null masks, so they key on the
         # mask fingerprints: value-only repairs keep them cached.
         missing_section = store.cached(

@@ -4,20 +4,15 @@ All numeric measures are computed directly from the column's typed
 backing arrays (:meth:`~repro.dataframe.Column.values_array` plus null
 mask) — no per-cell Python casts on the hot path.
 
-The kernels are chunk-aware: they iterate
-:meth:`~repro.dataframe.Column.iter_chunks` (a monolithic column is one
-chunk), merging per-chunk partial aggregates *exactly* where float
-arithmetic allows it — integer counters (count, zeros, negatives),
-element selections (min/max), and monotonicity with boundary diffs — and
-gathering the per-chunk compressed payloads into one array for the
-order/moment statistics (quantiles, sum, variance, skew, kurtosis),
-whose values must stay bit-identical to the monolithic engine and
-therefore cannot be re-associated across chunk boundaries.
+The numeric kernel is chunk-aware: it gathers the per-chunk compressed
+payloads of :meth:`~repro.dataframe.Column.iter_chunks` (a monolithic
+column is one chunk) into one array, in row order, and computes every
+statistic from that array, so the results are bit-identical to the
+monolithic engine whatever the chunk layout.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -26,83 +21,12 @@ from ..dataframe import Column
 from ..dataframe.chunked import compressed_chunks, gather_compressed
 
 __all__ = [
-    "NumericPartial",
     "categorical_summary",
     "column_summary",
     "compressed_chunks",
     "gather_compressed",
-    "merged_numeric_partial",
     "numeric_summary",
 ]
-
-
-@dataclass
-class NumericPartial:
-    """Exactly-mergeable per-chunk aggregate of non-missing float values.
-
-    Every field merges across chunks without float re-association:
-    counts add as ints, min/max select existing elements, and the
-    monotonic flags combine the within-chunk verdict with the boundary
-    difference (computed exactly like ``np.diff`` across the seam).
-    """
-
-    count: int
-    zeros: int
-    negatives: int
-    minimum: float
-    maximum: float
-    first: float
-    last: float
-    monotonic_inc: bool
-    monotonic_dec: bool
-
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "NumericPartial | None":
-        """Partial for one chunk's compressed values (None when empty)."""
-        if len(values) == 0:
-            return None
-        diffs = np.diff(values)
-        return cls(
-            count=int(len(values)),
-            zeros=int(np.sum(values == 0.0)),
-            negatives=int(np.sum(values < 0.0)),
-            minimum=float(np.min(values)),
-            maximum=float(np.max(values)),
-            first=float(values[0]),
-            last=float(values[-1]),
-            monotonic_inc=bool(np.all(diffs >= 0)),
-            monotonic_dec=bool(np.all(diffs <= 0)),
-        )
-
-    def merge(self, other: "NumericPartial") -> "NumericPartial":
-        """Exact merge with a partial covering the *next* row range."""
-        seam = other.first - self.last  # np.diff across the chunk seam
-        return NumericPartial(
-            count=self.count + other.count,
-            zeros=self.zeros + other.zeros,
-            negatives=self.negatives + other.negatives,
-            minimum=min(self.minimum, other.minimum),
-            maximum=max(self.maximum, other.maximum),
-            first=self.first,
-            last=other.last,
-            monotonic_inc=(
-                self.monotonic_inc and other.monotonic_inc and seam >= 0
-            ),
-            monotonic_dec=(
-                self.monotonic_dec and other.monotonic_dec and seam <= 0
-            ),
-        )
-
-
-def merged_numeric_partial(parts: list[np.ndarray]) -> NumericPartial | None:
-    """Fold per-chunk partials left to right (None when all chunks empty)."""
-    merged: NumericPartial | None = None
-    for part in parts:
-        partial = NumericPartial.from_values(part)
-        if partial is None:
-            continue
-        merged = partial if merged is None else merged.merge(partial)
-    return merged
 
 
 def numeric_summary(column: Column) -> dict[str, Any]:
@@ -111,12 +35,14 @@ def numeric_summary(column: Column) -> dict[str, Any]:
     Includes the measures ydata-profiling reports: central tendency,
     dispersion, quantiles, shape (skew/kurtosis), zeros and negatives.
     """
-    parts = compressed_chunks(column)
-    partial = merged_numeric_partial(parts)
-    if partial is None:
+    values = gather_compressed(compressed_chunks(column))
+    count = len(values)
+    if count == 0:
         return {"count": 0}
-    values = gather_compressed(parts)
-    count = partial.count
+    minimum = float(np.min(values))
+    maximum = float(np.max(values))
+    zeros = int(np.sum(values == 0.0))
+    diffs = np.diff(values)
     quantiles = np.quantile(values, [0.05, 0.25, 0.5, 0.75, 0.95])
     total = float(np.sum(values))
     mean = total / count
@@ -130,9 +56,9 @@ def numeric_summary(column: Column) -> dict[str, Any]:
         "mean": mean,
         "std": std,
         "variance": float(std**2),
-        "min": partial.minimum,
-        "max": partial.maximum,
-        "range": partial.maximum - partial.minimum,
+        "min": minimum,
+        "max": maximum,
+        "range": maximum - minimum,
         "q05": float(quantiles[0]),
         "q25": float(quantiles[1]),
         "median": float(quantiles[2]),
@@ -142,12 +68,12 @@ def numeric_summary(column: Column) -> dict[str, Any]:
         "skewness": _skewness(centered, pop_std),
         "kurtosis": _kurtosis(centered, pop_std),
         "sum": total,
-        "zeros": partial.zeros,
-        "zeros_fraction": partial.zeros / count,
-        "negatives": partial.negatives,
+        "zeros": zeros,
+        "zeros_fraction": zeros / count,
+        "negatives": int(np.sum(values < 0.0)),
         "coefficient_of_variation": _coefficient_of_variation(mean, std),
-        "monotonic_increasing": partial.monotonic_inc,
-        "monotonic_decreasing": partial.monotonic_dec,
+        "monotonic_increasing": bool(np.all(diffs >= 0)),
+        "monotonic_decreasing": bool(np.all(diffs <= 0)),
     }
 
 

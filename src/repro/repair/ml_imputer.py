@@ -13,13 +13,14 @@ those shared encodings, and predictions run through the vectorized
 ``predict`` paths of :class:`~repro.ml.tree._BaseDecisionTree` and
 :class:`~repro.ml.knn._BaseKNN` — no per-row Python on the proposal hot
 path. ``n_jobs`` fits/predicts the per-column models on a thread pool
-(the PR-3 executor pattern; numpy releases the GIL in the distance and
-split kernels), with results merged deterministically per column —
-outputs are bit-identical to the serial path.
+(numpy releases the GIL in the distance and split kernels), with results
+merged deterministically per column — outputs are bit-identical to the
+serial path.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
@@ -27,8 +28,16 @@ import numpy as np
 
 from ..dataframe import Cell, DataFrame
 from ..ml import DecisionTreeRegressor, FrameEncoder, KNeighborsClassifier
-from ..profiling.report import resolve_jobs
 from .base import Repairer, group_cells_by_column, mask_cells
+
+
+def resolve_jobs(n_jobs: int | None) -> int:
+    """Worker count: None/0/1 → serial, -1 → all cores, n → n."""
+    if n_jobs is None or n_jobs == 0:
+        return 1
+    if n_jobs < 0:
+        return os.cpu_count() or 1
+    return n_jobs
 
 
 class MLImputer(Repairer):

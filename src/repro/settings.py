@@ -129,12 +129,14 @@ class Settings:
     artifact_cache_bytes   ``DATALENS_ARTIFACT_CACHE_BYTES``,    unbounded;
                            a byte size: bound on the estimated   ArtifactStore
                            bytes an artifact store holds         without max_bytes=
-    io_retries             ``DATALENS_IO_RETRIES``, int >= 0:    4; SpillStore and
-                           retries of a transient fault per      ArtifactStore, when
-                           storage operation                     they are built
+    io_retries             ``DATALENS_IO_RETRIES``, int >= 0:    4; SpillStore, when
+                           retries of a transient fault per      it is built
+                           spill write or read
     fault_inject           ``DATALENS_FAULT_INJECT``: the fault  none; maybe_fire, on
                            plan (grammar in                      every fire through
-                           :mod:`repro.core.faults`)             :func:`read`
+                           :mod:`repro.core.faults`); a rule     :func:`read`
+                           whose ``site=`` matches no site in
+                           ``faults.SITES`` is rejected
     server_workers         ``DATALENS_SERVER_WORKERS``, int      4; JobQueue,
                            >= 1: job-pool and HTTP threads       AsyncHTTPServer
     job_queue_depth        ``DATALENS_JOB_QUEUE_DEPTH``, int     256; JobQueue

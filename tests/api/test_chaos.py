@@ -1,8 +1,8 @@
 """Chaos differential suite: injected faults must not change answers.
 
 The contract under test: low-probability *transient* faults on the
-storage sites (spill.*, artifact.*) are absorbed by internal retries,
-so every 2xx response is **bit-identical** to the fault-free run; job
+spill sites (spill.*) are absorbed by internal retries, so every 2xx
+response is **bit-identical** to the fault-free run; job
 faults are retried to the same result; and when a fault does surface,
 the client always gets well-formed JSON with the right status — never a
 torn response or a dead socket without an answer.
@@ -22,10 +22,7 @@ from repro.dataframe import to_csv_text
 
 #: The CI chaos leg's plan: seeded low-probability transient faults on
 #: every storage site (see .github/workflows/ci.yml).
-TRANSIENT_STORAGE_PLAN = (
-    "site=spill.*,error=transient,prob=0.2,seed=11;"
-    "site=artifact.*,error=transient,prob=0.2,seed=13"
-)
+TRANSIENT_STORAGE_PLAN = "site=spill.*,error=transient,prob=0.2,seed=11"
 
 
 @pytest.fixture(autouse=True)

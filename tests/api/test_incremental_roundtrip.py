@@ -11,12 +11,21 @@ from the session's artifact store.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.api import TestClient, create_app
-from repro.core import DataLens
+from repro.core import ArtifactStore, DataLens
 from repro.profiling import profile
+
+#: The keys ``GET /datasets/{name}/cache`` answers with, as documented
+#: by :meth:`ArtifactStore.stats`.
+CACHE_KEYS = {
+    "enabled", "entries", "max_entries", "max_bytes", "total_bytes",
+    "evicted_bytes", "hits", "misses", "puts", "evictions", "hit_rate",
+    "by_kind",
+}
 
 
 @pytest.fixture
@@ -127,3 +136,11 @@ class TestRepairReprofileRoundtrip:
         if warmed["enabled"]:
             assert warmed["entries"] > 0
             assert warmed["by_kind"]["frame:duplicates"]["hits"] > 0
+
+    def test_cache_endpoint_returns_exactly_its_documented_keys(self, client):
+        client.get("/datasets/nasa/profile")
+        body = client.get("/datasets/nasa/cache").body
+        documented = set(re.findall(r"``(\w+)``", ArtifactStore.stats.__doc__))
+        assert set(body) == CACHE_KEYS == documented
+        for counts in body["by_kind"].values():
+            assert set(counts) == {"hits", "misses", "puts"}

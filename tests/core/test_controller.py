@@ -84,6 +84,16 @@ class TestVersioning:
         if stats["enabled"]:
             assert stats["hits"] > 0
 
+    def test_session_profile_rejects_n_jobs(self, nasa_session):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'n_jobs'"):
+            nasa_session.profile(n_jobs=2)
+
+    def test_lens_rejects_profile_jobs(self, tmp_path):
+        with pytest.raises(
+            TypeError, match="unexpected keyword argument 'profile_jobs'"
+        ):
+            DataLens(tmp_path / "workspace", profile_jobs=2)
+
 
 class TestRules:
     def test_discover_validate_custom(self, lens, hospital_dirty):

@@ -10,23 +10,28 @@ here in isolation.
 
 from __future__ import annotations
 
+import ast
+import re
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.core import faults
 from repro.core.faults import (
     FAULT_INJECT_ENV,
+    SITES,
     FaultError,
     FaultPlan,
     TransientFaultError,
-    absorb_transient,
     fault_stats,
     inject,
     is_transient,
     maybe_fire,
     with_transient_retries,
 )
+
+SRC = Path(faults.__file__).resolve().parents[1]
 
 
 class TestSpecGrammar:
@@ -44,7 +49,7 @@ class TestSpecGrammar:
     def test_multiple_rules_and_whitespace(self):
         plan = FaultPlan.parse(
             " site=spill.* , error=transient , prob=0.5 , seed=7 ; "
-            "site=artifact.put , error=enospc , count=1 , after=2 ;"
+            "site=spill.write , error=enospc , count=1 , after=2 ;"
         )
         assert len(plan.rules) == 2
         assert plan.rules[0].probability == 0.5
@@ -94,7 +99,7 @@ class TestFiring:
             plan.fire("spill.read")
         with pytest.raises(FaultError):
             plan.fire("spill.write")
-        plan.fire("artifact.get")  # no match, no raise
+        plan.fire("job.run")  # no match, no raise
         assert plan.rules[0].fires == 2
         assert plan.rules[0].matches == 2
 
@@ -194,30 +199,82 @@ class TestActivation:
 
     def test_env_activation_via_monkeypatch(self, monkeypatch):
         monkeypatch.setenv(
-            FAULT_INJECT_ENV, "site=env.site,error=fault,count=1"
+            FAULT_INJECT_ENV, "site=job.run,error=fault,count=1"
         )
         with pytest.raises(FaultError):
-            maybe_fire("env.site")
-        maybe_fire("env.site")  # count exhausted
+            maybe_fire("job.run")
+        maybe_fire("job.run")  # count exhausted
         monkeypatch.delenv(FAULT_INJECT_ENV)
-        maybe_fire("env.site")  # plan gone with the env var
+        maybe_fire("job.run")  # plan gone with the env var
 
     def test_env_plan_reparsed_on_value_change(self, monkeypatch):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "site=one,error=fault,count=1")
+        monkeypatch.setenv(FAULT_INJECT_ENV, "site=job.run,error=fault,count=1")
         with pytest.raises(FaultError):
-            maybe_fire("one")
-        monkeypatch.setenv(FAULT_INJECT_ENV, "site=two,error=fault,count=1")
-        maybe_fire("one")  # old rule replaced
+            maybe_fire("job.run")
+        monkeypatch.setenv(
+            FAULT_INJECT_ENV, "site=http.write,error=fault,count=1"
+        )
+        maybe_fire("job.run")  # old rule replaced
         with pytest.raises(FaultError):
-            maybe_fire("two")
+            maybe_fire("http.write")
 
     def test_fault_stats_covers_env_and_context(self, monkeypatch):
-        monkeypatch.setenv(FAULT_INJECT_ENV, "site=e,error=fault,count=0")
+        monkeypatch.setenv(
+            FAULT_INJECT_ENV, "site=ingest.chunk,error=fault,count=0"
+        )
         with inject("site=c,error=fault,count=0"):
             sites = [entry["site"] for entry in fault_stats()]
-        assert sites == ["e", "c"]
+        assert sites == ["ingest.chunk", "c"]
         monkeypatch.delenv(FAULT_INJECT_ENV)
         assert fault_stats() == []
+
+    @pytest.mark.parametrize(
+        "pattern",
+        ["artifact.*", "artifact.get", "artifact.put", "spill.evict", "no.such.site"],
+    )
+    def test_env_rule_matching_no_site_is_rejected(self, pattern, monkeypatch):
+        """The environment plan is outside input: a rule that could never
+        fire fails the next fire, naming the pattern and every site."""
+        monkeypatch.setenv(FAULT_INJECT_ENV, f"site={pattern},error=fault")
+        message = (
+            rf"site='{re.escape(pattern)}' in {FAULT_INJECT_ENV} matches no "
+            r"injection site \(sites: spill\.write, spill\.read, "
+            r"ingest\.chunk, job\.run, http\.write\)"
+        )
+        with pytest.raises(ValueError, match=message):
+            maybe_fire("job.run")
+
+    @pytest.mark.parametrize("pattern", ["spill.*", "*"])
+    def test_env_rule_matching_a_site_is_accepted(self, pattern, monkeypatch):
+        monkeypatch.setenv(FAULT_INJECT_ENV, f"site={pattern},error=fault,count=1")
+        with pytest.raises(FaultError):
+            maybe_fire("spill.read")
+        maybe_fire("spill.read")  # count exhausted
+
+
+def test_sites_are_the_fired_literals_and_the_docstring_table():
+    """SITES names exactly the literals src/ passes to maybe_fire, in the
+    order of the module docstring's site table."""
+    fired, computed = set(), []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(
+                func, "id", None
+            )
+            if name != "maybe_fire":
+                continue
+            site = node.args[0] if node.args else None
+            if isinstance(site, ast.Constant) and isinstance(site.value, str):
+                fired.add(site.value)
+            else:
+                computed.append(f"{path.name}:{node.lineno}")
+    table = re.findall(r"^``([a-z]+\.[a-z]+)``\s{2,}", faults.__doc__, re.M)
+    assert computed == []
+    assert set(SITES) == fired
+    assert list(SITES) == table
 
 
 class TestTransientClassification:
@@ -268,9 +325,3 @@ class TestRetryHelpers:
         with pytest.raises(OSError):
             with_transient_retries(broken, retries=5, base_delay=0.0001)
         assert len(attempts) == 1  # not worth retrying
-
-    def test_absorb_transient_rerolls_the_site(self):
-        with inject("site=s,error=transient,count=2") as plan:
-            used = absorb_transient("s", retries=5, base_delay=0.0001)
-        assert used == 2
-        assert plan.rules[0].fires == 2

@@ -170,17 +170,6 @@ class TestChunkedPipelineEquivalence:
                 ("profile", seed, n, size),
             )
 
-    def test_parallel_profile_bit_identical(self, random_values, seed, n):
-        frame = random_frame(random_values, seed, n)
-        reference = run_outcome(lambda: profile(frame).to_dict())
-        for size in chunk_sizes_for(n)[:3]:
-            chunked = frame.to_chunked(size)
-            assert_same_outcome(
-                lambda: profile(chunked, n_jobs=4).to_dict(),
-                reference,
-                ("profile-parallel", seed, n, size),
-            )
-
     def test_detection_bit_identical(self, random_values, seed, n):
         frame = random_frame(random_values, seed, n)
         context = DetectionContext()
@@ -307,17 +296,6 @@ class TestStreamingWidening:
             streamed.column("col").values(), reference.column("col").values()
         )
 
-    def test_declared_dtypes_respected(self):
-        text = "a,b\n1,x\n2,y\n3,z\n"
-        reference = read_csv_text(text, dtypes={"a": "float"})
-        streamed = read_csv_stream(
-            io.StringIO(text), dtypes={"a": "float"}, chunk_size=2
-        )
-        assert streamed.dtypes() == reference.dtypes() == {
-            "a": "float",
-            "b": "string",
-        }
-        assert streamed == reference
 
     def test_ragged_row_raises_like_monolithic(self):
         text = "a,b\n1,2\n3\n"
@@ -590,9 +568,9 @@ class TestChunkConfiguration:
             {"x": [1.0, 2.0, None, 4.0, 100.0], "g": list("aabba")}
         )
         plain = DataLens(tmp_path / "plain").ingest_frame("d", frame)
-        chunked = DataLens(
-            tmp_path / "chunked", chunk_size=2, profile_jobs=2
-        ).ingest_frame("d", frame)
+        chunked = DataLens(tmp_path / "chunked", chunk_size=2).ingest_frame(
+            "d", frame
+        )
         assert isinstance(chunked.frame, CF)
         assert chunked.frame.chunk_lengths == (2, 2, 1)
         assert_deep_identical(

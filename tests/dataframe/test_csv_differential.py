@@ -5,12 +5,12 @@ that classifies and renders whole columns. They must be exactly the
 per-cell code retained in ``benchmarks/csv_reference.py``: the writers
 produce its bytes, and the readers produce its dtypes, backing dtypes,
 values and column fingerprints. This holds at every chunk size, with and
-without a spill store, with declared dtypes and for ``,`` and ``\\t``
-delimiters, over an adversarial token alphabet: every null spelling in
-mixed case and with padding, bool spellings, ints at the int64 limits,
-ints beyond 2**53, digit strings ``int`` accepts (``007``, ``+5``,
-``1_000``, ``١٢``), floats (``inf``, ``-0.0``, ``1e16`` and random
-``repr`` floats), and quoted fields.
+without a spill store, and for ``,`` and ``\\t`` delimiters, over an
+adversarial token alphabet: every null spelling in mixed case and with
+padding, bool spellings, ints at the int64 limits, ints beyond 2**53,
+digit strings ``int`` accepts (``007``, ``+5``, ``1_000``, ``١٢``),
+floats (``inf``, ``-0.0``, ``1e16`` and random ``repr`` floats), and
+quoted fields.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe import (
+    Column,
     DataFrame,
     SpillStore,
     read_csv,
@@ -36,7 +37,8 @@ from repro.dataframe import (
     to_csv_text,
     write_csv,
 )
-from repro.dataframe.types import DTYPES, NULL_TOKENS
+from repro.dataframe.io import _BLOCK_ROWS
+from repro.dataframe.types import NULL_TOKENS
 
 
 def _load_reference():
@@ -130,16 +132,14 @@ def chunk_sizes(n_rows: int) -> list[int]:
     return sorted({s for s in (1, 2, 257, n_rows - 1, n_rows, n_rows + 1) if s >= 1})
 
 
-def assert_readers_match(
-    text: str, tmp_path: Path, delimiter=",", dtypes=None, sizes=None
-):
+def assert_readers_match(text: str, tmp_path: Path, delimiter=",", sizes=None):
     expected, expected_error = outcome(
-        lambda: ref.reference_read_csv_text(text, delimiter=delimiter, dtypes=dtypes)
+        lambda: ref.reference_read_csv_text(text, delimiter=delimiter)
     )
     path = tmp_path / "input.csv"
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(text)
-    kw = dict(delimiter=delimiter, dtypes=dtypes)
+    kw = dict(delimiter=delimiter)
     monolithic = {
         "read_csv": lambda: read_csv(path, **kw),
         "read_csv_text": lambda: read_csv_text(text, **kw),
@@ -199,18 +199,6 @@ class TestReaders:
         text = render(header, rows, delimiter, line_end)
         assert_readers_match(text, tmp_path_factory.mktemp("csv"), delimiter)
 
-    @settings(max_examples=40, deadline=None)
-    @given(table=csv_tables(max_rows=12), data=st.data())
-    def test_declared_dtypes_match_reference(self, tmp_path_factory, table, data):
-        header, rows = table
-        dtypes = {
-            name: data.draw(st.sampled_from(DTYPES))
-            for name in header
-            if data.draw(st.booleans())
-        }
-        text = render(header, rows)
-        assert_readers_match(text, tmp_path_factory.mktemp("csv"), dtypes=dtypes)
-
     @pytest.mark.parametrize("seed", range(2))
     def test_blocks_past_one_chunk(self, tmp_path, seed):
         """Hundreds of rows: widening and the distinct/probe split at 257.
@@ -239,20 +227,9 @@ class TestReaders:
         text = render(["col", "k"], [[cell, "0"] for cell in cells])
         assert_readers_match(text, tmp_path)
 
-    def test_first_failing_column_fails_first(self, tmp_path):
-        """A declared dtype's bad cell in a later block of the first column
-        outranks an earlier bad cell of the second, as in a whole pass."""
-        rows = [["1", "2"], ["1", "x"]] + [["1", "2"]] * 5 + [["y", "2"]]
-        text = render(["a", "b"], rows)
-        with pytest.raises(ValueError, match="'y'"):
-            ref.reference_read_csv_text(text, dtypes={"a": "int", "b": "int"})
-        assert_readers_match(text, tmp_path, dtypes={"a": "int", "b": "int"})
-        assert_readers_match(text, tmp_path, dtypes={"a": "bogus", "b": "int"})
-
     def test_all_missing_and_empty_inputs(self, tmp_path):
         assert_readers_match(render(["a", "b"], [["", "NA"], ["?", "-nan"]]), tmp_path)
         assert_readers_match("a,b\n", tmp_path)
-        assert_readers_match("a,b\n", tmp_path, dtypes={"a": "int"})
 
     def test_ragged_row_error_matches(self, tmp_path):
         text = "a,b\n1,2\n3\n4,5\n"
@@ -271,6 +248,38 @@ class TestReaders:
 
 
 class TestWriters:
+    def test_monolithic_frame_renders_in_block_slices(self, monkeypatch):
+        """A monolithic frame is one chunk; its cells are rendered at most
+        _BLOCK_ROWS rows at a time, read through row_range."""
+        n = 3 * _BLOCK_ROWS + 1
+        frame = DataFrame.from_dict({"i": list(range(n)), "s": ["x"] * n})
+        expected = ref.reference_to_csv_text(frame)
+        spans = []
+        row_range = Column.row_range
+
+        def spy(column, start, stop):
+            spans.append(stop - start)
+            return row_range(column, start, stop)
+
+        monkeypatch.setattr(Column, "row_range", spy)
+        assert to_csv_text(frame) == expected
+        assert sorted(spans) == [1, 1] + [_BLOCK_ROWS] * 6
+
+    def test_quoted_cell_in_the_last_slice_matches_reference(self, tmp_path):
+        """Quoting is decided per slice: earlier slices are joined
+        directly, the last one goes through csv.writer."""
+        n = 2 * _BLOCK_ROWS + 5
+        values = ["plain"] * n
+        values[-1] = 'q"uote,comma'
+        frame = DataFrame.from_dict({"s": values, "i": list(range(n))})
+        expected = ref.reference_to_csv_text(frame)
+        assert expected.endswith(f'"q""uote,comma",{n - 1}\n')
+        assert to_csv_text(frame) == expected
+        path = tmp_path / "out.csv"
+        write_csv(frame, path)
+        with open(path, newline="", encoding="utf-8") as handle:
+            assert handle.read() == expected
+
     @settings(max_examples=60, deadline=None)
     @given(table=csv_tables(), delimiter=st.sampled_from([",", "\t"]))
     def test_writers_match_reference(self, tmp_path_factory, table, delimiter):

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import repro.dataframe
 from repro.api.http import Response
 from repro.dataframe import (
     DataFrame,
@@ -60,9 +61,21 @@ class TestCSV:
         frame = read_csv_text('a,b\n"x,y",1\n')
         assert frame.at(0, "a") == "x,y"
 
-    def test_dtype_override(self):
-        frame = read_csv_text("zip\n01234\n", dtypes={"zip": "string"})
-        assert frame.column("zip").dtype == "string"
+    @pytest.mark.parametrize(
+        "reader", ["read_csv", "read_csv_text", "read_csv_chunked", "read_csv_stream"]
+    )
+    def test_readers_reject_dtypes(self, reader, tmp_path):
+        text = "zip\n007\n"
+        path = tmp_path / "zip.csv"
+        path.write_text(text, encoding="utf-8")
+        source = {
+            "read_csv": path,
+            "read_csv_text": text,
+            "read_csv_chunked": path,
+            "read_csv_stream": io.StringIO(text),
+        }[reader]
+        with pytest.raises(TypeError, match="unexpected keyword argument 'dtypes'"):
+            getattr(repro.dataframe, reader)(source, dtypes={"zip": "string"})
 
 
 def json_roundtrip(frame):

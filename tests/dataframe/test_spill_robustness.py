@@ -39,7 +39,7 @@ from repro.dataframe.spill import SpilledChunkedColumn
 def _no_ambient_faults(monkeypatch):
     """Pin the environment plan off: these tests assert exact fault
     counters, which the CI chaos leg's ambient low-probability plan
-    (DATALENS_FAULT_INJECT on spill.*/artifact.*) would perturb."""
+    (DATALENS_FAULT_INJECT on spill.*) would perturb."""
     monkeypatch.delenv(faults.FAULT_INJECT_ENV, raising=False)
 
 
@@ -279,6 +279,17 @@ class TestTransientAbsorption:
         with faults.inject("site=spill.write,error=transient"):
             with pytest.raises(faults.TransientFaultError):
                 _spill_one(store)
+
+    def test_eviction_fires_no_site(self):
+        """Evicting only drops cache entries under the store lock; the
+        read that follows it is the fault site."""
+        store = SpillStore(budget_bytes=500)  # one 450-byte shard resident
+        first, second = _spill_one(store), _spill_one(store)
+        with faults.inject("site=spill.evict,error=fault") as plan:
+            for handle in (first, second, first):
+                store.load(handle)
+        assert store.stats()["evictions"] >= 2
+        assert plan.rules[0].matches == 0
 
 
 # ----------------------------------------------------------------------

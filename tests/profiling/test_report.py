@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.profiling import histogram, numeric_histogram, profile
 
 
@@ -58,6 +60,10 @@ class TestProfileReport:
         html = report.to_html()
         assert "Data Profile" in html
         assert "Frequency" in html
+
+    def test_profile_rejects_n_jobs(self, nasa_dirty):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'n_jobs'"):
+            profile(nasa_dirty.dirty, n_jobs=2)
 
     def test_alerts_present_for_dirty_data(self, nasa_dirty):
         report = profile(nasa_dirty.dirty)

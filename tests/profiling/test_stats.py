@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from repro.dataframe import Column
-from repro.profiling import categorical_summary, column_summary, numeric_summary
+from repro.dataframe import Column, DataFrame, SpillStore
+from repro.profiling import (
+    categorical_summary,
+    column_summary,
+    numeric_summary,
+    profile,
+)
 
 
 class TestNumericSummary:
@@ -51,6 +56,25 @@ class TestNumericSummary:
     def test_monotonic_flags(self):
         assert numeric_summary(Column("x", [1, 2, 3]))["monotonic_increasing"]
         assert numeric_summary(Column("x", [3, 2, 1]))["monotonic_decreasing"]
+
+
+    def test_seam_values_profile_identically_on_every_layout(self, tmp_path):
+        """Row 6 starts a shard at chunk sizes 2 and 3. The column's only
+        zero ends the shard before it, its only negative value starts it,
+        and the one decrease between them crosses that seam."""
+        values = [None] * 5 + [0.0, -1.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        frame = DataFrame.from_dict({"x": values})
+        spilled = frame.to_chunked(
+            2, spill=SpillStore(budget_bytes=64, directory=tmp_path)
+        )
+        assert spilled.column("x").spilled
+        reference = profile(frame).to_dict()
+        stats = reference["columns"][0]["statistics"]
+        assert (stats["zeros"], stats["negatives"]) == (1, 1)
+        assert not stats["monotonic_increasing"]
+        assert not stats["monotonic_decreasing"]
+        for layout in (frame.to_chunked(2), frame.to_chunked(3), spilled):
+            assert profile(layout).to_dict() == reference
 
 
 class TestCategoricalSummary:

@@ -295,22 +295,6 @@ def test_spill_store_reads_io_retries_when_built(monkeypatch):
     assert store.stats()["transient_retries"] == 1
 
 
-def test_artifact_store_reads_io_retries_when_built(monkeypatch):
-    monkeypatch.setenv("DATALENS_IO_RETRIES", "0")
-    store = ArtifactStore(enabled=True)
-    monkeypatch.setenv("DATALENS_IO_RETRIES", "5")
-    with faults.inject("site=artifact.get,error=transient,count=1"):
-        assert store.get("k", ("fp",), ()) == (False, None)
-    assert store.stats()["get_errors"] == 1
-    monkeypatch.setenv("DATALENS_IO_RETRIES", "2")
-    store = ArtifactStore(enabled=True)
-    monkeypatch.setenv("DATALENS_IO_RETRIES", "junk")  # never read again
-    with faults.inject("site=artifact.*,error=transient,count=1"):
-        store.put("k", ("fp",), (), "value")
-        assert store.get("k", ("fp",), ()) == (True, "value")
-    assert store.stats()["transient_retries"] == 1
-
-
 def _shard():
     return np.arange(8, dtype=np.int64), np.zeros(8, dtype=bool)
 
