@@ -149,7 +149,6 @@ Environment knobs
 
 from __future__ import annotations
 
-import heapq
 import io
 import re
 import threading
@@ -682,7 +681,7 @@ def create_app(
         limit = _int_param(request.query, "limit", 200)
 
         def work(session) -> dict:
-            cells = heapq.nsmallest(limit, session.detected_cells)
+            cells = session.ordered_detections()[:limit]
             return {
                 "num_cells": len(session.detected_cells),
                 "cells": [
@@ -759,12 +758,14 @@ def create_app(
         version = _required_int(request.body, "version", minimum=None)
 
         def work(session) -> dict:
+            # load_version reads the source version (an unknown one 404s
+            # before anything is committed), swaps the working frame and
+            # resets frame-derived state (profile report, detections,
+            # repair proposal), so the next GET /profile reflects the
+            # restored content — incrementally, via the session artifact
+            # store. The restore then commits only a log entry.
+            session.load_version(version)
             new_version = session.delta.restore(version)
-            # load_version both swaps the working frame and resets
-            # frame-derived state (profile report, detections, repair
-            # proposal), so the next GET /profile reflects the restored
-            # content — incrementally, via the session artifact store.
-            session.load_version(new_version)
             return {"restored_from": version, "new_version": new_version}
 
         return _write(request, work)

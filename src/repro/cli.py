@@ -222,7 +222,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Boot the async REST server over a workspace directory."""
     from .api import create_app, serve
     from .core import DataLens
+    from .core.faults import active_plans
 
+    try:
+        # A fault plan is parsed at its first fire, which in a served
+        # request is the response write: check it before binding.
+        active_plans()
+    except ValueError as error:
+        print(f"repro serve: {error}", file=sys.stderr)
+        return 2
     lens = DataLens(
         args.workspace,
         seed=args.seed,

@@ -99,6 +99,8 @@ class DataLensSession:
         self.profile_report: ProfileReport | None = None
         self.detection_results: dict[str, DetectionResult] = {}
         self.detected_cells: set[Cell] = set()
+        self._ordered_cells: list[Cell] | None = None
+        self._summary: dict[str, dict[str, float]] | None = None
         self.repair_result: RepairResult | None = None
         self.repaired_frame: DataFrame | None = None
         self.version_before_detection: int | None = None
@@ -127,6 +129,7 @@ class DataLensSession:
         self.profile_report = None
         self.detection_results = {}
         self.detected_cells = set()
+        self._detections_changed()
         self.repair_result = None
 
     def cache_stats(self) -> dict[str, Any]:
@@ -290,26 +293,52 @@ class DataLensSession:
         if include_tags and len(self.tags):
             self._record_detection("user_tags", self.tags.search(self.frame))
         self.detected_cells = merge_results(list(self.detection_results.values()))
+        self._detections_changed()
         return set(self.detected_cells)
 
     def _record_detection(self, name: str, result: DetectionResult) -> None:
         self.detection_results[name] = result
         self.detected_cells |= result.cells
+        self._detections_changed()
         tracker = self.controller.tracking
         with tracker.start_run(DETECTION_EXPERIMENT, f"{self.name}:{name}"):
             tracker.log_params({"dataset": self.name, "tool": name, **result.config})
             tracker.log_metric("num_cells", float(len(result.cells)))
             tracker.log_metric("runtime_seconds", result.runtime_seconds)
 
+    def _detections_changed(self) -> None:
+        """Forget the ordered cells and the summary; the next read
+        recomputes them."""
+        self._ordered_cells = None
+        self._summary = None
+
+    def ordered_detections(self) -> list[Cell]:
+        """The consolidated detected cells in (row, column) order.
+
+        Computed once per detection state and shared by every reader,
+        which slices it and must not change it.
+        """
+        if self._ordered_cells is None:
+            self._ordered_cells = sorted(self.detected_cells)
+        return self._ordered_cells
+
     def detection_summary(self) -> dict[str, dict[str, float]]:
-        """Per-tool, per-column detection rates (Figure 4's series)."""
-        return summarize_by_column(self.detection_results, self.frame)
+        """Per-tool, per-column detection rates (Figure 4's series).
+
+        Computed once per detection state, like :meth:`ordered_detections`.
+        """
+        if self._summary is None:
+            self._summary = summarize_by_column(self.detection_results, self.frame)
+        return self._summary
 
     # ------------------------------------------------------------------
     # Repair (§3)
     # ------------------------------------------------------------------
     def run_repair(self, tool: str = "ml_imputer", **params: Any) -> DataFrame:
-        """Repair the consolidated detections; store and version the output.
+        """Repair the consolidated detections and commit the output.
+
+        The repaired frame is rendered once, as the ``repair`` version;
+        the workspace's ``repaired.csv`` is a hard link of that file.
 
         The session artifact store rides along: HoloClean repair reuses
         the ``repair:tokens`` / ``repair:cooccurrence`` artifacts the
@@ -326,9 +355,11 @@ class DataLensSession:
         repaired = result.apply_to(self.frame)
         self.repair_result = result
         self.repaired_frame = repaired
-        path = self.controller.loader.save_repaired(self.name, repaired)
         self.version_after_repair = self.delta.write(
             repaired, operation="repair", metadata={"tool": tool}
+        )
+        path = self.controller.loader.save_repaired(
+            self.name, self.delta.data_path(self.version_after_repair)
         )
         tracker = self.controller.tracking
         with tracker.start_run(REPAIR_EXPERIMENT, f"{self.name}:{tool}"):
@@ -501,20 +532,28 @@ class DataLens:
     ) -> DataLensSession:
         """Stream CSV lines into a dataset in one pass (REST upload path).
 
-        The lines are tee'd to the workspace's ``dirty.csv`` while being
-        parsed by the chunked reader under the controller's chunk/spill
+        The lines are tee'd to the workspace's ``dirty.csv`` (renamed
+        into place once the whole upload parsed) while being parsed by
+        the chunked reader under the controller's chunk/spill
         configuration, so an upload larger than RAM is persisted and
         packed (spilled shard by shard) without ever materializing — the
-        session then starts from the already-parsed frame.
+        session then starts from the already-parsed frame, and that
+        ``dirty.csv`` becomes the upload version.
         """
         workspace, frame = self.loader.ingest_csv_stream(name, lines)
         return self._open(workspace.name, frame=frame)
 
     def _open(self, name: str, frame: DataFrame | None = None) -> DataLensSession:
-        """A session on an ingest, committed as a new upload version."""
+        """A session on an ingest, committed as a new upload version.
+
+        The version is the ``dirty.csv`` the loader just wrote, linked
+        into the Delta table rather than rendered again.
+        """
         with self._session_lock:
             session = DataLensSession(self, name, frame=frame)
-            session.delta.write(session.frame, operation="upload")
+            session.delta.link(
+                session.workspace.dirty_path, session.frame, operation="upload"
+            )
             self._sessions[name] = session
             return session
 

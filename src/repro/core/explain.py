@@ -204,7 +204,7 @@ def explain_session(session: Any, limit: int = 20) -> list[CellExplanation]:
     """
     frame = session.frame
     results = session.detection_results
-    cells = sorted(session.detected_cells)[:limit]
+    cells = session.ordered_detections()[:limit]
     rules = session.rule_set.active_rules()
     violations = _rule_violations(frame, cells, results, rules)
     columns = {column for _, column in cells}

@@ -50,6 +50,8 @@ which composes with — and stacks on top of — the environment plan. The
 environment plan comes from outside the program, so a rule of it whose
 ``site=`` pattern matches none of :data:`SITES` fails the next fire
 with a ``ValueError``; a plan passed to :func:`inject` is not checked.
+``repro serve`` calls :func:`active_plans` before it binds, so a bad
+environment plan stops it from starting.
 
 Transient vs. persistent faults
 -------------------------------
@@ -361,7 +363,11 @@ def inject(spec: str | FaultPlan) -> Iterator[FaultPlan]:
 
 
 def active_plans() -> list[FaultPlan]:
-    """Currently active plans (environment plan first), for diagnostics."""
+    """Currently active plans (environment plan first), for diagnostics.
+
+    Raises ``ValueError`` when the environment plan is malformed or has a
+    rule that matches no site.
+    """
     plans = []
     env_plan = _plan_from_env()
     if env_plan is not None:

@@ -100,7 +100,7 @@ def _affected_rows_table(session: DataLensSession, limit: int = 8) -> str:
 def render_overview_tab(session: DataLensSession) -> str:
     frame = session.frame
     rows = frame.head(12).to_records()
-    detected = sorted(session.detected_cells)[:20]
+    detected = session.ordered_detections()[:20]
     detected_rows = [{"row": r, "column": c} for r, c in detected]
     labeling = (
         f"<p>user labels collected: {len(session.labels)}; "

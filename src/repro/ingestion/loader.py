@@ -5,13 +5,24 @@ holding ``dirty.csv`` plus a ``delta`` subfolder for the version store, and
 SQL tables are loaded through a connection and then treated identically to
 uploaded files. MySQL/PostgreSQL/MSSQL are replaced by stdlib ``sqlite3``
 (same connect/select/load path, no external server needed offline).
+
+A :class:`~repro.core.DataLens` commits ``dirty.csv`` as the upload
+version and gives the latest repair version the name ``repaired.csv``,
+both by hard link, so the loader never writes into either: it writes a
+unique temp name next to it and renames that over the old name
+(``os.replace``), which leaves the committed file as it was and the old
+name intact when the write fails.
 """
 
 from __future__ import annotations
 
+import os
 import sqlite3
+import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from ..dataframe import (
     DataFrame,
@@ -27,6 +38,18 @@ from .datasets import PRELOADED, load_clean
 
 DIRTY_FILE_NAME = "dirty.csv"
 DELTA_DIR_NAME = "delta"
+
+
+@contextmanager
+def _replacing(path: Path) -> Iterator[Path]:
+    """A unique temp name next to ``path``, renamed over ``path`` when the
+    block succeeds and removed when it fails."""
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 @dataclass
@@ -94,7 +117,8 @@ class DataLoader:
     def ingest_frame(self, name: str, frame: DataFrame) -> DatasetWorkspace:
         """Register an in-memory frame as an uploaded dataset."""
         workspace = self.workspace_for(name)
-        write_csv(frame, workspace.dirty_path)
+        with _replacing(workspace.dirty_path) as tmp:
+            write_csv(frame, tmp)
         return workspace
 
     def ingest_csv(self, path: str | Path, delimiter: str = ",") -> DatasetWorkspace:
@@ -107,17 +131,20 @@ class DataLoader:
         """Single-pass streaming upload: persist *and* parse CSV lines.
 
         Every line read from ``lines`` (any iterable of text — the REST
-        layer passes the request-body stream) is tee'd to the dataset's
-        ``dirty.csv`` while the chunked reader packs it into shards
-        under the loader's chunk/spill configuration, so the upload is
-        written to the workspace and parsed without ever holding the
-        full table. Returns the workspace together with the parsed
-        frame so callers skip the usual re-load from disk.
+        layer passes the request-body stream) is tee'd to a temp file
+        next to the dataset's ``dirty.csv`` while the chunked reader
+        packs it into shards under the loader's chunk/spill
+        configuration, so the upload is written to the workspace and
+        parsed without ever holding the full table. Only a complete
+        parse renames the temp file over ``dirty.csv``: an upload that
+        fails leaves the dataset's files as they were. Returns the
+        workspace together with the parsed frame so callers skip the
+        usual re-load from disk.
         """
         workspace = self.workspace_for(name)
         chunked = self._chunked_read()
-        with open(
-            workspace.dirty_path, "w", newline="", encoding="utf-8"
+        with _replacing(workspace.dirty_path) as tmp, open(
+            tmp, "w", newline="", encoding="utf-8"
         ) as sink:
             if chunked is not None:
                 def tee():
@@ -183,11 +210,14 @@ class DataLoader:
             if p.is_dir() and (p / DIRTY_FILE_NAME).exists()
         )
 
-    def save_repaired(
-        self, dataset_name: str, frame: DataFrame, tag: str = "repaired"
-    ) -> Path:
-        """Persist a repaired frame next to the dirty CSV (§3, data repair)."""
-        workspace = self.workspace_for(dataset_name)
-        path = workspace.repaired_path(tag)
-        write_csv(frame, path)
+    def save_repaired(self, dataset_name: str, data_file: Path) -> Path:
+        """Name a repair's committed CSV ``repaired.csv`` next to the dirty
+        CSV (§3, data repair); returns that path.
+
+        ``data_file`` (the repair version's data file) is hard-linked, not
+        rendered again, and replaces the previous repair's link.
+        """
+        path = self.workspace_for(dataset_name).repaired_path()
+        with _replacing(path) as tmp:
+            os.link(data_file, tmp)
         return path

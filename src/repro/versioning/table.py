@@ -1,11 +1,19 @@
 """Delta-Lake-style versioned tables.
 
-A :class:`DeltaTable` is a directory holding immutable data snapshots plus
-an append-only transaction log (``_delta_log/<version>.json``). Every
-write produces a new version; history is never rewritten; any version can
-be read back ("time travel") and ``restore`` simply commits an old
-snapshot as the newest version — matching the semantics the paper relies
-on for dataset version control (§5).
+A :class:`DeltaTable` is a directory holding CSV data files (``data/``)
+plus an append-only transaction log (``_delta_log/<version>.json``).
+Every commit appends one log entry and history is never rewritten, so
+any version can be read back ("time travel") — the semantics the paper
+relies on for dataset version control (§5).
+
+A log entry names the data file that holds its rows, and several
+entries may name one file: ``restore`` commits an entry that names the
+restored version's file and writes no data. A data file may have names
+outside the table too: a dataset's ``dirty.csv`` is committed as its
+upload version by hard-linking it into ``data/`` (:meth:`DeltaTable.link`),
+and its ``repaired.csv`` is a hard link of the latest repair's data file.
+So no data file changes after its commit: each is made read-only, and a
+new workspace file is renamed over the old name, never written into it.
 """
 
 from __future__ import annotations
@@ -15,9 +23,9 @@ import json
 import os
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ..dataframe import DataFrame, read_csv, write_csv
 
@@ -116,73 +124,131 @@ class DeltaTable:
         operation: str = "write",
         metadata: dict[str, Any] | None = None,
     ) -> int:
-        """Append ``frame`` as a new version; returns the version number.
+        """Render ``frame`` as a new data file and commit it; returns the
+        new version number.
 
-        The data file gets a name no other writer can pick. The version
-        is claimed by hard-linking a finished log entry (written under a
-        name ``history()`` skips) to its final name: a link never
-        replaces an existing file, so a writer that loses the race to
-        another table on the same root retries at the next version. No
-        log entry is ever overwritten, and none is visible before its
-        data.
+        The data file gets a name no other writer can pick and is made
+        read-only before its log entry is claimed: a later ``restore``
+        entry, and the workspace's ``repaired.csv``, may name the same
+        file, so it never changes after this commit.
 
-        The root must be on a filesystem with hard links. Where it is
+        The root must be on a filesystem with hard links, because the
+        version is claimed by hard-linking its log entry. Where it is
         not, ``write`` raises :class:`OSError` naming the root; a failed
         write leaves neither its data file nor its log entry behind.
         """
-        token = uuid.uuid4().hex
-        data_file = f"{DATA_DIR}/part-{token}.csv"
-        tmp = self.root / LOG_DIR / f"{token}.tmp"
+        return self._commit(
+            lambda target: write_csv(frame, target), frame, operation, metadata
+        )
+
+    def link(self, path: str | Path, frame: DataFrame, operation: str = "write") -> int:
+        """Commit the CSV already at ``path``, which parses to ``frame``,
+        without rendering it again; returns the new version number.
+
+        The file is hard-linked into ``data/`` (so ``path`` must be on the
+        table's filesystem) and, like every data file, made read-only:
+        whoever replaces ``path`` later must rename a new file over it,
+        because writing into it would change the committed version.
+        """
+        return self._commit(
+            lambda target: self._link(path, target), frame, operation, None
+        )
+
+    def restore(self, version: int) -> int:
+        """Commit ``version`` again as the newest version (rollback).
+
+        The new log entry (operation ``restore``, metadata
+        ``{"restored_from": version}``) names ``version``'s data file,
+        row count and column count; no data is read or written.
+        """
+        source = self.commit_for(version)
+        return self._claim(
+            replace(source, operation="restore", metadata={"restored_from": version})
+        )
+
+    def read(self, version: int | None = None) -> DataFrame:
+        """Read a version (default: latest) back as a DataFrame."""
+        return read_csv(self.data_path(version))
+
+    def data_path(self, version: int | None = None) -> Path:
+        """The data file of a version (default: latest)."""
+        if version is None:
+            version = self.latest_version()
+            if version is None:
+                raise VersionNotFoundError("table has no committed versions")
+        return self.root / self.commit_for(version).data_file
+
+    # ------------------------------------------------------------------
+    def _commit(
+        self,
+        create: Callable[[Path], None],
+        frame: DataFrame,
+        operation: str,
+        metadata: dict[str, Any] | None,
+    ) -> int:
+        """Create a data file under a name no other writer can pick, make
+        it read-only and claim a version for it; a failure leaves no data
+        file behind."""
+        data_file = f"{DATA_DIR}/part-{uuid.uuid4().hex}.csv"
+        target = self.root / data_file
         try:
-            write_csv(frame, self.root / data_file)
-            latest = self.latest_version()
-            version = 0 if latest is None else latest + 1
-            while True:
-                commit = Commit(
-                    version=version,
-                    timestamp=time.time(),
+            create(target)
+            os.chmod(target, 0o444)
+            return self._claim(
+                Commit(
+                    version=0,
+                    timestamp=0.0,
                     operation=operation,
                     data_file=data_file,
                     num_rows=frame.num_rows,
                     num_columns=frame.num_columns,
                     metadata=dict(metadata or {}),
                 )
+            )
+        except BaseException:
+            target.unlink(missing_ok=True)
+            raise
+
+    def _claim(self, entry: Commit) -> int:
+        """Append ``entry`` to the log as the next version, stamped with
+        that version and the time; returns the version.
+
+        The version is claimed by hard-linking a finished log entry
+        (written under a name ``history()`` skips) to its final name: a
+        link never replaces an existing file, so a writer that loses the
+        race to another table on the same root retries at the next
+        version. No log entry is ever overwritten, and none is visible
+        before its data.
+        """
+        tmp = self.root / LOG_DIR / f"{uuid.uuid4().hex}.tmp"
+        latest = self.latest_version()
+        version = 0 if latest is None else latest + 1
+        try:
+            while True:
+                commit = replace(entry, version=version, timestamp=time.time())
                 tmp.write_text(json.dumps(commit.to_dict()), encoding="utf-8")
                 try:
-                    os.link(tmp, self.root / LOG_DIR / f"{version:020d}.json")
+                    self._link(tmp, self.root / LOG_DIR / f"{version:020d}.json")
                     return version
                 except FileExistsError:
                     version += 1
-                except OSError as error:
-                    if error.errno not in _NO_HARD_LINKS:
-                        raise
-                    raise OSError(
-                        error.errno,
-                        f"cannot commit a version of the table at {self.root}: "
-                        "its filesystem does not support the hard links that "
-                        f"claim versions ({error.strerror})",
-                    ) from error
-        except BaseException:
-            (self.root / data_file).unlink(missing_ok=True)
-            raise
         finally:
             tmp.unlink(missing_ok=True)
 
-    def read(self, version: int | None = None) -> DataFrame:
-        """Read a version (default: latest) back as a DataFrame."""
-        if version is None:
-            version = self.latest_version()
-            if version is None:
-                raise VersionNotFoundError("table has no committed versions")
-        commit = self.commit_for(version)
-        return read_csv(self.root / commit.data_file)
-
-    def restore(self, version: int) -> int:
-        """Re-commit an old snapshot as the newest version (rollback)."""
-        frame = self.read(version)
-        return self.write(
-            frame, operation="restore", metadata={"restored_from": version}
-        )
+    def _link(self, source: str | Path, target: Path) -> None:
+        """``os.link``; the root must be on a filesystem with hard links,
+        and where it is not this raises :class:`OSError` naming the root."""
+        try:
+            os.link(source, target)
+        except OSError as error:
+            if error.errno not in _NO_HARD_LINKS:
+                raise
+            raise OSError(
+                error.errno,
+                f"cannot commit a version of the table at {self.root}: "
+                "its filesystem does not support the hard links that "
+                f"commit versions ({error.strerror})",
+            ) from error
 
     def versions(self) -> list[int]:
         return [commit.version for commit in self.history()]

@@ -119,6 +119,40 @@ class TestPipelineEndpoints:
                 "summary": summary,
             }
 
+    def test_detections_view_is_computed_once_per_detection_state(
+        self, client, monkeypatch
+    ):
+        """Repeated GETs share one ordered listing and one summary; a new
+        detect and a restore each change the next body."""
+        from repro.core import controller
+
+        calls = []
+        summarize = controller.summarize_by_column
+
+        def counted(*args):
+            calls.append(args)
+            return summarize(*args)
+
+        monkeypatch.setattr(controller, "summarize_by_column", counted)
+        client.post("/datasets/nasa/detect", {"tools": ["mv_detector"]})
+        bodies = [
+            client.get("/datasets/nasa/detections", query=query).body
+            for query in (None, None, {"limit": "5"}, None, {"limit": "0"})
+        ]
+        assert len(calls) == 1
+        first = bodies[0]
+        assert bodies[1] == bodies[3] == first
+        assert bodies[2]["cells"] == first["cells"][:5]
+        assert bodies[4]["cells"] == []
+        client.post("/datasets/nasa/detect", {"tools": ["iqr"]})
+        second = client.get("/datasets/nasa/detections").body
+        assert len(calls) == 2
+        assert set(second["summary"]) == {"mv_detector", "iqr"}
+        assert second["num_cells"] > first["num_cells"]
+        client.post("/datasets/nasa/versions/restore", {"version": 0})
+        restored = client.get("/datasets/nasa/detections").body
+        assert restored == {"num_cells": 0, "cells": [], "summary": {}}
+
     def test_detect_requires_tools(self, client):
         assert client.post("/datasets/nasa/detect", {}).status == 422
 
@@ -195,6 +229,33 @@ class TestRulesAndLabels:
 
 
 class TestVersions:
+    def test_restore_parses_one_csv_and_renders_none(self, client, monkeypatch):
+        """The route reads the source version once and commits a log entry
+        naming its data file."""
+        from repro.versioning import table
+
+        client.post("/datasets/nasa/detect", {"tools": ["mv_detector"]})
+        client.post("/datasets/nasa/repair", {"tool": "standard_imputer"})
+        calls = {"read_csv": 0, "write_csv": 0}
+        for name in calls:
+            original = getattr(table, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(table, name, counted)
+        response = client.post("/datasets/nasa/versions/restore", {"version": 0})
+        assert response.status == 200
+        assert response.body == {"restored_from": 0, "new_version": 2}
+        assert calls == {"read_csv": 1, "write_csv": 0}
+        versions = client.get("/datasets/nasa/versions").body["versions"]
+        assert [v["operation"] for v in versions] == ["upload", "repair", "restore"]
+        assert versions[2]["data_file"] == versions[0]["data_file"]
+        assert versions[2]["metadata"] == {"restored_from": 0}
+        preview = client.get("/datasets/nasa", query={"limit": "3"}).body
+        assert preview["num_rows"] == versions[0]["num_rows"]
+
     def test_version_listing_and_restore(self, client):
         client.post("/datasets/nasa/detect", {"tools": ["mv_detector"]})
         client.post("/datasets/nasa/repair", {"tool": "standard_imputer"})

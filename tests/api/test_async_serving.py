@@ -339,6 +339,25 @@ class TestStreamingUpload:
         assert reloaded.frame.num_rows == 3
         assert reloaded.frame.column_names == ["city", "pop"]
 
+    def test_failed_reupload_changes_nothing(self, lens, client):
+        """The dataset's files, its history and a reopen are as before the
+        failed upload, and no temp file is left behind."""
+        assert client.post_csv("/datasets/rivers/upload", self.CSV).status == 200
+        root = lens.workspace_dir / "datasets" / "rivers"
+        history = client.get("/datasets/rivers/versions").body
+        response = client.post_csv(
+            "/datasets/rivers/upload", "city,pop\nrome,9\nbari\n"
+        )
+        assert response.status == 400
+        assert response.body == {"detail": "row has 1 fields, expected 2"}
+        assert (root / "dirty.csv").read_text(encoding="utf-8") == self.CSV
+        assert sorted(path.name for path in root.iterdir()) == ["delta", "dirty.csv"]
+        assert client.get("/datasets/rivers/versions").body == history
+        assert client.get("/datasets/rivers").body["num_rows"] == 3
+        reopened = DataLens(lens.workspace_dir).session("rivers")
+        assert to_csv_text(reopened.frame) == self.CSV
+        assert reopened.delta.read(0) == reopened.frame
+
     def test_upload_with_chunked_spill_config(self, tmp_path, nasa_dirty):
         """The upload streams through the chunked reader under the PR-6
         spill config; the parsed frame matches a plain ingest exactly."""

@@ -1,12 +1,13 @@
 """DataLens controller integration tests (the Figure-1 pipeline)."""
 
+import io
 import sys
 import threading
 
 import pytest
 
 from repro.core import DataLens
-from repro.dataframe import write_csv
+from repro.dataframe import to_csv_text, write_csv
 from repro.ingestion import hospital, nasa
 
 
@@ -93,6 +94,74 @@ class TestVersioning:
             TypeError, match="unexpected keyword argument 'profile_jobs'"
         ):
             DataLens(tmp_path / "workspace", profile_jobs=2)
+
+
+class TestVersionFiles:
+    """Each version's CSV is written once: the upload version is the
+    ``dirty.csv`` the loader wrote, a repair renders its frame once, and
+    ``repaired.csv`` is a hard link of the latest repair's file."""
+
+    def test_upload_version_is_the_dirty_csv(self, nasa_session):
+        dirty = nasa_session.workspace.dirty_path
+        assert nasa_session.delta.data_path(0).samefile(dirty)
+        assert nasa_session.delta.read(0) == nasa_session.frame
+
+    @pytest.mark.parametrize("stream", [False, True])
+    def test_reingest_leaves_earlier_versions_unchanged(self, lens, stream):
+        def ingest(frame):
+            if stream:
+                return lens.ingest_csv_stream("d", io.StringIO(to_csv_text(frame)))
+            return lens.ingest_frame("d", frame)
+
+        first = ingest(nasa(30))
+        v0 = first.delta.data_path(0).read_bytes()
+        second = ingest(nasa(10))
+        assert second.delta.versions() == [0, 1]
+        assert second.delta.data_path(0).read_bytes() == v0
+        assert second.delta.read(0) == first.frame
+        assert second.delta.read(1) == second.frame
+        assert second.delta.data_path(1).samefile(second.workspace.dirty_path)
+        assert second.frame.num_rows == 10
+
+    def test_second_repair_keeps_the_first(self, lens, nasa_dirty):
+        session = lens.ingest_frame("nasa", nasa_dirty.dirty)
+        session.run_detection(["mv_detector"])
+        first = session.run_repair("standard_imputer")
+        v1 = session.delta.data_path(1).read_bytes()
+        session.run_detection(["iqr"])
+        second = session.run_repair("standard_imputer")
+        assert first != second
+        assert session.version_after_repair == 2
+        repaired = session.workspace.repaired_path()
+        assert repaired.samefile(session.delta.data_path(2))
+        assert session.delta.data_path(1).read_bytes() == v1
+        assert session.delta.read(1) == first
+        assert session.delta.read(2) == second
+        assert len(list((session.workspace.delta_path / "data").iterdir())) == 3
+
+    @pytest.mark.parametrize("spilled", [False, True])
+    def test_upload_version_reads_back_as_the_session_frame(self, tmp_path, spilled):
+        """v0 holds the uploaded bytes, tokens a re-render would rewrite
+        (``007``, ``NA``, `` a``) included, and reads back with the
+        session frame's dtypes and fingerprints."""
+        text = (
+            "zip,flag,na,s,big\n"
+            "007,true,NA, a,9007199254740993\n"
+            "010,no,x,b,9007199254740992\n"
+            "011,true,,c,1\n"
+        )
+        options = {}
+        if spilled:
+            options = dict(chunk_size=2, spill_budget=1024, spill_dir=tmp_path / "spill")
+        lens = DataLens(tmp_path / "workspace", **options)
+        session = lens.ingest_csv_stream("d", io.StringIO(text))
+        assert session.delta.data_path(0).read_text(encoding="utf-8") == text
+        v0 = session.delta.read(0)
+        assert v0.dtypes() == session.frame.dtypes()
+        assert v0.column_fingerprints() == session.frame.column_fingerprints()
+        assert v0 == session.frame
+        reopened = DataLens(tmp_path / "workspace", **options).session("d")
+        assert reopened.frame.column_fingerprints() == v0.column_fingerprints()
 
 
 class TestRules:

@@ -1,5 +1,7 @@
 """Loader and workspace layout tests (§2 ingestion paths)."""
 
+import io
+
 import pytest
 
 from repro.dataframe import DataFrame, write_csv
@@ -31,11 +33,51 @@ class TestWorkspaceLayout:
             DataLoader(tmp_path).load("ghost")
 
     def test_save_repaired(self, tmp_path):
+        """``repaired.csv`` is a hard link of the repair's committed file,
+        and the next repair replaces the link, not the file."""
         loader = DataLoader(tmp_path)
-        loader.ingest_frame("demo", nasa(10))
-        path = loader.save_repaired("demo", nasa(10))
-        assert path.exists()
+        workspace = loader.ingest_frame("demo", nasa(10))
+        first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+        write_csv(nasa(10), first)
+        write_csv(nasa(20), second)
+        path = loader.save_repaired("demo", first)
+        assert path == workspace.repaired_path()
         assert path.name == "repaired.csv"
+        assert path.samefile(first)
+        before = first.read_bytes()
+        assert loader.save_repaired("demo", second) == path
+        assert path.samefile(second)
+        assert first.read_bytes() == before
+        assert sorted(p.name for p in workspace.root.iterdir()) == [
+            "delta", "dirty.csv", "repaired.csv"
+        ]
+
+
+class TestFailedUpload:
+    """A failed upload leaves the workspace as it was: ``dirty.csv`` is a
+    committed version's file, so the loader never writes into it."""
+
+    GOOD = "a,b\n1,x\n2,y\n3,z\n"
+    BAD = "a,b\n9,q\n8\n"
+
+    @pytest.mark.parametrize("chunk_size", [None, 1])
+    def test_failed_reupload_keeps_dirty_csv(self, tmp_path, chunk_size):
+        loader = DataLoader(tmp_path, chunk_size=chunk_size)
+        workspace, _ = loader.ingest_csv_stream("d", io.StringIO(self.GOOD))
+        with pytest.raises(ValueError, match="row has 1 fields, expected 2"):
+            loader.ingest_csv_stream("d", io.StringIO(self.BAD))
+        assert workspace.dirty_path.read_text(encoding="utf-8") == self.GOOD
+        assert sorted(p.name for p in workspace.root.iterdir()) == [
+            "delta", "dirty.csv"
+        ]
+        assert loader.load("d").num_rows == 3
+
+    def test_failed_first_upload_creates_no_dataset(self, tmp_path):
+        loader = DataLoader(tmp_path, chunk_size=1)
+        with pytest.raises(ValueError, match="row has 1 fields, expected 2"):
+            loader.ingest_csv_stream("d", io.StringIO(self.BAD))
+        assert loader.list_datasets() == []
+        assert sorted(p.name for p in (tmp_path / "d").iterdir()) == ["delta"]
 
 
 class TestCSVIngestion:

@@ -342,3 +342,24 @@ class TestServeCommand:
         )
         assert code == 0
         assert "smoke test passed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "plan, message",
+        [
+            ("site=artifact.*,error=fault", "matches no injection site"),
+            ("site=spill.read,error=nope", "malformed fault rule"),
+        ],
+    )
+    def test_bad_fault_plan_fails_before_serving(
+        self, tmp_path, capsys, monkeypatch, plan, message
+    ):
+        """The plan is checked before the server binds, so a bad one exits
+        non-zero with its error instead of killing every response."""
+        monkeypatch.setenv("DATALENS_FAULT_INJECT", plan)
+        code = main(["serve", str(tmp_path / "w"), "--port", "0", "--smoke-test"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "serving DataLens workspace" not in captured.out
+        assert message in captured.err
+        assert "DATALENS_FAULT_INJECT" in captured.err
+        assert not (tmp_path / "w").exists()
