@@ -14,15 +14,11 @@ import time
 
 import numpy as np
 
-from repro.dataframe import (
-    DataFrame,
-    read_csv_stream,
-    read_csv_text,
-    to_csv_text,
-)
+from repro.dataframe import DataFrame, read_csv_stream, to_csv_text
 from repro.profiling import profile
 
 from conftest import print_table
+from csv_reference import read_csv_text
 
 ROW_COUNTS = (20_000, 50_000, 100_000, 200_000)
 CHUNK_SIZE = 16_384

@@ -14,6 +14,10 @@ It is the ground truth for two consumers:
   fingerprints) over an adversarial token alphabet;
 * ``benchmarks/bench_csv_scale.py`` times the kernels against this
   reference at 100k×10 and re-checks identity at that scale.
+
+It also holds :func:`read_csv_text`, which is not a reference: the block
+kernel ``read_csv`` runs, applied to a string, for the tests and
+benchmarks that parse CSV text.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from typing import Any
 
 from repro.dataframe import DataFrame
 from repro.dataframe import types as _types
+from repro.dataframe.io import _BLOCK_ROWS, _parse_csv
 
 
 def reference_render(value: Any) -> str:
@@ -60,3 +65,10 @@ def reference_read_csv_text(text: str, delimiter: str = ",") -> DataFrame:
     header = [name.strip() for name in rows[0]]
     parsed = [[_types.parse_token(token) for token in row] for row in rows[1:]]
     return DataFrame.from_rows(parsed, header)
+
+
+def read_csv_text(text: str, delimiter: str = ",") -> DataFrame:
+    """CSV text parsed by the kernel ``read_csv`` runs on a file of it:
+    blocks of ``_BLOCK_ROWS`` rows consolidated into one frame, with no
+    spill store and no fault site."""
+    return _parse_csv(io.StringIO(text), delimiter, _BLOCK_ROWS).to_monolithic()

@@ -46,6 +46,14 @@ GET         /jobs                                  this tenant's jobs
 GET         /jobs/{job_id}                         poll one job
 ==========  =====================================  =============================
 
+Ingest and versions
+    Every ingest (``csv_text``, ``records``, ``preloaded``, an upload)
+    is parsed once on its way into ``dirty.csv`` and commits a new
+    ``upload`` version; a failed one commits nothing. The Delta log is
+    each dataset's only source of truth: a server restarted over the
+    same workspace serves each dataset's newest version, so repairs and
+    restores survive the restart.
+
 Async vs sync mode
     Endpoints marked *async-able* accept ``?async=1``: instead of
     holding the socket for the duration of the pipeline work, the
@@ -156,7 +164,7 @@ from typing import Any, Callable
 
 from ..core import DataLens, DatasetNotFoundError
 from ..core.faults import TransientFaultError
-from ..dataframe import DataFrame, read_csv_text
+from ..dataframe import DataFrame
 from ..dataframe.spill import SpillCapacityError, SpillError
 from ..ingestion import PRELOADED
 from ..versioning import VersionNotFoundError
@@ -305,11 +313,7 @@ def _frame_preview(frame: DataFrame, limit: int = 20) -> dict[str, Any]:
     }
 
 
-def create_app(
-    lens: DataLens,
-    workers: int | None = None,
-    job_queue: JobQueue | None = None,
-) -> Router:
+def create_app(lens: DataLens, workers: int | None = None) -> Router:
     """Build the REST router bound to one DataLens workspace.
 
     The returned router carries its serving collaborators as
@@ -323,7 +327,7 @@ def create_app(
     """
     router = Router()
     registry = TenantRegistry(lens)
-    queue = job_queue if job_queue is not None else JobQueue(workers=workers)
+    queue = JobQueue(workers=workers)
     locks = LockRegistry()
     router.job_queue = queue
     router.locks = locks
@@ -419,21 +423,18 @@ def create_app(
         else:
             target = _checked_name(_require(body, "name"), "name")
         with locks.of(tenant, target).write_lock():
-            frame = None
             if "records" in body:
                 frame = DataFrame.from_records(body["records"])
+                session = registry.create(tenant).ingest_frame(target, frame)
             elif "csv_text" in body:
-                frame = read_csv_text(body["csv_text"])
-            elif "preloaded" not in body:
+                lines = io.StringIO(body["csv_text"])
+                session = registry.create(tenant).ingest_csv_stream(target, lines)
+            elif "preloaded" in body:
+                session = registry.create(tenant).ingest_preloaded(target)
+            else:
                 raise HTTPError(
                     422, "provide 'records', 'csv_text', or 'preloaded'"
                 )
-            lens_t = registry.create(tenant)
-            session = (
-                lens_t.ingest_preloaded(target)
-                if frame is None
-                else lens_t.ingest_frame(target, frame)
-            )
             return {"dataset": session.name, "shape": list(session.frame.shape)}
 
     @router.post("/datasets/{name}/upload")
@@ -441,9 +442,10 @@ def create_app(
         """Streaming chunked-CSV upload (Content-Type ``text/csv``).
 
         The body flows socket → chunked parser → (optionally spilled)
-        shards in one pass, so uploads far larger than RAM ingest under
-        the controller's chunk-size and spill configuration without ever
-        materializing.
+        shards in one pass, written to ``dirty.csv`` and committed as
+        the upload version on the way, so uploads far larger than RAM
+        ingest under the controller's chunk-size and spill configuration
+        without ever materializing.
         """
         tenant = _tenant_of(request)
         name = _checked_name(request.path_params["name"], "name")

@@ -11,11 +11,18 @@ DataSheets, with every detection/repair run logged to the "Detection" /
 from __future__ import annotations
 
 import copy
+import sqlite3
 import threading
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator
+from typing import Any, Callable, Iterable
 
-from ..dataframe import Cell, DataFrame, SpillStore, sweep_orphaned_spill_dirs
+from ..dataframe import (
+    Cell,
+    DataFrame,
+    SpillStore,
+    csv_lines,
+    sweep_orphaned_spill_dirs,
+)
 from ..dataframe.spill import resolve_spill_store
 from ..detection import (
     DetectionContext,
@@ -31,7 +38,7 @@ from ..fd import (
     discover_fds,
     discover_fds_hyfd,
 )
-from ..ingestion import DataLoader
+from ..ingestion import PRELOADED, DataLoader, load_clean
 from ..profiling import ProfileReport, profile
 from ..repair import RepairResult
 from ..tracking import DETECTION_EXPERIMENT, REPAIR_EXPERIMENT, TrackingClient
@@ -75,22 +82,11 @@ class DataLensSession:
     version hits the entries computed for it earlier.
     """
 
-    def __init__(
-        self,
-        controller: "DataLens",
-        name: str,
-        frame: DataFrame | None = None,
-    ) -> None:
+    def __init__(self, controller: "DataLens", name: str, frame: DataFrame) -> None:
         self.controller = controller
         self.name = name
         self.workspace = controller.loader.workspace_for(name)
-        # ``frame`` short-circuits the disk load for streaming ingestion:
-        # the uploaded CSV was already parsed (and possibly spilled) on
-        # its way into the workspace, so re-reading it would double the
-        # ingest cost.
-        self.frame: DataFrame = (
-            frame if frame is not None else controller.loader.load(name)
-        )
+        self.frame = frame
         self.delta = DeltaTable(self.workspace.delta_path)
         self.rule_set = RuleSet()
         self.tags = TagRegistry()
@@ -338,7 +334,7 @@ class DataLensSession:
         """Repair the consolidated detections and commit the output.
 
         The repaired frame is rendered once, as the ``repair`` version;
-        the workspace's ``repaired.csv`` is a hard link of that file.
+        the tracked run's ``repaired_path.txt`` names that data file.
 
         The session artifact store rides along: HoloClean repair reuses
         the ``repair:tokens`` / ``repair:cooccurrence`` artifacts the
@@ -358,9 +354,7 @@ class DataLensSession:
         self.version_after_repair = self.delta.write(
             repaired, operation="repair", metadata={"tool": tool}
         )
-        path = self.controller.loader.save_repaired(
-            self.name, self.delta.data_path(self.version_after_repair)
-        )
+        path = self.delta.data_path(self.version_after_repair)
         tracker = self.controller.tracking
         with tracker.start_run(REPAIR_EXPERIMENT, f"{self.name}:{tool}"):
             tracker.log_params({"dataset": self.name, "tool": tool, **result.config})
@@ -413,7 +407,11 @@ class DataLensSession:
         sheet = DataSheet(
             dataset_name=self.name,
             dirty_path=str(self.workspace.dirty_path),
-            repaired_path=str(self.workspace.repaired_path()),
+            repaired_path=(
+                str(self.delta.data_path(self.version_after_repair))
+                if self.version_after_repair is not None
+                else ""
+            ),
             num_rows=self.frame.num_rows,
             num_columns=self.frame.num_columns,
             detection_tools=[
@@ -512,58 +510,55 @@ class DataLens:
 
     # ------------------------------------------------------------------
     def ingest_frame(self, name: str, frame: DataFrame) -> DataLensSession:
-        self.loader.ingest_frame(name, frame)
-        return self._open(name)
-
-    def ingest_csv(self, path: str | Path) -> DataLensSession:
-        workspace = self.loader.ingest_csv(path)
-        return self._open(workspace.name)
+        """Ingest an in-memory frame (records, preloaded data, SQL): its
+        CSV, rendered a slice at a time, takes the one ingest path, so the
+        session holds the parse of that CSV."""
+        return self._ingest(name, csv_lines(frame))
 
     def ingest_preloaded(self, name: str) -> DataLensSession:
-        self.loader.ingest_preloaded(name)
-        return self._open(name)
+        """Ingest one of the datasets that ship with the dashboard."""
+        if name not in PRELOADED:
+            raise KeyError(f"unknown preloaded dataset {name!r}")
+        return self.ingest_frame(name, load_clean(name))
 
     def ingest_sql(self, database: str | Path, table: str) -> DataLensSession:
-        workspace = self.loader.ingest_sql(database, table)
-        return self._open(workspace.name)
+        """Ingest a table of a SQLite database as the dataset ``table``
+        (§2: a database table is treated like an uploaded file)."""
+        if not table.replace("_", "").isalnum():
+            raise ValueError(f"suspicious table name {table!r}")
+        with sqlite3.connect(str(database)) as connection:
+            cursor = connection.execute(f"SELECT * FROM {table}")
+            column_names = [desc[0] for desc in cursor.description]
+            rows = cursor.fetchall()
+        return self.ingest_frame(table, DataFrame.from_rows(rows, column_names))
 
-    def ingest_csv_stream(
-        self, name: str, lines: Iterator[str] | Iterable[str]
-    ) -> DataLensSession:
-        """Stream CSV lines into a dataset in one pass (REST upload path).
+    def ingest_csv_stream(self, name: str, lines: Iterable[str]) -> DataLensSession:
+        """Ingest CSV lines: an upload, ``csv_text`` or a file, as in
+        ``ingest_csv_stream(stem, open(path, newline=""))``.
 
-        The lines are tee'd to the workspace's ``dirty.csv`` (renamed
-        into place once the whole upload parsed) while being parsed by
-        the chunked reader under the controller's chunk/spill
-        configuration, so an upload larger than RAM is persisted and
-        packed (spilled shard by shard) without ever materializing — the
-        session then starts from the already-parsed frame, and that
-        ``dirty.csv`` becomes the upload version.
+        An upload larger than RAM is parsed once, packed and spilled
+        shard by shard under the lens's configuration while it is
+        written to the workspace, and the session starts from that parse.
         """
-        workspace, frame = self.loader.ingest_csv_stream(name, lines)
-        return self._open(workspace.name, frame=frame)
+        return self._ingest(name, lines)
 
-    def _open(self, name: str, frame: DataFrame | None = None) -> DataLensSession:
-        """A session on an ingest, committed as a new upload version.
-
-        The version is the ``dirty.csv`` the loader just wrote, linked
-        into the Delta table rather than rendered again.
-        """
+    def _ingest(self, name: str, lines: Iterable[str]) -> DataLensSession:
+        """The one ingest path: a new upload version and a session on it."""
+        frame = self.loader.ingest_csv_stream(name, lines)
         with self._session_lock:
-            session = DataLensSession(self, name, frame=frame)
-            session.delta.link(
-                session.workspace.dirty_path, session.frame, operation="upload"
-            )
-            self._sessions[name] = session
+            session = self._sessions[name] = DataLensSession(self, name, frame)
             return session
 
     def session(self, name: str) -> DataLensSession:
-        """The dataset's session, reopened from disk without a commit."""
+        """The dataset's session; a reopen reads its newest version and
+        commits none."""
         with self._session_lock:
             if name not in self._sessions:
                 if name not in self.loader.list_datasets():
                     raise DatasetNotFoundError(name)
-                self._sessions[name] = DataLensSession(self, name)
+                self._sessions[name] = DataLensSession(
+                    self, name, self.loader.load(name)
+                )
             return self._sessions[name]
 
     def list_datasets(self) -> list[str]:

@@ -29,7 +29,10 @@ class DataSheet:
     """Serializable record of one detect-and-repair pipeline execution."""
 
     dataset_name: str
+    #: The workspace's ``dirty.csv``, which holds the latest upload.
     dirty_path: str = ""
+    #: The repair version's data file in the Delta table; empty before
+    #: a repair.
     repaired_path: str = ""
     num_rows: int = 0
     num_columns: int = 0

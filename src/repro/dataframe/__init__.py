@@ -10,10 +10,10 @@ from .chunked import (
 from .column import Column
 from .frame import Cell, DataFrame
 from .io import (
+    csv_lines,
     read_csv,
     read_csv_chunked,
     read_csv_stream,
-    read_csv_text,
     to_csv_text,
     write_csv,
 )
@@ -60,6 +60,7 @@ __all__ = [
     "chunk_lengths_for",
     "coerce",
     "common_dtype",
+    "csv_lines",
     "external_sort_by",
     "group_by",
     "infer_dtype",
@@ -72,7 +73,6 @@ __all__ = [
     "read_csv",
     "read_csv_chunked",
     "read_csv_stream",
-    "read_csv_text",
     "resolve_chunk_size",
     "sort_by",
     "SpillCapacityError",

@@ -8,8 +8,8 @@ cell makes its own trip through Python.
 
 Parsing
 -------
-All readers (:func:`read_csv`, :func:`read_csv_text`, the chunked
-variants and :func:`read_csv_stream`) scan the source once with
+All readers (:func:`read_csv`, the chunked variants and
+:func:`read_csv_stream`) scan the source once with
 ``csv.reader`` and take it a block of rows at a time: ``chunk_size``
 rows for the chunked readers, :data:`_BLOCK_ROWS` for the monolithic
 ones, which then consolidate the result with ``to_monolithic()``. A
@@ -74,17 +74,18 @@ than RAM.
 
 Rendering
 ---------
-:func:`write_csv` and :func:`to_csv_text` stream chunk by chunk, and
-each chunk in slices of at most :data:`_BLOCK_ROWS` rows read with
-``row_range``, so a monolithic frame (one chunk) never has all its cells
-rendered at once. Each column of a slice is rendered once: ``repr`` for
-floats, ``str`` for ints, ``true``/``false`` for bools and ``""`` for
-missing cells. Rows are joined with the delimiter directly. A slice goes
-through ``csv.writer`` only when some cell holds the delimiter, a quote
-or a line break, or the frame has a single column, whose empty fields
-``csv.writer`` writes as ``""`` so they do not read back as blank lines.
-Without those cells ``csv.writer`` quotes nothing, so the bytes equal
-formatting every row through it, as the reference does.
+:func:`write_csv`, :func:`to_csv_text` and :func:`csv_lines` stream
+chunk by chunk, and each chunk in slices of at most :data:`_BLOCK_ROWS`
+rows read with ``row_range``, so a monolithic frame (one chunk) never
+has all its cells rendered at once. Each column of a slice is rendered
+once: ``repr`` for floats, ``str`` for ints, ``true``/``false`` for
+bools and ``""`` for missing cells. Rows are joined with the delimiter
+directly. A slice goes through ``csv.writer`` only when some cell holds
+the delimiter, a quote or a line break, or the frame has a single
+column, whose empty fields ``csv.writer`` writes as ``""`` so they do
+not read back as blank lines. Without those cells ``csv.writer`` quotes
+nothing, so the bytes equal formatting every row through it, as the
+reference does.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from pathlib import Path
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,11 +128,6 @@ def read_csv(path: str | Path, delimiter: str = ",") -> DataFrame:
     # newline="\n" splits lines exactly as io.StringIO does over the text.
     with open(path, "r", newline="\n", encoding="utf-8") as handle:
         return _parse_csv(handle, delimiter, _BLOCK_ROWS).to_monolithic()
-
-
-def read_csv_text(text: str, delimiter: str = ",") -> DataFrame:
-    """Parse CSV content held in a string."""
-    return _parse_csv(io.StringIO(text), delimiter, _BLOCK_ROWS).to_monolithic()
 
 
 def _object_array(values: list) -> np.ndarray:
@@ -630,19 +626,30 @@ def write_csv(frame: DataFrame, path: str | Path, delimiter: str = ",") -> None:
     """
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        _render_csv(frame, handle, delimiter)
+        handle.writelines(_render_csv(frame, delimiter))
 
 
 def to_csv_text(frame: DataFrame, delimiter: str = ",") -> str:
     """Render a DataFrame as CSV text."""
+    return "".join(_render_csv(frame, delimiter))
+
+
+def csv_lines(frame: DataFrame) -> Iterator[str]:
+    r"""The lines :func:`write_csv` writes with its default ``,``
+    delimiter (the one ingests parse with), rendered one slice at a time.
+
+    Lines split at ``"\n"`` only, as a file read with ``newline="\n"``
+    splits them, so a quoted line break continues its record on the next
+    line. Any CSV reader takes them, and only one slice's text is held.
+    """
+    return chain.from_iterable(map(io.StringIO, _render_csv(frame, ",")))
+
+
+def _render_csv(frame: DataFrame, delimiter: str) -> Iterator[str]:
+    """The render kernel: the text of one slice of rows at a time, the
+    header line first; each column of each slice is formatted once."""
     buffer = io.StringIO()
-    _render_csv(frame, buffer, delimiter)
-    return buffer.getvalue()
-
-
-def _render_csv(frame: DataFrame, handle, delimiter: str) -> None:
-    """The render kernel: each column of each slice is formatted once."""
-    writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+    writer = csv.writer(buffer, delimiter=delimiter, lineterminator="\n")
     writer.writerow(frame.column_names)
     for chunk in frame.iter_chunks():
         columns = [chunk.column(name) for name in chunk.column_names]
@@ -654,8 +661,12 @@ def _render_csv(frame: DataFrame, handle, delimiter: str) -> None:
             ):
                 writer.writerows(zip(*texts))
             else:
-                handle.write("\n".join(map(delimiter.join, zip(*texts))))
-                handle.write("\n")
+                buffer.write("\n".join(map(delimiter.join, zip(*texts))))
+                buffer.write("\n")
+            yield buffer.getvalue()
+            buffer.seek(0)
+            buffer.truncate()
+    yield buffer.getvalue()
 
 
 def _render_rows(column, start: int, stop: int) -> list[str]:

@@ -71,8 +71,8 @@ class IsolationForestDetector(Detector):
                 contamination=self.contamination,
                 seed=self.seed,
             ).fit(data)
-            flags = forest.predict(data)
             sample_scores = forest.score_samples(data)
+            flags = forest.outliers(sample_scores)
             rows = np.flatnonzero(present)
             for local, row in enumerate(rows):
                 if flags[local]:
@@ -92,8 +92,8 @@ class IsolationForestDetector(Detector):
             contamination=self.contamination,
             seed=self.seed,
         ).fit(filled)
-        flags = forest.predict(filled)
         sample_scores = forest.score_samples(filled)
+        flags = forest.outliers(sample_scores)
         cells: set[Cell] = set()
         scores: dict[Cell, float] = {}
         for row in np.flatnonzero(flags):

@@ -115,8 +115,8 @@ class IsolationForest:
     """Isolation forest anomaly scorer.
 
     ``score_samples`` returns the standard anomaly score in (0, 1]; larger
-    means more anomalous. ``predict`` flags the top ``contamination``
-    fraction as outliers.
+    means more anomalous. ``outliers`` flags the top ``contamination``
+    fraction of those scores.
     """
 
     def __init__(
@@ -197,8 +197,9 @@ class IsolationForest:
             scores.append(2.0 ** (-mean_path / max(expected, 1e-9)))
         return np.array(scores)
 
-    def predict(self, matrix: np.ndarray) -> np.ndarray:
-        """Boolean outlier mask over the rows of ``matrix``."""
-        scores = self.score_samples(matrix)
+    def outliers(self, scores: np.ndarray) -> np.ndarray:
+        """Boolean outlier mask over the rows :meth:`score_samples` gave
+        ``scores``: those above both the ``1 - contamination`` quantile
+        and 0.5."""
         threshold = np.quantile(scores, 1.0 - self.contamination)
         return scores > max(threshold, 0.5)

@@ -8,12 +8,16 @@ relies on for dataset version control (§5).
 
 A log entry names the data file that holds its rows, and several
 entries may name one file: ``restore`` commits an entry that names the
-restored version's file and writes no data. A data file may have names
-outside the table too: a dataset's ``dirty.csv`` is committed as its
-upload version by hard-linking it into ``data/`` (:meth:`DeltaTable.link`),
-and its ``repaired.csv`` is a hard link of the latest repair's data file.
-So no data file changes after its commit: each is made read-only, and a
-new workspace file is renamed over the old name, never written into it.
+restored version's file and writes no data. A data file may have a name
+outside the table too: an ingest commits the CSV it just wrote as the
+``upload`` version by hard-linking it into ``data/``
+(:meth:`DeltaTable.link`), and then renames it over the dataset's
+``dirty.csv``. So no data file changes after its commit: each is made
+read-only, and a new ``dirty.csv`` is renamed over the old one, never
+written into it.
+
+The log is a dataset's only source of truth: a reopen reads its newest
+version, and a dataset exists once its version 0 does.
 """
 
 from __future__ import annotations
@@ -37,6 +41,11 @@ DATA_DIR = "data"
 _NO_HARD_LINKS = frozenset(
     {errno.EPERM, errno.EOPNOTSUPP, errno.ENOTSUP, errno.ENOSYS}
 )
+
+
+def _entry_name(version: int) -> str:
+    """The log entry of ``version``; names sort in version order."""
+    return f"{version:020d}.json"
 
 
 class VersionNotFoundError(KeyError):
@@ -94,8 +103,9 @@ class DeltaTable:
     # ------------------------------------------------------------------
     @classmethod
     def exists(cls, root: str | Path) -> bool:
-        log_dir = Path(root) / LOG_DIR
-        return log_dir.exists() and any(log_dir.glob("*.json"))
+        """Whether the table at ``root`` has a committed version: one
+        ``stat`` of version 0's entry, which nothing removes."""
+        return (Path(root) / LOG_DIR / _entry_name(0)).exists()
 
     def history(self) -> list[Commit]:
         """All commits in version order."""
@@ -129,8 +139,8 @@ class DeltaTable:
 
         The data file gets a name no other writer can pick and is made
         read-only before its log entry is claimed: a later ``restore``
-        entry, and the workspace's ``repaired.csv``, may name the same
-        file, so it never changes after this commit.
+        entry may name the same file, so it never changes after this
+        commit.
 
         The root must be on a filesystem with hard links, because the
         version is claimed by hard-linking its log entry. Where it is
@@ -148,7 +158,9 @@ class DeltaTable:
         The file is hard-linked into ``data/`` (so ``path`` must be on the
         table's filesystem) and, like every data file, made read-only:
         whoever replaces ``path`` later must rename a new file over it,
-        because writing into it would change the committed version.
+        because writing into it would change the committed version. An
+        ingest links its temp file here before renaming it over
+        ``dirty.csv``, so a failed commit leaves ``dirty.csv`` as it was.
         """
         return self._commit(
             lambda target: self._link(path, target), frame, operation, None
@@ -228,7 +240,7 @@ class DeltaTable:
                 commit = replace(entry, version=version, timestamp=time.time())
                 tmp.write_text(json.dumps(commit.to_dict()), encoding="utf-8")
                 try:
-                    self._link(tmp, self.root / LOG_DIR / f"{version:020d}.json")
+                    self._link(tmp, self.root / LOG_DIR / _entry_name(version))
                     return version
                 except FileExistsError:
                     version += 1

@@ -1,5 +1,6 @@
 """Async jobs, parameter validation, tenancy, and streaming uploads."""
 
+import errno
 import threading
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from repro.api import TestClient, create_app
 from repro.core import DataLens
 from repro.dataframe import to_csv_text
+from repro.versioning import table as table_module
 
 
 @pytest.fixture
@@ -334,7 +336,7 @@ class TestStreamingUpload:
 
     def test_upload_persists_for_reload(self, lens, client):
         client.post_csv("/datasets/rivers/upload", self.CSV)
-        # A fresh controller over the same workspace reads dirty.csv back.
+        # A fresh controller over the same workspace reads the newest version.
         reloaded = DataLens(lens.workspace_dir).session("rivers")
         assert reloaded.frame.num_rows == 3
         assert reloaded.frame.column_names == ["city", "pop"]
@@ -357,6 +359,33 @@ class TestStreamingUpload:
         reopened = DataLens(lens.workspace_dir).session("rivers")
         assert to_csv_text(reopened.frame) == self.CSV
         assert reopened.delta.read(0) == reopened.frame
+        # A complete parse whose commit fails changes nothing either.
+        link = table_module.os.link
+
+        def refuse_log_entries(src, dst):
+            if "_delta_log" in str(dst):
+                raise OSError(errno.EOPNOTSUPP, "Operation not supported")
+            link(src, dst)
+
+        for route, send in (
+            ("upload", lambda: client.post_csv("/datasets/rivers/upload", "city\nx\n")),
+            ("csv_text", lambda: client.post(
+                "/datasets", {"name": "rivers", "csv_text": "city\nx\n"}
+            )),
+            ("records", lambda: client.post(
+                "/datasets", {"name": "rivers", "records": [{"city": "x"}]}
+            )),
+        ):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(table_module.os, "link", refuse_log_entries)
+                assert send().status == 500, route
+            assert (root / "dirty.csv").read_text(encoding="utf-8") == self.CSV
+            assert sorted(p.name for p in root.iterdir()) == ["delta", "dirty.csv"]
+            assert len(list((root / "delta" / "data").iterdir())) == 1
+            assert client.get("/datasets/rivers/versions").body == history
+            assert client.get("/datasets/rivers").body["num_rows"] == 3
+        reopened = DataLens(lens.workspace_dir).session("rivers")
+        assert to_csv_text(reopened.frame) == self.CSV
 
     def test_upload_with_chunked_spill_config(self, tmp_path, nasa_dirty):
         """The upload streams through the chunked reader under the PR-6

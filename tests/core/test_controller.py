@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.core import DataLens
-from repro.dataframe import to_csv_text, write_csv
+from repro.dataframe import DataFrame, SpilledChunkedColumn, to_csv_text, write_csv
 from repro.ingestion import hospital, nasa
 
 
@@ -27,21 +27,43 @@ class TestIngestion:
         assert nasa_session.delta.latest_version() == 0
 
     def test_ingest_csv(self, lens, tmp_path):
-        source = tmp_path / "mydata.csv"
+        """A CSV file streams its text as is, named after its stem."""
+        source = tmp_path / "uploads" / "mydata.csv"
         write_csv(nasa(30), source)
-        session = lens.ingest_csv(source)
+        with open(source, newline="", encoding="utf-8") as handle:
+            session = lens.ingest_csv_stream(source.stem, handle)
         assert session.name == "mydata"
-        assert session.frame.num_rows == 30
+        assert session.frame == nasa(30)
+        assert session.workspace.dirty_path.read_bytes() == source.read_bytes()
+        assert lens.list_datasets() == ["mydata"]
 
     def test_ingest_preloaded(self, lens):
         session = lens.ingest_preloaded("hospital")
         assert session.frame.num_rows == 1000
+
+    def test_unknown_preloaded(self, lens):
+        with pytest.raises(KeyError, match="imagenet"):
+            lens.ingest_preloaded("imagenet")
+        assert lens.list_datasets() == []
 
     def test_ingest_sql(self, lens, tmp_path, frame_to_sqlite):
         database = tmp_path / "db.sqlite"
         frame_to_sqlite(hospital(50), database, "hospital_table")
         session = lens.ingest_sql(database, "hospital_table")
         assert session.frame.num_rows == 50
+
+    def test_ingest_sql_roundtrip(self, lens, tmp_path, frame_to_sqlite):
+        frame = DataFrame.from_dict({"id": [1, 2, 3], "name": ["x", "y", None]})
+        database = tmp_path / "db.sqlite"
+        frame_to_sqlite(frame, database, "people")
+        session = lens.ingest_sql(database, "people")
+        assert session.name == "people"
+        assert session.frame == frame
+        assert lens.session("people").delta.read(0) == frame
+
+    def test_suspicious_table_name(self, lens):
+        with pytest.raises(ValueError, match="suspicious table name"):
+            lens.ingest_sql("db.sqlite", "users; DROP TABLE x")
 
     def test_session_reopen(self, lens, nasa_session):
         assert lens.session("nasa") is nasa_session
@@ -98,8 +120,9 @@ class TestVersioning:
 
 class TestVersionFiles:
     """Each version's CSV is written once: the upload version is the
-    ``dirty.csv`` the loader wrote, a repair renders its frame once, and
-    ``repaired.csv`` is a hard link of the latest repair's file."""
+    ``dirty.csv`` the loader wrote, and a repair renders its frame once
+    into the version's data file, which the repair run and the DataSheet
+    name; there is no ``repaired.csv``."""
 
     def test_upload_version_is_the_dirty_csv(self, nasa_session):
         dirty = nasa_session.workspace.dirty_path
@@ -132,8 +155,11 @@ class TestVersionFiles:
         second = session.run_repair("standard_imputer")
         assert first != second
         assert session.version_after_repair == 2
-        repaired = session.workspace.repaired_path()
-        assert repaired.samefile(session.delta.data_path(2))
+        sheet = session.generate_datasheet()
+        assert sheet.repaired_path == str(session.delta.data_path(2))
+        assert sorted(p.name for p in session.workspace.root.iterdir()) == [
+            "delta", "dirty.csv"
+        ]
         assert session.delta.data_path(1).read_bytes() == v1
         assert session.delta.read(1) == first
         assert session.delta.read(2) == second
@@ -250,10 +276,14 @@ class TestDetectionRepair:
         session.run_detection(["mv_detector"])
         repaired = session.run_repair("standard_imputer")
         assert session.version_after_repair == 1
-        assert session.workspace.repaired_path().exists()
         assert repaired.missing_count() == 0
         runs = lens.tracking.search_runs("Repair")
         assert len(runs) == 1
+        # The run names the repair version's data file.
+        artifact = lens.tracking.store.run_dir(runs[0]) / "artifacts"
+        logged = (artifact / "repaired_path.txt").read_text(encoding="utf-8")
+        assert logged == str(session.delta.data_path(1))
+        assert session.delta.read(1) == repaired
 
     def test_detection_summary_covers_columns(self, nasa_session):
         nasa_session.run_detection(["iqr"])
@@ -298,12 +328,15 @@ class TestDataSheet:
         assert sheet.version_before_detection == 0
         assert sheet.version_after_repair == 1
         assert sheet.quality_after["completeness"] == 1.0
+        assert sheet.dirty_path == str(session.workspace.dirty_path)
+        assert sheet.repaired_path == str(session.delta.data_path(1))
 
     def test_save_datasheet(self, lens, nasa_dirty):
         session = lens.ingest_frame("nasa", nasa_dirty.dirty)
         session.run_detection(["mv_detector"])
         path = session.save_datasheet()
         assert path.exists()
+        assert session.generate_datasheet().repaired_path == ""
 
     def test_sheet_replay_matches_repair(self, lens, nasa_dirty):
         """§5: a downloaded DataSheet reproduces the preparation steps."""
@@ -312,3 +345,60 @@ class TestDataSheet:
         repaired = session.run_repair("standard_imputer")
         sheet = session.generate_datasheet()
         assert sheet.replay(nasa_dirty.dirty) == repaired
+
+
+def _refuse_densifying(monkeypatch):
+    """Make densifying a still-spilled column fail loudly."""
+    materialize = SpilledChunkedColumn._materialize
+
+    def guarded(self):
+        if self._dense_data is None and self.spilled:
+            raise AssertionError(f"densified spilled column {self.name!r}")
+        materialize(self)
+
+    monkeypatch.setattr(SpilledChunkedColumn, "_materialize", guarded)
+
+
+class TestReopen:
+    """The Delta log is each dataset's only source of truth: a fresh lens
+    reopens a dataset at its newest version, not at ``dirty.csv``."""
+
+    @pytest.mark.parametrize("kind", ["resident", "chunked", "spilled", "tenant"])
+    def test_reopen_reads_the_newest_version(
+        self, tmp_path, monkeypatch, nasa_dirty, kind
+    ):
+        options = {}
+        if kind in ("chunked", "spilled"):
+            options["chunk_size"] = 257
+        if kind == "spilled":
+            options.update(spill_budget=64 * 1024, spill_dir=tmp_path / "spill")
+
+        def fresh_lens():
+            lens = DataLens(tmp_path / "workspace", seed=0, **options)
+            return lens.tenant("acme") if kind == "tenant" else lens
+
+        session = fresh_lens().ingest_frame("nasa", nasa_dirty.dirty)
+        session.run_detection(["mv_detector"])
+        session.run_repair("standard_imputer")
+        session.load_version(session.delta.restore(0))
+        session.load_version(session.delta.restore(1))
+        head = session.delta.read()
+        assert head == session.delta.read(1)
+        assert head != session.delta.read(0)
+
+        if kind == "spilled":
+            _refuse_densifying(monkeypatch)
+        reopened = fresh_lens().session("nasa")
+        assert reopened is not session
+        assert reopened.frame.dtypes() == head.dtypes()
+        assert reopened.frame.column_fingerprints() == head.column_fingerprints()
+        assert reopened.delta.versions() == [0, 1, 2, 3]
+        if kind == "spilled":
+            assert reopened.spill_stats()["enabled"] is True
+            columns = [reopened.frame.column(n) for n in reopened.frame.column_names]
+            assert all(column.spilled for column in columns)
+            monkeypatch.undo()
+        assert reopened.frame == head
+        # dirty.csv still holds the upload's bytes; it is not the source.
+        assert reopened.workspace.dirty_path.samefile(reopened.delta.data_path(0))
+

@@ -7,7 +7,8 @@ quality both monolithically and chunked at adversarial chunk sizes
 (1, 2, 257, n-1, n, n+7), and the outputs must be *bit-identical*:
 same values, same Python types, same key order, same exception when an
 input crashes the monolithic kernels. The streaming chunked CSV reader
-is differentially tested against ``read_csv_text`` the same way.
+is differentially tested against the monolithic reader's kernel the same
+way.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from repro.dataframe import (
     ChunkedFrame,
     DataFrame,
     SpillStore,
+    csv_lines,
     read_csv_stream,
-    read_csv_text,
     to_csv_text,
 )
 from repro.dataframe import io as csv_io
@@ -34,6 +35,8 @@ from repro.detection.base import DetectionContext
 from repro.detection.mvdetector import MVDetector
 from repro.detection.outliers import IQRDetector, SDDetector
 from repro.profiling import profile
+
+from csv_helpers import read_csv_text
 
 DTYPES = ("int", "float", "bool", "string", "bigint")
 
@@ -546,10 +549,13 @@ class TestChunkConfiguration:
         monkeypatch.delenv("DATALENS_SPILL_BUDGET", raising=False)
         frame = DataFrame.from_dict({"a": [1, 2, 3, 4, 5], "b": list("vwxyz")})
         loader = DataLoader(tmp_path / "plain")
-        loader.ingest_frame("d", frame)
+        ingested = loader.ingest_csv_stream("d", csv_lines(frame))
+        assert not isinstance(ingested, CF)
         assert not isinstance(loader.load("d"), CF)
         chunked_loader = DataLoader(tmp_path / "chunked", chunk_size=2)
-        chunked_loader.ingest_frame("d", frame)
+        ingested = chunked_loader.ingest_csv_stream("d", csv_lines(frame))
+        assert isinstance(ingested, CF)
+        assert ingested.chunk_lengths == (2, 2, 1)
         loaded = chunked_loader.load("d")
         assert isinstance(loaded, CF)
         assert loaded.chunk_lengths == (2, 2, 1)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.http import Response
-from repro.dataframe import DataFrame, read_csv_text, to_csv_text
+from repro.dataframe import DataFrame, to_csv_text
+
+from csv_helpers import read_csv_text
 
 cell_values = st.one_of(
     st.none(),

@@ -11,10 +11,11 @@ from repro.dataframe import (
     DataFrame,
     read_csv,
     read_csv_stream,
-    read_csv_text,
     to_csv_text,
     write_csv,
 )
+
+from csv_helpers import read_csv_text
 
 
 class TestCSV:
@@ -62,7 +63,7 @@ class TestCSV:
         assert frame.at(0, "a") == "x,y"
 
     @pytest.mark.parametrize(
-        "reader", ["read_csv", "read_csv_text", "read_csv_chunked", "read_csv_stream"]
+        "reader", ["read_csv", "read_csv_chunked", "read_csv_stream"]
     )
     def test_readers_reject_dtypes(self, reader, tmp_path):
         text = "zip\n007\n"
@@ -70,7 +71,6 @@ class TestCSV:
         path.write_text(text, encoding="utf-8")
         source = {
             "read_csv": path,
-            "read_csv_text": text,
             "read_csv_chunked": path,
             "read_csv_stream": io.StringIO(text),
         }[reader]

@@ -25,6 +25,7 @@ from repro.dataframe import (
     SpillError,
     SpillStore,
     SpilledChunkedColumn,
+    csv_lines,
     read_csv_chunked,
     spill_frame,
     spill_store_of,
@@ -662,7 +663,8 @@ class TestSpillWiring:
         monkeypatch.delenv("DATALENS_DEFAULT_CHUNK_SIZE", raising=False)
         store = SpillStore(budget_bytes=2048)
         loader = DataLoader(tmp_path, spill_store=store)
-        loader.ingest_frame("d", _frame())
+        ingested = loader.ingest_csv_stream("d", csv_lines(_frame()))
+        assert spill_store_of(ingested) is store
         loaded = loader.load("d")
         assert isinstance(loaded, ChunkedFrame)
         column = loaded.column("x")
@@ -670,7 +672,7 @@ class TestSpillWiring:
         # Every load spills into the one store the loader was given...
         assert spill_store_of(loaded) is store
         assert spill_store_of(loader.load("d")) is store
-        _, streamed = loader.ingest_csv_stream(
+        streamed = loader.ingest_csv_stream(
             "e", io.StringIO(to_csv_text(_frame()))
         )
         assert spill_store_of(streamed) is store

@@ -11,7 +11,7 @@ from repro.detection import (
     SDDetector,
 )
 from repro.ingestion import OUTLIER
-from repro.ml import detection_scores
+from repro.ml import IsolationForest, detection_scores
 
 
 def frame_with_outlier():
@@ -99,3 +99,71 @@ class TestIsolationForestDetector:
         frame = DataFrame.from_dict({"x": [1.0, 2.0, 3.0]})
         result = IsolationForestDetector().detect(frame)
         assert result.cells == set()
+
+    @pytest.mark.parametrize("multivariate", [False, True])
+    def test_each_column_is_scored_once(self, nasa_dirty, monkeypatch, multivariate):
+        """One ``score_samples`` call per column (one in multivariate
+        mode), with the cells and scores of flagging and then scoring in
+        two passes."""
+        frame = nasa_dirty.dirty.head(300)
+        detector = IsolationForestDetector(
+            n_estimators=10, multivariate=multivariate, seed=0
+        )
+        score_samples = IsolationForest.score_samples
+        calls = []
+
+        def counted(self, matrix):
+            calls.append(len(matrix))
+            return score_samples(self, matrix)
+
+        monkeypatch.setattr(IsolationForest, "score_samples", counted)
+        result = detector.detect(frame, DetectionContext())
+        monkeypatch.undo()
+        names = frame.numeric_column_names()
+        assert len(calls) == (1 if multivariate else len(names))
+        cells, scores = _predict_then_score(frame, names, detector)
+        assert result.cells and result.cells == cells
+        assert result.scores == scores
+
+
+def _predict_then_score(frame, names, detector):
+    """The detector's cells and scores computed the old way: one
+    ``score_samples`` pass flags the rows above the threshold, then a
+    second pass scores them."""
+
+    def forest(data):
+        return IsolationForest(
+            n_estimators=detector.n_estimators,
+            contamination=detector.contamination,
+            seed=detector.seed,
+        ).fit(data)
+
+    def predict(fitted, data):
+        scores = fitted.score_samples(data)
+        threshold = np.quantile(scores, 1.0 - fitted.contamination)
+        return scores > max(threshold, 0.5)
+
+    cells, scores = set(), {}
+    if detector.multivariate:
+        matrix = frame.to_numpy(names)
+        filled = np.where(np.isnan(matrix), np.nanmean(matrix, axis=0), matrix)
+        fitted = forest(filled)
+        flags, row_scores = predict(fitted, filled), fitted.score_samples(filled)
+        for row in np.flatnonzero(flags):
+            for name in names:
+                cells.add((int(row), name))
+                scores[(int(row), name)] = float(row_scores[row])
+        return cells, scores
+    for name in names:
+        values = frame.column(name).to_numpy()
+        present = ~np.isnan(values)
+        data = values[present].reshape(-1, 1)
+        if len(data) < 8 or float(np.std(data)) == 0.0:
+            continue
+        fitted = forest(data)
+        flags, row_scores = predict(fitted, data), fitted.score_samples(data)
+        for local, row in enumerate(np.flatnonzero(present)):
+            if flags[local]:
+                cells.add((int(row), name))
+                scores[(int(row), name)] = float(row_scores[local])
+    return cells, scores

@@ -25,7 +25,7 @@ class TestIsolationForest:
         forest = IsolationForest(
             n_estimators=50, contamination=0.02, seed=1
         ).fit(data)
-        flags = forest.predict(data)
+        flags = forest.outliers(forest.score_samples(data))
         assert flags[200:].all()
 
     def test_contamination_bounds(self):
@@ -53,4 +53,4 @@ class TestIsolationForest:
     def test_constant_data_no_flags(self):
         data = np.zeros((50, 2))
         forest = IsolationForest(n_estimators=10, seed=0).fit(data)
-        assert not forest.predict(data).any()
+        assert not forest.outliers(forest.score_samples(data)).any()

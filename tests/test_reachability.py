@@ -6,7 +6,10 @@ its name appears as an ``ast.Name`` or ``ast.Attribute`` anywhere in
 CLI, examples) and the benchmark's workloads. A string constant in
 ``perfbench/`` also counts, because its tracer wraps methods by name.
 The definition itself, import aliases and ``__all__`` entries are not
-references, and dunder names are exempt.
+references, and dunder names are exempt. Neither is a name used only
+inside a function or method of the same name: a wrapper that delegates
+to a same-named method, or a function that calls itself, is not a
+caller.
 
 Names are matched bare, so a dead method whose name is reused elsewhere
 still passes. Code that only tests call belongs under ``tests/`` or
@@ -60,19 +63,33 @@ def _definitions(tree: ast.AST, prefix: str) -> list[tuple[str, str]]:
     return found
 
 
-def _references(tree: ast.AST, strings: bool) -> set[str]:
+def _references(
+    tree: ast.AST, strings: bool, enclosing: frozenset[str] = frozenset()
+) -> set[str]:
+    """Names used in ``tree``, except inside a function of the same name.
+
+    ``enclosing`` holds the names of the functions around ``tree``.
+    """
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names |= _references(node, strings, enclosing | {node.name})
+            continue
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            name = node.id
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            name = node.attr
         elif (
             strings
             and isinstance(node, ast.Constant)
             and isinstance(node.value, str)
         ):
-            names.add(node.value)
+            name = node.value
+        else:
+            name = None
+        if name is not None and name not in enclosing:
+            names.add(name)
+        names |= _references(node, strings, enclosing)
     return names
 
 
@@ -156,16 +173,25 @@ def test_guard_flags_dead_definitions_only():
         "    def dead(self): pass\n"
         "if True:\n"
         "    def guarded(): pass\n"
+        "class Lens:\n"
+        "    def delegate(self): return self.loader.delegate()\n"
+        "    def recurse(self): return self.recurse()\n"
+        "    def helper(self):\n"
+        "        def inner(): return self.recurse()\n"
+        "        return inner\n"
     )
     caller = (
         "from m import unused as alias, dead\n"
         "__all__ = ['unused', 'dead', 'guarded']\n"
         "used()\n"
         "Box().opened()\n"
+        "Lens().helper()\n"
     )
     visited, dead = scan({"m": module}, [(module, False), (caller, False)])
-    assert visited == 7
-    assert dead == ["m.Box.dead", "m.guarded", "m.unused"]
+    assert visited == 11
+    # A wrapper that delegates to a same-named method, and a method that
+    # calls itself, are not callers; a call from another method is.
+    assert dead == ["m.Box.dead", "m.Lens.delegate", "m.guarded", "m.unused"]
     _, dead = scan({"m": module}, [(caller, False), ("wrap('dead')", True)])
     assert "m.Box.dead" not in dead
     _, dead = scan({"m": module}, [(caller, False), ("wrap('dead')", False)])

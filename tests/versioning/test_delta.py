@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dataframe import DataFrame
-from repro.ingestion import nasa
+from repro.ingestion import DataLoader, nasa
 from repro.versioning import DeltaTable, VersionNotFoundError
 from repro.versioning import table as table_module
 
@@ -87,6 +87,17 @@ class TestHistory:
         reopened = DeltaTable(tmp_path)
         assert len(reopened) == 2
         assert reopened.read(0) == small(0)
+
+    def test_a_second_table_sees_new_commits(self, tmp_path):
+        first, second = DeltaTable(tmp_path), DeltaTable(tmp_path)
+        first.write(small(0))
+        assert second.versions() == [0]
+        first.write(small(1))
+        first.restore(0)
+        assert second.versions() == [0, 1, 2]
+        assert second.latest_version() == 2
+        assert second.read() == small(0)
+        assert second.commit_for(2).metadata == {"restored_from": 0}
 
 
 class TestConcurrentWriters:
@@ -180,6 +191,20 @@ class TestConcurrentWriters:
         assert len(list((tmp_path / "data").iterdir())) == 1
         assert len(list((tmp_path / "_delta_log").iterdir())) == 1
         assert source.read_text(encoding="utf-8") == "a,b\n1,x\n"
+        # An ingest commits before it renames its file over dirty.csv, so
+        # a refused commit leaves the dataset as it was.
+        loader = DataLoader(tmp_path / "ws")
+        loader.ingest_csv_stream("d", iter(["a\n", "1\n"]))
+        workspace = loader.workspace_for("d")
+        monkeypatch.setattr(table_module.os, "link", refuse)
+        with pytest.raises(OSError, match="does not support the hard links") as error:
+            loader.ingest_csv_stream("d", iter(["a\n", "2\n"]))
+        assert str(workspace.delta_path) in str(error.value)
+        monkeypatch.undo()
+        assert workspace.dirty_path.read_text(encoding="utf-8") == "a\n1\n"
+        assert sorted(p.name for p in workspace.root.iterdir()) == ["delta", "dirty.csv"]
+        assert DeltaTable(workspace.delta_path).versions() == [0]
+        assert loader.load("d") == DataFrame.from_dict({"a": [1]})
 
     def test_failed_claim_of_a_linked_file_leaves_no_data_file(
         self, tmp_path, monkeypatch
